@@ -5,22 +5,23 @@
 Run from the root of a checkout; the package is imported from ``src/``.
 The parent draws the operation list from the seed, then starts fresh child
 interpreters one after another (never two at once) that each set up
-stratacalc and run their own draw of the workload, until S seconds have
-passed and at least MIN_CHILDREN have finished.  Set-up-only children add
-samples of set-up time.  Every output is checked against ``reference.py``.
+stratacalc and run their own draw of the workload, while another child
+still fits in S seconds or fewer than MIN_CHILDREN have finished.
+Set-up-only children add samples of set-up time.  Every output is checked
+against ``reference.py``.
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``.  With ``--trace 0``
-the metrics are the end-to-end ones.  Timings come from the faster half of
-the run's children (see ``faster_half``):
+the metrics are the end-to-end ones, in reference seconds (see
+``speed_factor``), over all of the run's children:
 
     setup_s      spawn to first operation ready (import + default_registry),
-                 median of the faster half of all set-up samples
-    run_s        wall time of one child's operation list, median
+                 median of all set-up samples
+    run_s        time of one child's operation list, median
     op_p50_ms    median operation latency, the children's operations pooled
-    op_tail_ms   latency at the highest percentile of TAIL_LADDER with at
-                 least ten operations beyond it at the run's minimum size
-    peak_rss_mb  peak resident memory of a child (rusage), median over all
+    op_tail_ms   latency at TAIL_PERCENTILE, which leaves at least ten
+                 operations beyond it at the run's minimum size
+    peak_rss_mb  peak resident memory of a child (rusage), median
 
 With ``--trace 1`` one untraced child is followed by traced children whose
 spans give the per-layer metrics; the spans are written to
@@ -47,17 +48,20 @@ SRC = os.path.join(ROOT, "src")
 WORK = os.path.join(HERE, ".work")
 WORKER = os.path.join(HERE, "worker.py")
 
-# fewest children per run; half of them set the run's minimum size, which
-# fixes the tail percentile
-MIN_CHILDREN = {"euler-sweep": 8, "products": 22, "queries": 4}
+# fewest children per run; times a child's fewest operations they give the
+# run's minimum size, at which TAIL_PERCENTILE leaves ten operations beyond
+MIN_CHILDREN = {"euler-sweep": 6, "products": 12, "queries": 2}
+# euler-sweep has 12 operations a child, products at least 86, queries 2500
+TAIL_PERCENTILE = {"euler-sweep": 75.0, "products": 99.0, "queries": 99.5}
 SETUP_SAMPLES = 15
+# the time worker.calibrate takes at the reference speed
+CAL_REF_S = 0.006
 CHILD_TIMEOUT_S = 150.0
 # children always read compiled bytecode, cached under the work directory,
 # whatever the caller's environment says, so set-up time means the same
 # on every machine
 CHILD_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
 CHILD_ENV["PYTHONPYCACHEPREFIX"] = os.path.join(WORK, "pycache")
-TAIL_LADDER = (99.9, 99.5, 99.0, 98.0, 95.0, 90.0, 75.0, 50.0)
 
 # which end-to-end metric each layer should move, and on which workload
 LAYER_MAP = {
@@ -76,9 +80,21 @@ class BenchError(RuntimeError):
     """The run cannot produce a result."""
 
 
+def speed_factor(cal: list) -> float:
+    """Reference seconds per second of a child, from its calibration
+    chunks.  The shared host the baseline was taken on runs a process up to
+    1.5 times slower for minutes at a time, and one of its two vCPUs runs a
+    process slower than the other, every kind of Python work alike; a
+    child's times multiplied by this factor read as if the host
+    ran the calibration chunk in CAL_REF_S.  The mean of the chunk times,
+    not their median, weighs the slow and fast stretches of the child as
+    its operations met them."""
+    return CAL_REF_S / statistics.fmean(cal)
+
+
 def spawn_child(ops_file: str, mode: str = "") -> tuple[dict, float, float]:
-    """Run one child to completion; return its result, set-up seconds and
-    peak RSS in MB."""
+    """Run one child to completion; return its result, set-up seconds in
+    reference seconds and peak RSS in MB."""
     res_file = os.path.join(WORK, f"result-{os.getpid()}.json")
     if os.path.exists(res_file):
         os.remove(res_file)
@@ -103,7 +119,8 @@ def spawn_child(ops_file: str, mode: str = "") -> tuple[dict, float, float]:
     with open(res_file) as fh:
         result = json.load(fh)
     os.remove(res_file)
-    return result, result["ready"] - t0, usage.ru_maxrss / 1024.0
+    setup = (result["ready"] - t0) * speed_factor(result["cal_setup"])
+    return result, setup, usage.ru_maxrss / 1024.0
 
 
 def write_ops(ops: list, name: str) -> str:
@@ -120,10 +137,6 @@ def write_ops(ops: list, name: str) -> str:
     with open(ops_file, "w") as fh:
         json.dump(ops, fh)
     return ops_file
-
-
-def tail_percentile(n_min: int) -> float:
-    return next((p for p in TAIL_LADDER if n_min * (100 - p) / 100 >= 10), 50.0)
 
 
 def quantile(sorted_xs: list, p: float) -> float:
@@ -168,15 +181,21 @@ class Run:
         self.setups.append(spawn_child(write_ops([], "probe"), "--setup-only")[1])
 
     def repeat(self, seconds: float, min_children: int, mode: str = "") -> list[dict]:
-        """Children one after another until the time is up and at least
-        min_children have run.  Untraced children are each followed by a
-        set-up probe, topped up to SETUP_SAMPLES set-up samples."""
+        """Children one after another until at least min_children have run
+        and the next, taking as long as the last, would end after the time
+        is up.  Untraced children are each followed by set-up probes, so
+        that min_children of them give SETUP_SAMPLES set-up samples spread
+        over the run, topped up at the end if need be."""
+        probes = max(1, math.ceil(SETUP_SAMPLES / min_children) - 1)
         start = time.monotonic()
-        out = []
-        while len(out) < min_children or time.monotonic() - start < seconds:
+        out: list[dict] = []
+        last = 0.0
+        while len(out) < min_children or time.monotonic() + last - start <= seconds:
+            t = time.monotonic()
             out.append(self.child(len(out), mode))
-            if not mode:
+            for _ in range(0 if mode else probes):
                 self.probe()
+            last = time.monotonic() - t
         while not mode and len(self.setups) < SETUP_SAMPLES:
             self.probe()
         return out
@@ -186,30 +205,26 @@ class Run:
                    for r in results)
 
 
-def faster_half(xs: list, key=None) -> list:
-    """The faster half of a run's samples.  On a shared machine a burst of
-    co-tenant load can slow a child twofold (a fixed CPU loop in fresh
-    processes read 51-106 ms on the 2-vCPU machine the baseline was taken
-    on); the slower half carries that noise and no information a faster
-    program would not also show in the faster half."""
-    return sorted(xs, key=key)[:(len(xs) + 1) // 2]
-
-
 def measure(run: Run, seconds: float) -> dict:
-    n_min = MIN_CHILDREN[run.workload]
-    results = run.repeat(seconds, n_min)
+    results = run.repeat(seconds, MIN_CHILDREN[run.workload])
     failures: list[str] = []
     failed = run.failures(results, failures)
-    kept = faster_half(results, key=lambda r: r["run_s"])
-    lat = sorted(x * 1000 for r in kept for x in r["latency_s"])
-    pct = tail_percentile(min(len(r["ops"]) for r in results) * ((n_min + 1) // 2))
+    factors = [speed_factor(r["cal"]) for r in results]
+    lat = sorted(x * f * 1000 for r, f in zip(results, factors)
+                 for x in r["latency_s"])
+    pct = TAIL_PERCENTILE[run.workload]
+    if len(lat) * (100 - pct) / 100 < 10:
+        raise BenchError(f"{len(lat)} operations leave fewer than ten beyond p{pct:g}")
     return {
         "attempted": sum(len(r["ops"]) for r in results), "failed": failed,
         "failures": failures, "children": len(results),
         "tail_percentile": pct, "samples": len(lat),
+        "wall_run_s": statistics.median(r["run_s"] for r in results),
+        "speed_factor": statistics.median(factors),
         "metrics": {
-            "setup_s": (statistics.median(faster_half(run.setups)), "s"),
-            "run_s": (statistics.median(r["run_s"] for r in kept), "s"),
+            "setup_s": (statistics.median(run.setups), "s"),
+            "run_s": (statistics.median(r["run_s"] * f
+                                        for r, f in zip(results, factors)), "s"),
             "op_p50_ms": (statistics.median(lat), "ms"),
             "op_tail_ms": (quantile(lat, pct), "ms"),
             "peak_rss_mb": (statistics.median(run.rss), "MB"),
@@ -314,7 +329,9 @@ def main() -> int:
         for layer, targets in LAYER_MAP.items():
             print(f"  {layer}: " + ", ".join(f"{m} on {w}" for m, w in targets))
     else:
-        print(f"op_tail_ms is p{rep['tail_percentile']:g} of {rep['samples']} operations")
+        print(f"op_tail_ms is p{rep['tail_percentile']:g} of {rep['samples']} operations; "
+              f"wall-clock run_s {rep['wall_run_s']:.4g} s at a median speed "
+              f"factor of {rep['speed_factor']:.4g} reference s/s")
     for name, (value, unit) in rep["metrics"].items():
         print(f"  {name:38s} {value:14.6g} {unit}")
     print(json.dumps({

@@ -6,7 +6,9 @@ one operation list, then writes its timings and outputs as JSON.
 Every run starts in a fresh interpreter because ``stratacalc.levelgraphs``
 keeps process-wide caches that would otherwise turn repeats into cache
 hits.  The child runs on one thread; the parent times set-up from its spawn
-to ``ready`` below, on the system-wide monotonic clock.
+to ``ready`` below, on the system-wide monotonic clock.  Right after
+``ready``, and between operations, the child times a fixed calibration
+chunk (``calibrate``) that tells the parent how fast the host ran it.
 
 With ``--trace`` each operation is run stage by stage (levelgraphs, exact,
 strata, evaluate, tautring, invariants, cli) with a span per stage, kept in
@@ -34,7 +36,7 @@ def main() -> int:
         print(f"stratacalc imported from {stratacalc.__file__}, not {src}",
               file=sys.stderr)
         return 2
-    result = {"ready": ready}
+    result = {"ready": ready, "cal_setup": [calibrate() for _ in range(SETUP_CAL_CHUNKS)]}
     if mode != "--setup-only":
         with open(ops_file) as fh:
             ops = json.load(fh)
@@ -46,6 +48,32 @@ def main() -> int:
     with open(result_file, "w") as fh:
         json.dump(result, fh)
     return 0
+
+
+# ---------------------------------------------------------------------------
+# host speed
+# ---------------------------------------------------------------------------
+
+CAL_EVERY_S = 0.05
+SETUP_CAL_CHUNKS = 3
+
+
+def calibrate() -> float:
+    """Seconds one fixed chunk of pure-Python work takes now: exact
+    fractions summed into a dict with tuple keys and sorted now and then,
+    4-7 ms on the baseline machine.  It runs no stratacalc code, so a
+    change to the program leaves it alone, while a host that runs the child
+    slower for a while slows it alike."""
+    from fractions import Fraction
+    t = time.perf_counter()
+    acc: dict = {}
+    x = Fraction(1, 3)
+    for i in range(600):
+        key = (i % 31, i % 7)
+        acc[key] = acc.get(key, 0) + x * (i % 5 + 1) / (i % 3 + 2)
+        if i % 40 == 0:
+            sorted(acc, key=lambda k: (k[1], k[0]))
+    return time.perf_counter() - t
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +152,15 @@ def _kappas(op, spec):
 
 
 def run_plain(ops: list, spec_dir: str) -> dict:
-    results, lat = [], []
-    t0 = time.monotonic()
+    """Run the operations, with a calibration chunk before the first, after
+    the last and between two whenever CAL_EVERY_S have passed since the
+    previous chunk; chunk time is left out of ``run_s``."""
+    results, lat, cal = [], [], [calibrate()]
+    t0 = last = time.perf_counter()
     for op in ops:
+        if time.perf_counter() - last >= CAL_EVERY_S:
+            cal.append(calibrate())
+            last = time.perf_counter()
         t = time.perf_counter()
         try:
             res = run_op(op, spec_dir)
@@ -134,7 +168,9 @@ def run_plain(ops: list, spec_dir: str) -> dict:
             res = {"error": f"{type(exc).__name__}: {exc}"}
         lat.append(time.perf_counter() - t)
         results.append(res)
-    return {"run_s": time.monotonic() - t0, "latency_s": lat, "results": results}
+    run_s = time.perf_counter() - t0 - sum(cal[1:])
+    cal.append(calibrate())
+    return {"run_s": run_s, "latency_s": lat, "results": results, "cal": cal}
 
 
 # ---------------------------------------------------------------------------

@@ -171,10 +171,14 @@ def _draw_band(rng: random.Random, pool: list[dict], weight: dict, count: int,
 def euler_sweep(rng: random.Random, ref: dict) -> list[dict]:
     """chi, then the Chern polynomial, of two genus-0 strata with a reference
     cost of 1.25 s +- 15% (58 of the 127 strata, around the pool's median)
-    and three genus-1 strata of 105 ms +- 25%."""
+    and four genus-1 strata of 105 ms +- 15% (8 of 19).  Sorted by
+    latency, a child's twelve operations fall into four kinds: genus-1
+    chern, genus-1 chi, genus-0 chern, genus-0 chi, with 4, 4, 2 and 2
+    operations.  The median and the 75th percentile then sit in the middle
+    of a kind, not on the edge between two."""
     weight = ref["euler_cost_ms"]
     strata = _draw_band(rng, euler_genus0_pool(), weight, 2, 1250.0, 0.15)
-    strata += _draw_band(rng, euler_genus1_pool(), weight, 3, 105.0, 0.25)
+    strata += _draw_band(rng, euler_genus1_pool(), weight, 4, 105.0, 0.15)
     rng.shuffle(strata)
     return [_op(kind, s) for s in strata for kind in ("chi", "chern")]
 
@@ -202,22 +206,33 @@ def products(rng: random.Random, ref: dict) -> list[dict]:
     return ops
 
 
-def queries(rng: random.Random, ref: dict, n_requests: int = 1000) -> list[dict]:
+def _stratified(rng: random.Random, items: list, weights: list, n: int) -> list:
+    """n draws from items by weight, stratified: each item comes
+    floor(n * share) times and the remaining draws fall on items by their
+    leftover shares.  Two draws then differ in the rare items and in
+    order, not in how often a common item comes."""
+    total = sum(weights)
+    exact = [n * w / total for w in weights]
+    out = [item for item, e in zip(items, exact) for _ in range(int(e))]
+    out += rng.choices(items, [e - int(e) for e in exact], k=n - len(out))
+    return out
+
+
+def queries(rng: random.Random, ref: dict, n_requests: int = 2500) -> list[dict]:
     """A closed-loop request stream: Zipf(1.1) popularity over the pool in
-    its size order, a fixed command mix, and 5% diagnostic requests."""
+    its size order, a fixed command mix, and 5% diagnostic requests, drawn
+    stratified and shuffled."""
     pool = queries_pool()
-    weights = [1.0 / (r + 1) ** 1.1 for r in range(len(pool))]
-    cmds, cmd_w = list(CLI_COMMANDS), list(CLI_COMMANDS.values())
+    pairs = [(spec, cmd) for spec in pool for cmd in CLI_COMMANDS]
+    weights = [CLI_COMMANDS[cmd] / (rank + 1) ** 1.1
+               for rank in range(len(pool)) for cmd in CLI_COMMANDS]
+    n_diag = n_requests // 20
     diag = queries_diagnostics()
-    ops = []
-    for _ in range(n_requests):
-        if rng.random() < 0.05:
-            cmd, spec = rng.choice(diag)
-            ops.append(_op("cli", spec, cmd=cmd, expect_rc=1))
-        else:
-            spec = rng.choices(pool, weights)[0]
-            ops.append(_op("cli", spec, cmd=rng.choices(cmds, cmd_w)[0],
-                           expect_rc=0))
+    ops = [_op("cli", spec, cmd=cmd, expect_rc=0)
+           for spec, cmd in _stratified(rng, pairs, weights, n_requests - n_diag)]
+    ops += [_op("cli", spec, cmd=cmd, expect_rc=1)
+            for cmd, spec in _stratified(rng, diag, [1.0] * len(diag), n_diag)]
+    rng.shuffle(ops)
     return ops
 
 
