@@ -3,6 +3,7 @@ differentials: boundary level graphs, prong-matching combinatorics, the
 tautological-ring calculus, Chern classes and orbifold Euler
 characteristics, all in exact rational arithmetic.
 """
+from . import caches
 from .exact import Rational, rational_str
 from .strata import ResiduePart, SpecError, StratumSpec, dimension, residue_subspace_rank, validate
 from .levelgraphs import (LevelGraph, ProngData, automorphism_order, delta,

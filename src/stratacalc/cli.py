@@ -2,7 +2,12 @@
 a stratum described by a JSON spec file.
 
 Commands: info, graphs, divisors, profiles, chi, xi-top, c1, chern, check.
-Diagnostics exit with status 1, internal-consistency failures with 2.
+Diagnostics exit with status 1, internal-consistency failures and any
+other unexpected error with 2; either way stderr gets one line.
+
+``run`` may be called many times in one process: the argument parser is
+built on the first call, and requests with the same fixture files share
+one evaluator and its memo (see ``evaluate.shared_evaluator``).
 """
 from __future__ import annotations
 
@@ -15,20 +20,20 @@ from .strata import SpecError, StratumSpec, classify, dimension, validate
 from . import levelgraphs as lg
 from . import invariants as inv
 from . import tautring as tr
-from .evaluate import Evaluator, UnevaluatableError, default_registry
+from .evaluate import Evaluator, FixtureCollisionError, UnevaluatableError, shared_evaluator
+
+
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _load_spec(path: str) -> StratumSpec:
-    with open(path) as fh:
-        return StratumSpec.from_json(fh.read())
+    return StratumSpec.from_json(_read(path))
 
 
 def _evaluator(args) -> Evaluator:
-    reg = default_registry()
-    for path in args.fixtures or ():
-        with open(path) as fh:
-            reg.load_json_obj(json.load(fh))
-    return Evaluator(reg)
+    return shared_evaluator(tuple(_read(path) for path in args.fixtures or ()))
 
 
 def _emit(args, obj, text_lines) -> None:
@@ -204,19 +209,30 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
+def _one_line(exc: Exception) -> str:
+    return " ".join(str(exc).splitlines())
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.handler(args)
-    except (SpecError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except UnevaluatableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SpecError, OSError, UnicodeDecodeError, json.JSONDecodeError,
+            FixtureCollisionError, UnevaluatableError) as exc:
+        print(f"error: {_one_line(exc)}", file=sys.stderr)
         return 1
     except lg.EnumerationError as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
+        print(f"internal consistency failure: {_one_line(exc)}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # the CLI boundary: never a traceback
+        print(f"internal error: {type(exc).__name__}: {_one_line(exc)}",
+              file=sys.stderr)
         return 2
 
 

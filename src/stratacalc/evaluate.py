@@ -14,9 +14,11 @@ K / (|Aut| * ell).  Every failure surfaces the exact missing key.
 """
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from . import caches
 from .exact import Rational, multinomial, rational_str
 from .strata import Point, StratumSpec, dimension, require_valid
 from . import levelgraphs as lg
@@ -129,7 +131,7 @@ class Evaluator:
 
     def __init__(self, registry: FixtureRegistry | None = None):
         self.registry = registry if registry is not None else default_registry()
-        self._memo: dict[tuple, Rational] = {}
+        self._memo: dict[tuple, Rational] = caches.memo("evaluate.integrals")
 
     # -- public surface ----------------------------------------------------
 
@@ -324,14 +326,25 @@ def removal_divisors(spec0: StratumSpec, part) -> list[lg.LevelGraph]:
     return out
 
 
-_DEFAULT: Evaluator | None = None
+_EVALUATORS: dict[tuple[str, ...], Evaluator] = caches.memo("evaluate.evaluators")
+
+
+def shared_evaluator(fixture_texts: tuple[str, ...] = ()) -> Evaluator:
+    """The process's evaluator over the default registry plus the fixture
+    files whose JSON texts are given, in loading order.  The texts are the
+    key: a rewritten fixture file gets a new evaluator, never a stale memo.
+    Loading errors are raised on every call, since failures are not kept."""
+    ev = _EVALUATORS.get(fixture_texts)
+    if ev is None:
+        reg = default_registry()
+        for text in fixture_texts:
+            reg.load_json_obj(json.loads(text))
+        ev = _EVALUATORS[fixture_texts] = Evaluator(reg)
+    return ev
 
 
 def default_evaluator() -> Evaluator:
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = Evaluator()
-    return _DEFAULT
+    return shared_evaluator()
 
 
 def xi_top(spec: StratumSpec, evaluator: Evaluator | None = None) -> Rational:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
+from . import caches
 from .exact import lcm_list, orbit_count
 from .strata import Point, ResiduePart, SpecError, StratumSpec, dimension, forced_zero_residues, require_valid
 
@@ -98,7 +98,7 @@ def _encode(g: LevelGraph, order: Sequence[int]) -> tuple:
     return (verts, legs, edges)
 
 
-_CANON_CACHE: dict[LevelGraph, tuple] = {}
+_CANON_CACHE: dict[LevelGraph, tuple] = caches.memo("levelgraphs.canonical_encoding")
 
 
 def canonical_encoding(g: LevelGraph) -> tuple:
@@ -139,7 +139,7 @@ def canonicalize(g: LevelGraph) -> LevelGraph:
                       legs, edges)
 
 
-_AUT_CACHE: dict[LevelGraph, int] = {}
+_AUT_CACHE: dict[LevelGraph, int] = caches.memo("levelgraphs.automorphism_order")
 
 
 def automorphism_order(g: LevelGraph) -> int:
@@ -194,7 +194,7 @@ def _crossing_matrix(g: LevelGraph) -> list[list[int]]:
     return rows
 
 
-_PRONG_CACHE: dict[LevelGraph, ProngData] = {}
+_PRONG_CACHE: dict[LevelGraph, ProngData] = caches.memo("levelgraphs.prong_data")
 
 
 def prong_data(g: LevelGraph) -> ProngData:
@@ -388,7 +388,8 @@ def _constrained_part_of(spec: StratumSpec) -> dict[Point, frozenset[Point]]:
     return out
 
 
-_COND_CACHE: dict[tuple[LevelGraph, StratumSpec], dict] = {}
+_COND_CACHE: dict[tuple[LevelGraph, StratumSpec], dict] = caches.memo(
+    "levelgraphs.induced_conditions")
 
 
 def induced_conditions(g: LevelGraph, spec: StratumSpec) -> dict[int, list[frozenset[LegTag]]]:
@@ -665,9 +666,14 @@ def trivial_graph(spec: StratumSpec) -> LevelGraph:
                       tuple(0 for _ in spec.components), legs, ())
 
 
-@lru_cache(maxsize=None)
+_KAPPA_CACHE: dict[tuple[int, int], tuple] = caches.memo("levelgraphs.kappa_bundles")
+
+
 def _kappa_bundles(s: int, max_edges: int) -> tuple[tuple[int, ...], ...]:
     """Multisets (kappa_1 >= kappa_2 >= ...) with sum(kappa_i + 1) == s."""
+    hit = _KAPPA_CACHE.get((s, max_edges))
+    if hit is not None:
+        return hit
     out = []
 
     def rec(remaining, maxk, acc):
@@ -682,10 +688,14 @@ def _kappa_bundles(s: int, max_edges: int) -> tuple[tuple[int, ...], ...]:
             k -= 1
 
     rec(s, s, [])
-    return tuple(out)
+    hit = _KAPPA_CACHE[(s, max_edges)] = tuple(out)
+    return hit
 
 
-@lru_cache(maxsize=None)
+_SPLIT_CACHE: dict[tuple[int, tuple[int, ...]], tuple] = caches.memo(
+    "levelgraphs.piece_splits")
+
+
 def _piece_splits_by_orders(genus: int, orders: tuple[int, ...]):
     """Connected two-level splittings of one smooth surface piece, with
     legs referenced by index into ``orders``.
@@ -694,6 +704,9 @@ def _piece_splits_by_orders(genus: int, orders: tuple[int, ...]):
     tuple), ...) and edges (top slot, bottom slot, kappa).  Stability caps
     the vertex count at n + 2*genus - 2.
     """
+    hit = _SPLIT_CACHE.get((genus, orders))
+    if hit is not None:
+        return hit
     n = len(orders)
     max_v = n + 2 * genus - 2
     results = []
@@ -748,7 +761,8 @@ def _piece_splits_by_orders(genus: int, orders: tuple[int, ...]):
                                 (gvec[t + i], tuple(li for li, s in enumerate(assign) if s == t + i))
                                 for i in range(b))
                             results.append((tops_data, bots_data, edges))
-    return tuple(results)
+    hit = _SPLIT_CACHE[(genus, orders)] = tuple(results)
+    return hit
 
 
 def _piece_splits(genus: int, legs: list[tuple[LegTag, int]]):
@@ -923,7 +937,7 @@ def _assemble_split(g: LevelGraph, spec: StratumSpec, lev: int,
     return cand, edge_map
 
 
-_ENUM_CACHE: dict[tuple, tuple[LevelGraph, ...]] = {}
+_ENUM_CACHE: dict[tuple, tuple[LevelGraph, ...]] = caches.memo("levelgraphs.enumerate_LGL")
 
 
 def enumerate_LGL(spec: StratumSpec, L: int) -> tuple[LevelGraph, ...]:

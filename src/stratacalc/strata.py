@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import caches
+
 Point = tuple[int, int]  # (component index, marked point index)
 
 
@@ -108,16 +110,53 @@ class StratumSpec:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "StratumSpec":
-        comps = tuple((int(c["genus"]), tuple(int(o) for o in c["orders"]))
-                      for c in obj["components"])
-        parts = tuple(ResiduePart(frozenset((int(a), int(b)) for a, b in p["points"]),
-                                  bool(p.get("constrained", True)))
-                      for p in obj.get("residue_parts", ()))
-        return StratumSpec(comps, parts)
+        """Build a spec from its JSON form, strictly: genera, orders and
+        point indices must be integers (not booleans or floats),
+        ``constrained`` a boolean, every key known and every required key
+        present.  ``residue_parts`` and ``constrained`` may be left out
+        (no parts; constrained).  Residue points must name existing
+        marked points, each once per part.  A violation raises a one-line
+        ``SpecError`` naming its position."""
+        _check_keys(obj, "spec", ("components",), ("residue_parts",))
+        comps = []
+        for ci, comp in enumerate(_array(obj["components"], "components")):
+            where = f"components[{ci}]"
+            _check_keys(comp, where, ("genus", "orders"))
+            genus = _integer(comp["genus"], where + ".genus")
+            orders = tuple(_integer(o, f"{where}.orders[{i}]") for i, o
+                           in enumerate(_array(comp["orders"], where + ".orders")))
+            comps.append((genus, orders))
+        parts = []
+        for k, part in enumerate(_array(obj.get("residue_parts", []), "residue_parts")):
+            where = f"residue_parts[{k}]"
+            _check_keys(part, where, ("points",), ("constrained",))
+            constrained = part.get("constrained", True)
+            if type(constrained) is not bool:
+                raise SpecError(f"{where}.constrained: expected true or false, "
+                                f"got {_show(constrained)}")
+            points: list[Point] = []
+            for j, pair in enumerate(_array(part["points"], where + ".points")):
+                at = f"{where}.points[{j}]"
+                pair = _array(pair, at)
+                if len(pair) != 2:
+                    raise SpecError(f"{at}: expected a [component, point] pair, "
+                                    f"got {_show(pair)}")
+                pt = (_integer(pair[0], at), _integer(pair[1], at))
+                if not (0 <= pt[0] < len(comps) and 0 <= pt[1] < len(comps[pt[0]][1])):
+                    raise SpecError(f"{at}: no marked point {pt}")
+                if pt in points:
+                    raise SpecError(f"{at}: point {pt} listed twice")
+                points.append(pt)
+            parts.append(ResiduePart(frozenset(points), constrained))
+        return StratumSpec(tuple(comps), tuple(parts))
 
     @staticmethod
     def from_json(text: str) -> "StratumSpec":
-        return StratumSpec.from_json_obj(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except ValueError as exc:  # malformed JSON, or an integer too long to read
+            raise SpecError(str(exc)) from None
+        return StratumSpec.from_json_obj(obj)
 
     def canonical_key(self) -> str:
         """Serialization normalized under component reordering and marked
@@ -133,6 +172,35 @@ class StratumSpec:
         return self.to_json()  # constrained specs: verbatim key (conservative)
 
 
+def _show(x) -> str:
+    text = repr(x)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _check_keys(obj, where: str, required: tuple[str, ...],
+                optional: tuple[str, ...] = ()) -> None:
+    if not isinstance(obj, dict):
+        raise SpecError(f"{where}: expected an object, got {_show(obj)}")
+    for key in required:
+        if key not in obj:
+            raise SpecError(f"{where}: missing key {key!r}")
+    for key in obj:
+        if key not in required and key not in optional:
+            raise SpecError(f"{where}: unknown key {_show(key)}")
+
+
+def _array(x, where: str) -> list | tuple:
+    if not isinstance(x, (list, tuple)):
+        raise SpecError(f"{where}: expected an array, got {_show(x)}")
+    return x
+
+
+def _integer(x, where: str) -> int:
+    if type(x) is not int:
+        raise SpecError(f"{where}: expected an integer, got {_show(x)}")
+    return x
+
+
 @dataclass(frozen=True)
 class DimensionData:
     unprojectivized: int
@@ -140,8 +208,25 @@ class DimensionData:
     residue_rank: int
 
 
+_ISSUES: dict[StratumSpec, tuple[str, ...]] = caches.memo("strata.validate")
+_DIMENSIONS: dict[StratumSpec, DimensionData] = caches.memo("strata.dimension")
+
+
 def validate(spec: StratumSpec) -> list[str]:
     """Return a list of diagnostics; empty means the spec is valid."""
+    return list(_issues(spec))
+
+
+def require_valid(spec: StratumSpec) -> None:
+    issues = _issues(spec)
+    if issues:
+        raise SpecError("; ".join(issues))
+
+
+def _issues(spec: StratumSpec) -> tuple[str, ...]:
+    hit = _ISSUES.get(spec)
+    if hit is not None:
+        return hit
     issues: list[str] = []
     if not spec.components:
         issues.append("no components")
@@ -164,13 +249,8 @@ def validate(spec: StratumSpec) -> list[str]:
             if pt in seen:
                 issues.append(f"residue part {k}: point {pt} reused across parts")
             seen.add(pt)
-    return issues
-
-
-def require_valid(spec: StratumSpec) -> None:
-    issues = validate(spec)
-    if issues:
-        raise SpecError("; ".join(issues))
+    hit = _ISSUES[spec] = tuple(issues)
+    return hit
 
 
 def classify(spec: StratumSpec) -> str:
@@ -242,11 +322,15 @@ def dimension(spec: StratumSpec) -> DimensionData:
     N = sum_i (2 g_i + n_i - 1) - (l - dim(constraints cap R)) with l the
     total number of poles.
     """
+    hit = _DIMENSIONS.get(spec)
+    if hit is not None:
+        return hit
     require_valid(spec)
     poles, _, res_rank = residue_constraint_rows(spec)
     base = sum(2 * g + len(orders) - 1 for g, orders in spec.components)
     n_unproj = base - (len(poles) - res_rank)
-    return DimensionData(n_unproj, n_unproj - 1, res_rank)
+    hit = _DIMENSIONS[spec] = DimensionData(n_unproj, n_unproj - 1, res_rank)
+    return hit
 
 
 def forced_zero_residues(spec: StratumSpec) -> set[Point]:

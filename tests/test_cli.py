@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
+from hypothesis import given, settings, strategies as st
+
+from stratacalc import invariants as inv
 from stratacalc.cli import run
 
 SPECS = os.path.join(os.path.dirname(__file__), "..", "demos", "specs")
@@ -116,3 +122,175 @@ def test_residue_constrained_spec_info(capsys):
                 "--json"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["dim"] == 1 and obj["residue_rank"] == 1
+
+
+# -- the warm request path ---------------------------------------------------
+
+def _connected(genus, orders):
+    return {"components": [{"genus": genus, "orders": list(orders)}],
+            "residue_parts": []}
+
+
+WARM_SPECS = {
+    "g0_111": None, "h2_min": None, "m13_k2": None, "pair_residue": None,
+    "g1_2_0_m2": _connected(1, (2, 0, -2)),  # no fixture: exit 1
+    "g1_1_m1": _connected(1, (1, -1)),       # not realizable: exit 1
+    "float_orders": _connected(0, (1.5, -3.5)),  # rejected: exit 1
+}
+
+WARM_REQUESTS = [
+    *[[cmd, "--spec", name, "--json"] for name in ("g0_111", "m13_k2")
+      for cmd in ("info", "graphs", "divisors", "profiles", "chi", "xi-top",
+                  "c1", "chern")],
+    ["chi", "--spec", "h2_min", "--verbose"],
+    ["chern", "--spec", "h2_min"],
+    ["info", "--spec", "pair_residue"],
+    ["check", "--tables"],
+    *[[cmd, "--spec", "g1_2_0_m2", "--json"] for cmd in ("chi", "xi-top", "chern")],
+    *[[cmd, "--spec", "g1_1_m1", "--json"] for cmd in ("divisors", "profiles", "chi", "c1")],
+    ["info", "--spec", "float_orders"],
+]
+
+
+def _spec_files(tmp_path) -> dict[str, str]:
+    out = {}
+    for name, obj in WARM_SPECS.items():
+        if obj is None:
+            out[name] = spec_path(name + ".json")
+        else:
+            out[name] = str(tmp_path / (name + ".json"))
+            with open(out[name], "w") as fh:
+                json.dump(obj, fh)
+    return out
+
+
+def test_warm_path_matches_a_fresh_process(tmp_path, capsys):
+    """Every request gives the same stdout, stderr and exit code when run
+    repeatedly and interleaved in one process as in a fresh interpreter."""
+    files = _spec_files(tmp_path)
+    argvs = [[files.get(a, a) for a in argv] for argv in WARM_REQUESTS]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    fresh = []
+    for argv in argvs:
+        proc = subprocess.run([sys.executable, "-m", "stratacalc.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert {rc for rc, _, _ in fresh} == {0, 1}
+    for order in (argvs, argvs[::-1], argvs):
+        for argv in order:
+            rc = run(argv)
+            out, err = capsys.readouterr()
+            assert (rc, out, err) == fresh[argvs.index(argv)], argv
+
+
+def test_rewritten_fixture_file_is_not_stale(tmp_path, capsys):
+    spec = tmp_path / "g3.json"
+    spec.write_text(json.dumps(_connected(3, (7, -3))))
+    fix = tmp_path / "fix.json"
+    for value in ("2/3", "5/7"):
+        fix.write_text(json.dumps([{"spec": _connected(3, (7, -3)),
+                                    "integrand": {"xi_power": 5},
+                                    "value": value, "provenance": "test"}]))
+        assert run(["xi-top", "--spec", str(spec), "--fixtures", str(fix)]) == 0
+        assert capsys.readouterr().out.strip() == value
+    assert run(["xi-top", "--spec", str(spec)]) == 1
+    assert "cannot evaluate" in capsys.readouterr().err
+
+
+def test_colliding_fixture_exits_one(tmp_path, capsys):
+    fix = tmp_path / "fix.json"
+    fix.write_text(json.dumps([{"spec": _connected(2, (2,)), "value": "1"}]))
+    assert run(["xi-top", "--spec", spec_path("h2_min.json"),
+                "--fixtures", str(fix)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: fixture collision") and err.count("\n") == 1
+
+
+# -- the input boundary ------------------------------------------------------
+
+BAD_SPECS = [
+    ({"components": [{"genus": 0, "orders": [1.5, -3.5]}]}, "orders[0]"),
+    ({"components": [{"genus": True, "orders": [0, -2]}]}, "genus"),
+    ({"components": [{"genus": "1", "orders": [0]}]}, "genus"),
+    ({"components": [{"genus": 0}]}, "missing key 'orders'"),
+    ({"components": [{"genus": 1, "orders": [0], "name": "x"}]}, "unknown key"),
+    ({"residue_parts": []}, "missing key 'components'"),
+    ({"components": [], "extra": 1}, "unknown key"),
+    ([{"genus": 0, "orders": [0, 0, -2]}], "expected an object"),
+    ({"components": {"genus": 0}}, "expected an array"),
+    ({"components": [{"genus": 0, "orders": [0, -2, -2, 2]}],
+      "residue_parts": [{"points": [[0, 5]]}]}, "no marked point (0, 5)"),
+    ({"components": [{"genus": 0, "orders": [0, -2, -2, 2]}],
+      "residue_parts": [{"points": [[0, 1], [0, 1]]}]}, "listed twice"),
+    ({"components": [{"genus": 0, "orders": [0, -2, -2, 2]}],
+      "residue_parts": [{"points": [[0, 1]], "constrained": 1}]}, "constrained"),
+    ({"components": [{"genus": 0, "orders": [0, -2, -2, 2]}],
+      "residue_parts": [{"points": [[0, 1, 2]]}]}, "pair"),
+]
+
+
+def test_bad_specs_exit_one_with_one_line(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    for obj, where in BAD_SPECS:
+        path.write_text(json.dumps(obj))
+        for cmd in ("info", "chi"):
+            assert run([cmd, "--spec", str(path)]) == 1, obj
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1, obj
+            assert err.startswith("error: ") and where in err, (obj, err)
+    path.write_text("{")
+    assert run(["info", "--spec", str(path)]) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_unexpected_error_exits_two_with_one_line(monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise KeyError("some\nkey")
+    monkeypatch.setattr(inv, "euler_characteristic", boom)
+    assert run(["chi", "--spec", spec_path("g0_111.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("internal error: KeyError")
+
+
+json_leaf = (st.none() | st.booleans() | st.integers(-6, 6)
+             | st.floats(allow_nan=True) | st.text(max_size=4))
+json_value = st.recursive(
+    json_leaf, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3), max_leaves=8)
+
+
+@st.composite
+def balanced_component(draw):
+    """A component whose orders sum to 2g - 2, so that many are valid."""
+    genus = draw(st.integers(0, 1))
+    orders = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+    return {"genus": genus, "orders": orders + [2 * genus - 2 - sum(orders)]}
+
+
+component = balanced_component() | st.fixed_dictionaries(
+    {"genus": st.integers(0, 1) | json_leaf,
+     "orders": st.lists(st.integers(-4, 4), min_size=1, max_size=4)
+     | json_value})
+spec_like = st.fixed_dictionaries(
+    {"components": st.lists(component, min_size=1, max_size=2)},
+    optional={"residue_parts": st.lists(st.fixed_dictionaries(
+        {"points": st.lists(st.lists(st.integers(-1, 3), min_size=2, max_size=2),
+                            max_size=2)},
+        optional={"constrained": st.booleans() | json_leaf}), max_size=2),
+        "junk": json_value})
+
+
+@settings(max_examples=150, deadline=None)
+@given(obj=spec_like | json_value, cmd=st.sampled_from(["info", "divisors"]))
+def test_random_spec_json_never_shows_a_traceback(obj, cmd):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = run([cmd, "--spec", path, "--json"])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue().count("\n") == (rc != 0)
