@@ -1,34 +1,30 @@
 """The one owner of every memo in the library.
 
-Each memo is a ``Memo``: a plain dict, created here under a name, that
-the owner can count (``stats``), empty (``clear``) and bound
-(``set_bound``).  Reads are ordinary dict reads with no extra call, so a
-cache hit costs what it did before the owner existed; only an insert
-checks the bound.  Memos that belong to an object, such as the integral
-memo of each ``Evaluator``, are registered weakly and vanish from
-``stats`` with their object.
+A memo is either a ``Memo``, a plain dict created here under a name, or a
+function memoized with ``cached``, an unbounded ``functools.lru_cache``
+registered under a name.  The owner can count every memo (``stats``) and
+empty it (``clear``).  Reads and inserts are ordinary dict or
+``lru_cache`` operations with no extra call, so a memo costs what it did
+before the owner existed.  Memos that belong to an object, such as the
+integral memo of each ``Evaluator``, are registered weakly and vanish
+from ``stats`` with their object.
 
+Memos are unbounded: every workload so far sees a small set of strata.
 The library is single-threaded and the owner takes no lock.
 """
 from __future__ import annotations
 
+import functools
 import weakref
 
-_bound: int | None = None
 _memos: dict[str, weakref.WeakValueDictionary] = {}
+_functions: dict[str, functools._lru_cache_wrapper] = {}
 
 
 class Memo(dict):
-    """A registered memo.  While a bound is set, a memo that already holds
-    that many entries is emptied before the next insert, so no memo ever
-    holds more than the bound."""
+    """A registered memo; a dict that can be referenced weakly."""
 
     __slots__ = ("__weakref__",)
-
-    def __setitem__(self, key, value) -> None:
-        if _bound is not None and len(self) >= _bound:
-            self.clear()
-        dict.__setitem__(self, key, value)
 
 
 def memo(name: str) -> Memo:
@@ -39,10 +35,22 @@ def memo(name: str) -> Memo:
     return m
 
 
+def cached(name: str):
+    """Decorator: memoize a function of hashable arguments with an
+    unbounded ``lru_cache`` registered under ``name``."""
+    def register(fn):
+        wrapper = _functions[name] = functools.lru_cache(maxsize=None)(fn)
+        return wrapper
+    return register
+
+
 def stats() -> dict[str, int]:
     """Entries per memo name, for every name registered so far."""
-    return {name: sum(len(m) for m in list(group.values()))
-            for name, group in sorted(_memos.items())}
+    counts = {name: sum(len(m) for m in list(group.values()))
+              for name, group in _memos.items()}
+    counts.update((name, fn.cache_info().currsize)
+                  for name, fn in _functions.items())
+    return dict(sorted(counts.items()))
 
 
 def clear() -> None:
@@ -51,14 +59,5 @@ def clear() -> None:
     for group in _memos.values():
         for m in list(group.values()):
             m.clear()
-
-
-def set_bound(entries: int | None) -> None:
-    """Cap every memo at ``entries`` entries, or lift the cap with None
-    (the default).  The cap is enforced on the next insert into each memo;
-    a long-lived process that sees unboundedly many strata sets it to keep
-    its memory flat."""
-    global _bound
-    if entries is not None and entries < 1:
-        raise ValueError("a memo bound must be a positive number of entries")
-    _bound = entries
+    for fn in _functions.values():
+        fn.cache_clear()

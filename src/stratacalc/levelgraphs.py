@@ -666,14 +666,9 @@ def trivial_graph(spec: StratumSpec) -> LevelGraph:
                       tuple(0 for _ in spec.components), legs, ())
 
 
-_KAPPA_CACHE: dict[tuple[int, int], tuple] = caches.memo("levelgraphs.kappa_bundles")
-
-
+@caches.cached("levelgraphs.kappa_bundles")
 def _kappa_bundles(s: int, max_edges: int) -> tuple[tuple[int, ...], ...]:
     """Multisets (kappa_1 >= kappa_2 >= ...) with sum(kappa_i + 1) == s."""
-    hit = _KAPPA_CACHE.get((s, max_edges))
-    if hit is not None:
-        return hit
     out = []
 
     def rec(remaining, maxk, acc):
@@ -688,14 +683,10 @@ def _kappa_bundles(s: int, max_edges: int) -> tuple[tuple[int, ...], ...]:
             k -= 1
 
     rec(s, s, [])
-    hit = _KAPPA_CACHE[(s, max_edges)] = tuple(out)
-    return hit
+    return tuple(out)
 
 
-_SPLIT_CACHE: dict[tuple[int, tuple[int, ...]], tuple] = caches.memo(
-    "levelgraphs.piece_splits")
-
-
+@caches.cached("levelgraphs.piece_splits")
 def _piece_splits_by_orders(genus: int, orders: tuple[int, ...]):
     """Connected two-level splittings of one smooth surface piece, with
     legs referenced by index into ``orders``.
@@ -704,9 +695,6 @@ def _piece_splits_by_orders(genus: int, orders: tuple[int, ...]):
     tuple), ...) and edges (top slot, bottom slot, kappa).  Stability caps
     the vertex count at n + 2*genus - 2.
     """
-    hit = _SPLIT_CACHE.get((genus, orders))
-    if hit is not None:
-        return hit
     n = len(orders)
     max_v = n + 2 * genus - 2
     results = []
@@ -761,8 +749,7 @@ def _piece_splits_by_orders(genus: int, orders: tuple[int, ...]):
                                 (gvec[t + i], tuple(li for li, s in enumerate(assign) if s == t + i))
                                 for i in range(b))
                             results.append((tops_data, bots_data, edges))
-    hit = _SPLIT_CACHE[(genus, orders)] = tuple(results)
-    return hit
+    return tuple(results)
 
 
 def _piece_splits(genus: int, legs: list[tuple[LegTag, int]]):

@@ -208,25 +208,11 @@ class DimensionData:
     residue_rank: int
 
 
-_ISSUES: dict[StratumSpec, tuple[str, ...]] = caches.memo("strata.validate")
 _DIMENSIONS: dict[StratumSpec, DimensionData] = caches.memo("strata.dimension")
 
 
 def validate(spec: StratumSpec) -> list[str]:
     """Return a list of diagnostics; empty means the spec is valid."""
-    return list(_issues(spec))
-
-
-def require_valid(spec: StratumSpec) -> None:
-    issues = _issues(spec)
-    if issues:
-        raise SpecError("; ".join(issues))
-
-
-def _issues(spec: StratumSpec) -> tuple[str, ...]:
-    hit = _ISSUES.get(spec)
-    if hit is not None:
-        return hit
     issues: list[str] = []
     if not spec.components:
         issues.append("no components")
@@ -249,8 +235,13 @@ def _issues(spec: StratumSpec) -> tuple[str, ...]:
             if pt in seen:
                 issues.append(f"residue part {k}: point {pt} reused across parts")
             seen.add(pt)
-    hit = _ISSUES[spec] = tuple(issues)
-    return hit
+    return issues
+
+
+def require_valid(spec: StratumSpec) -> None:
+    issues = validate(spec)
+    if issues:
+        raise SpecError("; ".join(issues))
 
 
 def classify(spec: StratumSpec) -> str:

@@ -4,8 +4,6 @@ import functools
 import importlib
 import pkgutil
 
-import pytest
-
 import stratacalc
 import stratacalc.cli
 from stratacalc import caches
@@ -22,41 +20,14 @@ def chi_and_chern(spec: StratumSpec):
             chern_polynomial(spec, ev).to_json_obj())
 
 
-@pytest.fixture
-def bounded():
-    yield caches.set_bound
-    caches.set_bound(None)
-
-
 def test_clear_empties_every_memo_and_keeps_results():
     before = chi_and_chern(SPEC)
     stats = caches.stats()
     assert stats["levelgraphs.enumerate_LGL"] and stats["strata.dimension"]
+    assert stats["levelgraphs.piece_splits"]
     caches.clear()
     assert set(caches.stats().values()) == {0}
     assert chi_and_chern(SPEC) == before
-
-
-def test_tiny_bound_gives_identical_results(bounded):
-    caches.clear()
-    expected = chi_and_chern(SPEC)
-    for entries in (1, 2):
-        caches.clear()
-        bounded(entries)
-        assert chi_and_chern(SPEC) == expected
-        assert max(caches.stats().values()) <= entries
-
-
-def test_bound_is_checked_on_insert(bounded):
-    m = caches.memo("test.memo")
-    for i in range(5):
-        m[i] = i
-    bounded(3)
-    assert m.get(4) == 4
-    m[5] = 5
-    assert len(m) <= 3 and m[5] == 5
-    with pytest.raises(ValueError):
-        caches.set_bound(0)
 
 
 def test_per_object_memos_leave_stats_with_their_object():
@@ -85,10 +56,11 @@ def _module_state():
 def test_every_module_level_memo_is_registered(tmp_path, capsys):
     """Only memos the owner can see grow while the library works."""
     state = _module_state()
-    assert not any(isinstance(v, functools._lru_cache_wrapper)
-                   for v in state.values())
+    registered = set(caches._functions.values())
+    assert all(v in registered for v in state.values()
+               if isinstance(v, functools._lru_cache_wrapper))
     fixed = {name: len(v) for name, v in state.items()
-             if not isinstance(v, caches.Memo)}
+             if isinstance(v, dict) and not isinstance(v, caches.Memo)}
     caches.clear()
     chi_and_chern(StratumSpec.connected(1, (3, 1, -4)))
     spec = tmp_path / "spec.json"
