@@ -202,9 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", action="store_true")
         sp.add_argument("--out", default=None)
         sp.add_argument("--verbose", action="store_true")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; evaluation is "
-                             "sequential")
         sp.set_defaults(handler=fn)
     return p
 

@@ -15,12 +15,14 @@ K / (|Aut| * ell).  Every failure surfaces the exact missing key.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import caches
 from .exact import Rational, multinomial, rational_str
-from .strata import Point, StratumSpec, dimension, require_valid
+from .strata import (Point, SpecError, StratumSpec, _array, _check_keys, _integer, _show,
+                     dimension, require_valid)
 from . import levelgraphs as lg
 
 
@@ -75,18 +77,61 @@ class FixtureRegistry:
         return hit[1] if hit else None
 
     def load_json_obj(self, items: Sequence[dict]) -> None:
-        for item in items:
-            spec = StratumSpec.from_json_obj(item["spec"])
-            integrand = item.get("integrand", {})
-            psi = None
-            if "psi" in integrand:
-                psi = {tuple(int(x) for x in k.split(".")): int(v)
-                       for k, v in integrand["psi"].items()}
-            self.register(spec, Fraction(item["value"]),
-                          item.get("provenance", "user fixture"), psi)
+        """Register the items of a fixture file, checked as strictly as a
+        spec: a violation raises a one-line ``SpecError`` naming the item's
+        position."""
+        for i, item in enumerate(_array(items, "fixtures")):
+            self.register(*_fixture_entry(item, f"fixtures[{i}]"))
 
     def items(self):
         return sorted(self._entries.items())
+
+
+def _fixture_entry(item, where: str) -> tuple:
+    """(spec, value, provenance, psi map or None) of one fixture item.  The
+    value is an integer or a rational string such as "-3/4"; a psi key
+    names a marked point of the spec as "component.point"."""
+    _check_keys(item, where, ("spec", "value"), ("integrand", "provenance"))
+    try:
+        spec = StratumSpec.from_json_obj(item["spec"])
+    except SpecError as exc:
+        raise SpecError(f"{where}.spec: {exc}") from None
+    value = _rational(item["value"], where + ".value")
+    provenance = item.get("provenance", "user fixture")
+    if not isinstance(provenance, str):
+        raise SpecError(f"{where}.provenance: expected a string, "
+                        f"got {_show(provenance)}")
+    integrand = item.get("integrand", {})
+    _check_keys(integrand, where + ".integrand", (), ("xi_power", "psi"))
+    if "xi_power" in integrand:
+        _integer(integrand["xi_power"], where + ".integrand.xi_power")
+    if "psi" not in integrand:
+        return spec, value, provenance, None
+    where += ".integrand.psi"
+    if not isinstance(integrand["psi"], dict):
+        raise SpecError(f"{where}: expected an object, got {_show(integrand['psi'])}")
+    psi = {}
+    for key, exp in integrand["psi"].items():
+        m = re.fullmatch(r"(\d+)\.(\d+)", key, re.ASCII)
+        pt = (int(m[1]), int(m[2])) if m else None
+        if pt not in spec.points():
+            raise SpecError(f'{where}: key {_show(key)} is not a marked point '
+                            f'"component.point" of the spec')
+        if _integer(exp, f"{where}[{key!r}]") < 1:
+            raise SpecError(f"{where}[{key!r}]: expected a positive exponent, got {exp}")
+        psi[pt] = exp
+    return spec, value, provenance, psi or None
+
+
+def _rational(x, where: str) -> Fraction:
+    if type(x) is int:
+        return Fraction(x)
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise SpecError(f"{where}: expected an integer or a rational string, got {_show(x)}")
 
 
 _TABLE_XI_TOP = [

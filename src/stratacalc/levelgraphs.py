@@ -10,8 +10,10 @@ automorphisms fix every leg.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import caches
 from .exact import lcm_list, orbit_count
@@ -90,94 +92,119 @@ def _vertex_keys(g: LevelGraph) -> list[tuple]:
     return keys
 
 
-def _encode(g: LevelGraph, order: Sequence[int]) -> tuple:
+def _orderings(g: LevelGraph) -> Iterator[list[int]]:
+    """Every vertex ordering that lists the classes of equal refined
+    invariants in sorted order, each class in any order.  The one search
+    behind canonical forms, automorphisms and isomorphisms."""
+    groups: dict[tuple, list[int]] = {}
+    for v, key in enumerate(_vertex_keys(g)):
+        groups.setdefault(key, []).append(v)
+    for choice in itertools.product(
+            *[itertools.permutations(groups[k]) for k in sorted(groups)]):
+        yield [v for grp in choice for v in grp]
+
+
+def _encode(g: LevelGraph, order: Sequence[int], edges: Sequence[tuple]) -> tuple:
     pos = {v: i for i, v in enumerate(order)}
     verts = tuple((g.levels[v], g.genera[v]) for v in order)
     legs = tuple(sorted((pt, pos[v]) for pt, v in g.legs))
-    edges = tuple(sorted((pos[u], pos[v], k) for (u, v, k) in g.edges))
-    return (verts, legs, edges)
+    return (verts, legs, tuple(sorted((pos[e[0]], pos[e[1]]) + e[2:] for e in edges)))
 
 
-_CANON_CACHE: dict[LevelGraph, tuple] = caches.memo("levelgraphs.canonical_encoding")
+def _minimal_orderings(g: LevelGraph, edges: Sequence[tuple] | None = None
+                       ) -> tuple[tuple, list[list[int]]]:
+    """The least encoding over the orderings of g, and every ordering that
+    reaches it (one per vertex automorphism).  ``edges`` defaults to
+    g.edges; records (u, v, kappa, labels...) carry their labels into the
+    encoding."""
+    if edges is None:
+        edges = g.edges
+    best, argmin = None, []
+    for order in _orderings(g):
+        enc = _encode(g, order, edges)
+        if best is None or enc < best:
+            best, argmin = enc, [order]
+        elif enc == best:
+            argmin.append(order)
+    return best, argmin
+
+
+_CANON_CACHE: dict[LevelGraph, tuple[tuple, int]] = caches.memo(
+    "levelgraphs.canonical_encoding")
+
+
+def _canonical(g: LevelGraph) -> tuple[tuple, int]:
+    """The canonical encoding and the number of orderings reaching it."""
+    hit = _CANON_CACHE.get(g)
+    if hit is None:
+        enc, argmin = _minimal_orderings(g)
+        hit = _CANON_CACHE[g] = (enc, len(argmin))
+    return hit
 
 
 def canonical_encoding(g: LevelGraph) -> tuple:
-    """A complete isomorphism invariant: minimal encoding over all vertex
-    orderings compatible with the refined invariant classes."""
-    hit = _CANON_CACHE.get(g)
-    if hit is not None:
-        return hit
-    keys = _vertex_keys(g)
-    groups: dict[tuple, list[int]] = {}
-    for v in range(g.n_vertices):
-        groups.setdefault(tuple_key(keys[v]), []).append(v)
-    ordered_groups = [groups[k] for k in sorted(groups)]
-    best = None
-    for perm_choices in itertools.product(
-            *[itertools.permutations(grp) for grp in ordered_groups]):
-        order = [v for grp in perm_choices for v in grp]
-        enc = _encode(g, order)
-        if best is None or enc < best:
-            best = enc
-    assert best is not None
-    _CANON_CACHE[g] = best
-    return best
+    """A complete isomorphism invariant: the least (verts, legs, edges)
+    encoding over the vertex orderings compatible with the refined
+    invariant classes.  A nested tuple of integers, compared in plain
+    tuple order."""
+    return _canonical(g)[0]
 
 
-def tuple_key(x) -> tuple:
-    """Stable sort key for nested heterogeneous tuples."""
-    if isinstance(x, tuple):
-        return tuple(tuple_key(y) for y in x)
-    if isinstance(x, (int, str)):
-        return (type(x).__name__, x)
-    return (type(x).__name__, repr(x))
-
-
-def canonicalize(g: LevelGraph) -> LevelGraph:
-    verts, legs, edges = canonical_encoding(g)
+def _from_encoding(verts: tuple, legs: tuple, edges: tuple) -> LevelGraph:
     return LevelGraph(tuple(v[1] for v in verts), tuple(v[0] for v in verts),
                       legs, edges)
 
 
-_AUT_CACHE: dict[LevelGraph, int] = caches.memo("levelgraphs.automorphism_order")
+def canonicalize(g: LevelGraph) -> LevelGraph:
+    return _from_encoding(*canonical_encoding(g))
+
+
+def canonicalize_labelled(g: LevelGraph, labels: Sequence[tuple[int, ...]]
+                          ) -> tuple[LevelGraph, tuple[tuple[int, ...], ...]]:
+    """:func:`canonicalize` for a graph whose edges carry integer labels
+    (labels[i] belongs to edge i, all of one length).  The labels move with
+    their edges and order interchangeable parallel edges; returns the
+    canonical graph and the labels of its edges."""
+    (verts, legs, recs), _ = _minimal_orderings(
+        g, [e + lab for e, lab in zip(g.edges, labels)])
+    return (_from_encoding(verts, legs, tuple(r[:3] for r in recs)),
+            tuple(r[3:] for r in recs))
 
 
 def automorphism_order(g: LevelGraph) -> int:
     """Order of the automorphism group fixing all legs and preserving
-    levels, genera and enhancements.  Counts vertex bijections times the
-    permutations of parallel edges of equal enhancement."""
-    hit = _AUT_CACHE.get(g)
-    if hit is not None:
-        return hit
-    keys = _vertex_keys(g)
-    groups: dict[tuple, list[int]] = {}
-    for v in range(g.n_vertices):
-        groups.setdefault(tuple_key(keys[v]), []).append(v)
+    levels, genera and enhancements: the vertex automorphisms (orderings
+    reaching the canonical encoding) times the permutations of parallel
+    edges of equal enhancement."""
+    out = _canonical(g)[1]
+    for m in Counter(g.edges).values():
+        out *= math.factorial(m)
+    return out
 
-    mult: dict[tuple[int, int, int], int] = {}
-    for e in g.edges:
-        mult[e] = mult.get(e, 0) + 1
 
-    count = 0
-    group_list = list(groups.values())
-    for perm_choices in itertools.product(
-            *[itertools.permutations(grp) for grp in group_list]):
-        sigma: dict[int, int] = {}
-        for grp, perm in zip(group_list, perm_choices):
-            for a, b in zip(grp, perm):
-                sigma[a] = b
-        image: dict[tuple[int, int, int], int] = {}
-        for (u, v, k), m in mult.items():
-            key = (sigma[u], sigma[v], k)
-            image[key] = image.get(key, 0) + m
-        if image == mult:
-            count += 1
-    par = 1
-    for m in mult.values():
-        for j in range(2, m + 1):
-            par *= j
-    _AUT_CACHE[g] = count * par
-    return count * par
+def graph_isomorphisms(a: LevelGraph, b: LevelGraph
+                       ) -> list[tuple[dict[int, int], dict[int, int]]]:
+    """All isomorphisms a -> b (fixing legs, preserving level, genus and
+    enhancement) as (vertex map, edge index map) pairs: one minimizing
+    ordering of a against each minimizing ordering of b, with every
+    matching of parallel edges."""
+    if canonical_encoding(a) != canonical_encoding(b):
+        return []
+    order_a = _minimal_orderings(a)[1][0]
+    b_parallel: dict[tuple[int, int, int], list[int]] = {}
+    for ei, e in enumerate(b.edges):
+        b_parallel.setdefault(e, []).append(ei)
+    out = []
+    for order_b in _minimal_orderings(b)[1]:
+        vmap = dict(zip(order_a, order_b))
+        a_parallel: dict[tuple[int, int, int], list[int]] = {}
+        for ei, (u, v, k) in enumerate(a.edges):
+            a_parallel.setdefault((vmap[u], vmap[v], k), []).append(ei)
+        for perms in itertools.product(
+                *[itertools.permutations(b_parallel[e]) for e in a_parallel]):
+            out.append((vmap, {ae: be for aes, bes in zip(a_parallel.values(), perms)
+                               for ae, be in zip(aes, bes)}))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -232,48 +259,10 @@ def undegenerate(g: LevelGraph, passages: Iterable[int]) -> LevelGraph:
 
     I = {1..L} is the identity; I = {} collapses to the trivial graph.
     """
-    keep = sorted(set(passages))
-    L = g.n_levels_below
-    if any(i < 1 or i > L for i in keep):
+    keep = set(passages)
+    if any(i < 1 or i > g.n_levels_below for i in keep):
         raise ValueError("passage index out of range")
-
-    def new_level(old: int) -> int:
-        return -sum(1 for i in keep if old <= -i)
-
-    nl = [new_level(x) for x in g.levels]
-    # union-find over contracted edges
-    parent = list(range(g.n_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    contracted = []
-    for (u, v, k) in g.edges:
-        if nl[u] == nl[v]:
-            contracted.append((u, v))
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-    reps = sorted({find(v) for v in range(g.n_vertices)})
-    idx = {r: i for i, r in enumerate(reps)}
-    genera = [0] * len(reps)
-    counts = [0] * len(reps)
-    for v in range(g.n_vertices):
-        genera[idx[find(v)]] += g.genera[v]
-        counts[idx[find(v)]] += 1
-    loops = [0] * len(reps)
-    for (u, v) in contracted:
-        loops[idx[find(u)]] += 1
-    for i in range(len(reps)):
-        genera[i] += loops[i] - (counts[i] - 1)
-    levels = tuple(nl[r] for r in reps)
-    legs = tuple(sorted((pt, idx[find(v)]) for pt, v in g.legs))
-    edges = tuple(sorted((idx[find(u)], idx[find(v)], k)
-                         for (u, v, k) in g.edges if nl[u] != nl[v]))
-    return canonicalize(LevelGraph(tuple(genera), levels, legs, edges))
+    return canonicalize(undegenerate_with_edgemap(g, keep)[0])
 
 
 def delta(g: LevelGraph, i: int) -> LevelGraph:
@@ -283,10 +272,10 @@ def delta(g: LevelGraph, i: int) -> LevelGraph:
 
 def undegenerate_with_edgemap(g: LevelGraph, passages: Iterable[int]
                               ) -> tuple[LevelGraph, dict[int, int]]:
-    """Like :func:`undegenerate` but uncanonicalized, returning the map
-    from surviving old edge indices to new edge indices."""
+    """delta_I uncanonicalized: contract every level passage outside I and
+    renormalize, returning the graph and the map from surviving old edge
+    indices to new edge indices."""
     keep = sorted(set(passages))
-    L = g.n_levels_below
 
     def new_level(old: int) -> int:
         return -sum(1 for i in keep if old <= -i)
@@ -327,53 +316,6 @@ def undegenerate_with_edgemap(g: LevelGraph, passages: Iterable[int]
             edge_map[ei] = len(edges)
             edges.append((idx[find(u)], idx[find(v)], k))
     return LevelGraph(tuple(genera), levels, legs, tuple(edges)), edge_map
-
-
-def graph_isomorphisms(a: LevelGraph, b: LevelGraph
-                       ) -> list[tuple[dict[int, int], dict[int, int]]]:
-    """All isomorphisms a -> b (fixing legs, preserving level, genus and
-    enhancement) as (vertex map, edge index map) pairs."""
-    if canonical_encoding(a) != canonical_encoding(b):
-        return []
-    a_keys = [tuple_key(k) for k in _vertex_keys(a)]
-    b_keys = [tuple_key(k) for k in _vertex_keys(b)]
-    b_by_key: dict[tuple, list[int]] = {}
-    for v, k in enumerate(b_keys):
-        b_by_key.setdefault(k, []).append(v)
-    out = []
-    groups: dict[tuple, list[int]] = {}
-    for v, k in enumerate(a_keys):
-        groups.setdefault(k, []).append(v)
-    keys_sorted = sorted(groups)
-    if any(len(groups[k]) != len(b_by_key.get(k, [])) for k in keys_sorted):
-        return []
-
-    b_edge_groups: dict[tuple[int, int, int], list[int]] = {}
-    for ei, e in enumerate(b.edges):
-        b_edge_groups.setdefault(e, []).append(ei)
-
-    for choice in itertools.product(
-            *[itertools.permutations(b_by_key[k]) for k in keys_sorted]):
-        vmap: dict[int, int] = {}
-        for k, perm in zip(keys_sorted, choice):
-            for av, bv in zip(groups[k], perm):
-                vmap[av] = bv
-        a_edge_groups: dict[tuple[int, int, int], list[int]] = {}
-        for ei, (u, v, kk) in enumerate(a.edges):
-            a_edge_groups.setdefault((vmap[u], vmap[v], kk), []).append(ei)
-        if {k: len(v) for k, v in a_edge_groups.items()} != \
-                {k: len(v) for k, v in b_edge_groups.items()}:
-            continue
-        # one edge matching per parallel-class permutation
-        class_keys = sorted(a_edge_groups, key=tuple_key)
-        for eperm in itertools.product(
-                *[itertools.permutations(b_edge_groups[k]) for k in class_keys]):
-            emap: dict[int, int] = {}
-            for k, perm in zip(class_keys, eperm):
-                for ae, be in zip(a_edge_groups[k], perm):
-                    emap[ae] = be
-            out.append((vmap, emap))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -953,7 +895,7 @@ def enumerate_LGL(spec: StratumSpec, L: int) -> tuple[LevelGraph, ...]:
         for lev in range(0, -g.n_levels_below - 1, -1):
             for cand in split_level(g, spec, lev):
                 found.setdefault(canonical_encoding(cand), cand)
-    graphs = tuple(found[k] for k in sorted(found, key=tuple_key))
+    graphs = tuple(found[k] for k in sorted(found))
     _ENUM_CACHE[key] = graphs
     return graphs
 

@@ -38,7 +38,7 @@ Poly = dict    # Decor -> Fraction
 
 
 def _decor(d: Mapping[Symbol, int]) -> Decor:
-    return tuple(sorted(((s, e) for s, e in d.items() if e), key=lg.tuple_key))
+    return tuple(sorted((s, e) for s, e in d.items() if e))
 
 
 def _dmul(a: Decor, b: Decor) -> Decor:
@@ -101,53 +101,25 @@ def nu_poly(g: lg.LevelGraph, passage: int) -> Poly:
 # ---------------------------------------------------------------------------
 
 def canonical_decorated(g: lg.LevelGraph, decor: Decor) -> tuple[lg.LevelGraph, Decor]:
-    """Canonical representative of an isomorphism class of decorated graphs;
+    """Canonical representative of an isomorphism class of decorated graphs.
+    The psi exponents at edge half-points move with their edges, so
     decorations on interchangeable parallel edges are ordered canonically."""
-    ein = {}
-    eout = {}
+    labels = [[0, 0] for _ in g.edges]  # (ein, eout) exponents per edge
     rest = {}
     for s, e in decor:
         if s[0] == "psi" and s[1][0] == "ein":
-            ein[s[1][1]] = e
+            labels[s[1][1]][0] = e
         elif s[0] == "psi" and s[1][0] == "eout":
-            eout[s[1][1]] = e
+            labels[s[1][1]][1] = e
         else:
             rest[s] = e
-
-    keys = lg._vertex_keys(g)
-    groups: dict[tuple, list[int]] = {}
-    for v in range(g.n_vertices):
-        groups.setdefault(lg.tuple_key(keys[v]), []).append(v)
-    ordered_groups = [groups[k] for k in sorted(groups)]
-    best = None
-    best_edges = None
-    for perm_choices in itertools.product(
-            *[itertools.permutations(grp) for grp in ordered_groups]):
-        order = [v for grp in perm_choices for v in grp]
-        pos = {v: i for i, v in enumerate(order)}
-        verts = tuple((g.levels[v], g.genera[v]) for v in order)
-        legs = tuple(sorted((pt, pos[v]) for pt, v in g.legs))
-        erecs = sorted(
-            ((pos[u], pos[v], k, ein.get(i, 0), eout.get(i, 0), i)
-             for i, (u, v, k) in enumerate(g.edges)),
-            key=lambda r: r[:5])
-        enc = (verts, legs, tuple(r[:5] for r in erecs),
-               tuple(sorted(rest.items(), key=lg.tuple_key)))
-        if best is None or enc < best:
-            best = enc
-            best_edges = erecs
-    assert best is not None and best_edges is not None
-    verts, legs, erecs, rest_t = best
-    new_graph = lg.LevelGraph(tuple(v[1] for v in verts),
-                              tuple(v[0] for v in verts), legs,
-                              tuple(r[:3] for r in erecs))
-    nd = dict(rest)
-    for new_i, r in enumerate(erecs):
-        if r[3]:
-            nd[("psi", ("ein", new_i))] = r[3]
-        if r[4]:
-            nd[("psi", ("eout", new_i))] = r[4]
-    return new_graph, _decor(nd)
+    if not any(map(any, labels)):
+        return lg.canonicalize(g), _decor(rest)
+    graph, moved = lg.canonicalize_labelled(g, [tuple(lab) for lab in labels])
+    for i, (ein, eout) in enumerate(moved):
+        rest[("psi", ("ein", i))] = ein
+        rest[("psi", ("eout", i))] = eout
+    return graph, _decor(rest)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +223,7 @@ class TautClass:
     def to_json_obj(self) -> list:
         out = []
         for (g, d), c in sorted(self.terms.items(),
-                                key=lambda kv: lg.tuple_key((lg.canonical_encoding(kv[0][0]), kv[0][1]))):
+                                key=lambda kv: (lg.canonical_encoding(kv[0][0]), kv[0][1])):
             psi = {}
             other = {}
             for s, e in d:

@@ -1,0 +1,100 @@
+"""Property tests of the one canonical-labelling search in
+``stratacalc.levelgraphs``: relabelling the vertices and shuffling the
+edges of a level graph leaves its canonical encoding, its automorphism
+order and its decorated canonical form unchanged, and its isomorphisms
+onto the relabelled copy number |Aut|.  Skipped where hypothesis is not
+installed."""
+from __future__ import annotations
+
+import functools
+import itertools
+import math
+from collections import Counter
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from stratacalc import levelgraphs as lg  # noqa: E402
+from stratacalc import tautring as tr  # noqa: E402
+from stratacalc.strata import StratumSpec  # noqa: E402
+
+# (genus, orders, deepest level): genus 2 and 3 bring vertex automorphisms
+# and parallel edges, genus 0 many legs and no symmetry
+STRATA = [(0, (1, 1, 2, 2, -8), 2), (1, (2, 1, -3), 2), (2, (1, 1), 3),
+          (3, (4,), 2)]
+
+
+@functools.cache
+def graphs() -> tuple[lg.LevelGraph, ...]:
+    return tuple(g for genus, orders, top in STRATA for L in range(1, top + 1)
+                 for g in lg.enumerate_LGL(StratumSpec.connected(genus, orders), L))
+
+
+@st.composite
+def relabelled(draw):
+    """A graph g, a copy h whose vertex perm[j] of g is vertex j and whose
+    edge eperm[j] of g is edge j, and (ein, eout) psi exponents per edge
+    of g."""
+    g = draw(st.sampled_from(graphs()))
+    perm = draw(st.permutations(range(g.n_vertices)))
+    eperm = draw(st.permutations(range(len(g.edges))))
+    exps = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                         min_size=len(g.edges), max_size=len(g.edges)))
+    new = {old: j for j, old in enumerate(perm)}
+    h = lg.LevelGraph(tuple(g.genera[v] for v in perm),
+                      tuple(g.levels[v] for v in perm),
+                      tuple(sorted((pt, new[v]) for pt, v in g.legs)),
+                      tuple((new[g.edges[i][0]], new[g.edges[i][1]], g.edges[i][2])
+                            for i in eperm))
+    return g, h, perm, eperm, exps
+
+
+def brute_force_automorphisms(g: lg.LevelGraph) -> int:
+    """Vertex permutations keeping genera, levels, legs and the edge
+    multiset, times the permutations of parallel edges."""
+    legs = dict(g.legs)
+    count = 0
+    for s in itertools.permutations(range(g.n_vertices)):
+        if all(g.genera[s[v]] == g.genera[v] and g.levels[s[v]] == g.levels[v]
+               for v in range(g.n_vertices)) \
+                and all(s[v] == v for v in legs.values()) \
+                and Counter((s[u], s[v], k) for u, v, k in g.edges) == Counter(g.edges):
+            count += 1
+    for m in Counter(g.edges).values():
+        count *= math.factorial(m)
+    return count
+
+
+def edge_decor(exps) -> tr.Decor:
+    return tr._decor({("psi", (side, i)): e for i, pair in enumerate(exps)
+                      for side, e in zip(("ein", "eout"), pair)} | {("xi", 0): 1})
+
+
+@settings(max_examples=50, deadline=None)
+@given(relabelled())
+def test_relabelling_keeps_the_canonical_data(case):
+    g, h, perm, eperm, exps = case
+    assert lg.canonical_encoding(h) == lg.canonical_encoding(g)
+    assert lg.canonicalize(h) == lg.canonicalize(g)
+    aut = lg.automorphism_order(g)
+    assert lg.automorphism_order(h) == aut == brute_force_automorphisms(g)
+
+    isos = lg.graph_isomorphisms(g, h)
+    assert len(isos) == aut
+    assert len({(tuple(sorted(vm.items())), tuple(sorted(em.items())))
+                for vm, em in isos}) == aut
+    for vmap, emap in isos:
+        assert sorted(emap.values()) == list(range(len(h.edges)))
+        assert all(h.edges[emap[i]] == (vmap[u], vmap[v], k)
+                   for i, (u, v, k) in enumerate(g.edges))
+        assert all(h.genera[vmap[v]] == g.genera[v] for v in range(g.n_vertices))
+    new_vertex = {old: j for j, old in enumerate(perm)}
+    new_edge = {old: j for j, old in enumerate(eperm)}
+    assert (new_vertex, new_edge) in isos
+
+    assert tr.canonical_decorated(h, ()) == (lg.canonicalize(g), ())
+    moved = [exps[i] for i in eperm]
+    assert tr.canonical_decorated(h, edge_decor(moved)) == \
+        tr.canonical_decorated(g, edge_decor(exps))

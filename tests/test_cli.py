@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 from stratacalc import invariants as inv
 from stratacalc.cli import run
@@ -201,6 +204,46 @@ def test_colliding_fixture_exits_one(tmp_path, capsys):
     assert err.startswith("error: fixture collision") and err.count("\n") == 1
 
 
+# sha256 of the --json stdout, recorded before the canonical-form search was
+# merged.  The LG_1 numbering (divisors, profiles) and the order of the
+# decorated terms (c1, chern) follow from the plain tuple order of
+# canonical encodings; a drift there changes these bytes.  Never re-record
+# a pin to absorb a change.
+JSON_SHA256 = {
+    ("divisors", "m13_k2"):
+        "4b2ccac50493fec02dcbcc0d5c77fb71f7406e760522270e1bccff04edff3bf5",
+    ("divisors", "h2_min"):
+        "2428010c980fed48ae423f4735fd4f22bdbaed583d27fc732aa0408117f0ce07",
+    ("divisors", "g0_111"):
+        "bcd776a9f37501e45a62127f740a179e88a4f2cd3e1ceb8ef93f6ca1b51fa803",
+    ("profiles", "m13_k2"):
+        "3d31c9120fcee2bf868d1921caf96317f5bad6ffc81707769a1c96e9fe1a17ff",
+    ("profiles", "h2_min"):
+        "4272493df652d5f42aa526c931c3cf2fb8b0c7e5e5e0d2fc1ab0018231028762",
+    ("profiles", "g0_111"):
+        "b5564178eb9174b7df5c00a8f97858a5bb7f7ee2d05043c0d9426e5953b4ccf9",
+    ("c1", "m13_k2"):
+        "361c6c865c0513b7f0a08eb8738b976f2f9a06462aa30924e99859094cf052ba",
+    ("c1", "h2_min"):
+        "cfa9813deeea09237e182fbccfff511873ea061e95c500ac81d39d0d31de991e",
+    ("c1", "g0_111"):
+        "ed5bf36ddc5885c5e142efb15f8f475087702cae36f4080a3d73bffd12103deb",
+    ("chern", "m13_k2"):
+        "f5f1942659e6d8d26fa563713175f55c19b4b61c28d89a3f4007225301e68ffe",
+    ("chern", "h2_min"):
+        "4379836ffd6baa758e37209ec428246c231ea1d7d59042bdc455650cdc4d87d3",
+    ("chern", "g0_111"):
+        "92d8b93da5a493aec6807e5085fef070f352a693f3e0ff4d52007a8ffa0188d3",
+}
+
+
+@pytest.mark.parametrize("cmd,spec", sorted(JSON_SHA256))
+def test_json_output_is_pinned(cmd, spec, capsys):
+    assert run([cmd, "--spec", spec_path(spec + ".json"), "--json"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == JSON_SHA256[cmd, spec]
+
+
 # -- the input boundary ------------------------------------------------------
 
 BAD_SPECS = [
@@ -224,6 +267,40 @@ BAD_SPECS = [
 ]
 
 
+H2 = {"components": [{"genus": 2, "orders": [2]}]}
+G1 = {"components": [{"genus": 1, "orders": [2, 1, -3]}]}
+
+BAD_FIXTURES = [
+    ([{"spec": H2}], "fixtures[0]: missing key 'value'"),
+    ([{"value": "1"}], "fixtures[0]: missing key 'spec'"),
+    ([{"spec": H2, "value": "abc"}], "fixtures[0].value"),
+    ([{"spec": H2, "value": 0.5}], "fixtures[0].value"),
+    ([{"spec": H2, "value": "1/0"}], "fixtures[0].value"),
+    ({"spec": H2, "value": "1"}, "fixtures: expected an array"),
+    ([{"spec": G1, "value": "5/8"}, "x"], "fixtures[1]: expected an object"),
+    ([{"spec": H2, "value": "1", "note": "x"}], "fixtures[0]: unknown key 'note'"),
+    ([{"spec": {"components": [{"genus": 2}]}, "value": "1"}],
+     "fixtures[0].spec: components[0]: missing key 'orders'"),
+    ([{"spec": H2, "value": "1", "provenance": 3}], "fixtures[0].provenance"),
+    ([{"spec": H2, "value": "1", "integrand": {"xi": 4}}],
+     "fixtures[0].integrand: unknown key 'xi'"),
+    ([{"spec": H2, "value": "1", "integrand": {"xi_power": "4"}}],
+     "fixtures[0].integrand.xi_power"),
+    ([{"spec": H2, "value": "1", "integrand": {"psi": {"a.b": 1}}}],
+     "fixtures[0].integrand.psi: key 'a.b'"),
+    ([{"spec": H2, "value": "1", "integrand": {"psi": {"0.0.0": 1}}}],
+     "key '0.0.0'"),
+    ([{"spec": H2, "value": "1", "integrand": {"psi": {"0.1": 1}}}],
+     "key '0.1'"),
+    ([{"spec": H2, "value": "1", "integrand": {"psi": {"0.0": "4"}}}],
+     "fixtures[0].integrand.psi['0.0']: expected an integer"),
+    ([{"spec": H2, "value": "1", "integrand": {"psi": {"0.0": 0}}}],
+     "positive exponent"),
+    ([{"spec": H2, "value": "1", "integrand": {"psi": [1]}}],
+     "fixtures[0].integrand.psi: expected an object"),
+]
+
+
 def test_bad_specs_exit_one_with_one_line(tmp_path, capsys):
     path = tmp_path / "bad.json"
     for obj, where in BAD_SPECS:
@@ -233,9 +310,18 @@ def test_bad_specs_exit_one_with_one_line(tmp_path, capsys):
             out, err = capsys.readouterr()
             assert out == "" and err.count("\n") == 1, obj
             assert err.startswith("error: ") and where in err, (obj, err)
+    fix = tmp_path / "fix.json"
+    for obj, where in BAD_FIXTURES:
+        fix.write_text(json.dumps(obj))
+        assert run(["xi-top", "--spec", spec_path("m13_k2.json"),
+                    "--fixtures", str(fix)]) == 1, obj
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, obj
+        assert err.startswith("error: ") and where in err, (obj, err)
     path.write_text("{")
     assert run(["info", "--spec", str(path)]) == 1
     assert capsys.readouterr().err.count("\n") == 1
+
 
 
 def test_unexpected_error_exits_two_with_one_line(monkeypatch, capsys):

@@ -171,6 +171,15 @@ def test_extra_fixture_loading():
     assert ev.xi_top(C(3, (7, -3))) == Fraction(1, 7)
 
 
+def test_psi_fixture_loading():
+    reg = FixtureRegistry()
+    spec = C(2, (1, 1))
+    reg.load_json_obj([{"spec": spec.to_json_obj(), "value": "3/7",
+                        "integrand": {"psi": {"0.0": 4}}}])
+    assert reg.lookup(spec, (((0, 0), 4),)) == Fraction(3, 7)
+    assert reg.lookup(spec) is None
+
+
 def test_psi_fixture_registration_and_lookup():
     reg = FixtureRegistry()
     spec = C(2, (1, 1))

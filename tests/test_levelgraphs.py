@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-import random
 from collections import Counter
 
 from stratacalc.strata import StratumSpec, dimension
@@ -134,34 +133,6 @@ def test_automorphism_examples():
     distinct = lg.LevelGraph((0, 1), (-1, 0), (((0, 0), 0),),
                              ((1, 0, 1), (1, 0, 3)))
     assert lg.automorphism_order(distinct) == 1
-
-
-# ---------------------------------------------------------------------------
-# canonical form
-# ---------------------------------------------------------------------------
-
-def _relabel(g: lg.LevelGraph, perm: list[int]) -> lg.LevelGraph:
-    inv = {old: new for new, old in enumerate(perm)}
-    genera = tuple(g.genera[v] for v in perm)
-    levels = tuple(g.levels[v] for v in perm)
-    legs = tuple(sorted((pt, inv[v]) for pt, v in g.legs))
-    edges = tuple((inv[u], inv[v], k) for (u, v, k) in g.edges)
-    return lg.LevelGraph(genera, levels, legs, edges)
-
-
-def test_canonical_relabel_roundtrip():
-    rng = random.Random(3)
-    spec = StratumSpec.connected(0, (1, 1, 2, 2, -8))
-    for g in lg.enumerate_LG1(spec):
-        enc = lg.canonical_encoding(g)
-        for _ in range(5):
-            perm = list(range(g.n_vertices))
-            rng.shuffle(perm)
-            edges = list(g.edges)
-            rng.shuffle(edges)
-            h = _relabel(lg.LevelGraph(g.genera, g.levels, g.legs,
-                                       tuple(edges)), perm)
-            assert lg.canonical_encoding(h) == enc
 
 
 # ---------------------------------------------------------------------------
