@@ -90,10 +90,13 @@ class FixtureRegistry:
 def _fixture_entry(item, where: str) -> tuple:
     """(spec, value, provenance, psi map or None) of one fixture item.  The
     value is an integer or a rational string such as "-3/4"; a psi key
-    names a marked point of the spec as "component.point"."""
+    names a marked point of the spec as "component.point".  The integrand
+    has the top degree d of the spec: xi_power, where given, is d for a
+    xi item and 0 for a psi item, whose exponents sum to d."""
     _check_keys(item, where, ("spec", "value"), ("integrand", "provenance"))
     try:
         spec = StratumSpec.from_json_obj(item["spec"])
+        d = dimension(spec).projectivized
     except SpecError as exc:
         raise SpecError(f"{where}.spec: {exc}") from None
     value = _rational(item["value"], where + ".value")
@@ -104,7 +107,12 @@ def _fixture_entry(item, where: str) -> tuple:
     integrand = item.get("integrand", {})
     _check_keys(integrand, where + ".integrand", (), ("xi_power", "psi"))
     if "xi_power" in integrand:
-        _integer(integrand["xi_power"], where + ".integrand.xi_power")
+        power = _integer(integrand["xi_power"], where + ".integrand.xi_power")
+        # a psi integrand is of top degree in psi alone
+        want = 0 if "psi" in integrand else d
+        if power != want:
+            raise SpecError(f"{where}.integrand.xi_power: expected {want}, got "
+                            f"{power} (the spec has projectivized dimension {d})")
     if "psi" not in integrand:
         return spec, value, provenance, None
     where += ".integrand.psi"
@@ -120,6 +128,9 @@ def _fixture_entry(item, where: str) -> tuple:
         if _integer(exp, f"{where}[{key!r}]") < 1:
             raise SpecError(f"{where}[{key!r}]: expected a positive exponent, got {exp}")
         psi[pt] = exp
+    if sum(psi.values()) != d:
+        raise SpecError(f"{where}: exponents sum to {sum(psi.values())}, expected "
+                        f"the projectivized dimension {d}")
     return spec, value, provenance, psi or None
 
 

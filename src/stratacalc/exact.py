@@ -10,7 +10,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, factorial
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Rational = Fraction
 
@@ -26,10 +26,6 @@ def rational_str(x: Rational | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def rational_from_str(s: str) -> Rational:
-    return Fraction(s)
-
-
 def lcm_list(xs: Sequence[int]) -> int:
     """Least common multiple of a nonempty list of positive integers."""
     if not xs:
@@ -39,13 +35,6 @@ def lcm_list(xs: Sequence[int]) -> int:
         if x < 1:
             raise ValueError(f"lcm_list: nonpositive entry {x}")
         out = out * x // gcd(out, x)
-    return out
-
-
-def gcd_list(xs: Iterable[int]) -> int:
-    out = 0
-    for x in xs:
-        out = gcd(out, x)
     return out
 
 

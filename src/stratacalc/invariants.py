@@ -4,7 +4,6 @@ forms for hyperelliptic components, and cross-check ledgers.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -117,51 +116,74 @@ def c1_log_cotangent(spec: StratumSpec) -> tr.TautClass:
     return out
 
 
-def _top_dims_of_deltas(spec: StratumSpec, g: lg.LevelGraph) -> list[int]:
-    """Unprojectivized top-level dimensions of the two-level
-    undegenerations delta_i(g), i = 1..L."""
-    out = []
-    for i in range(1, g.n_levels_below + 1):
-        gi = lg.delta(g, i)
-        top, _ = lg.level_stratum(gi, spec, 0)
-        out.append(dimension(top).unprojectivized)
-    return out
+def _chern_graph_data(spec: StratumSpec, g: lg.LevelGraph, high: int
+                      ) -> tuple[int, list[int], list[list[tr.Poly]]]:
+    """What the Chern graph sums up to degree ``high`` need of one level
+    graph: ell_Gamma, the r_i = N - N_top(delta_i Gamma), and the powers
+    nu_i^0 .. nu_i^(high - L) of the ell_i-scaled nu_i, i = 1..L."""
+    n_unproj = dimension(spec).unprojectivized
+    pd = lg.prong_data(g)
+    L = g.n_levels_below
+    rvals, powers = [], []
+    for i in range(1, L + 1):
+        top, _ = lg.level_stratum(lg.delta(g, i), spec, 0)
+        rvals.append(n_unproj - dimension(top).unprojectivized)
+        nu = tr.poly_scale(tr.nu_poly(g, i), pd.ell_levels[i - 1])
+        powers.append([tr.poly_one()])
+        for _ in range(high - L):
+            powers[-1].append(tr.poly_mul(powers[-1][-1], nu))
+    return pd.ell, rvals, powers
+
+
+def _nu_products(rvals: list[int], powers: list[list[tr.Poly]], high: int):
+    """(s, P) for every (k_1, ..., k_L) with k_i >= 1 and s = sum k_i <= high,
+    where P = prod_i binom(r_i - k_{i+1} - ... - k_L, k_i) nu_i^(k_i - 1).
+    Tuples with a zero binomial are skipped; the k_i are chosen from the
+    last passage up, so tuples sharing a tail share its partial product."""
+    def walk(i: int, s: int, prod: tr.Poly):
+        if i == 0:
+            yield s, prod
+            return
+        for k in range(1, high - s - i + 2):
+            b = binomial(rvals[i - 1] - s, k)
+            if b:
+                yield from walk(i - 1, s + k, tr.poly_scale(
+                    tr.poly_mul(prod, powers[i - 1][k - 1]), b))
+    yield from walk(len(rvals), 0, tr.poly_one())
+
+
+def _chern_pieces(spec: StratumSpec, low: int, high: int) -> list[tr.TautClass]:
+    """The pieces of degree 0..min(high, d) of the Chern polynomial of the
+    logarithmic cotangent bundle, those below ``low`` left zero, in one pass
+    over the level graphs:
+
+        c = sum over Gamma, (k_0, ..., k_L) of
+            ell_Gamma binom(N - k_1 - ... - k_L, k_0) xi^k_0 P(k_1, ..., k_L) [D_Gamma]
+
+    with P from :func:`_nu_products`; the term has degree k_0 + k_1 + ... + k_L.
+    """
+    require_valid(spec)
+    n_unproj = dimension(spec).unprojectivized
+    high = min(high, n_unproj - 1)
+    pieces = [tr.TautClass.zero(spec) for _ in range(high + 1)]
+    for L in range(0, high + 1):
+        for g in lg.enumerate_LGL(spec, L):
+            ell, rvals, powers = _chern_graph_data(spec, g, high)
+            for s, prod in _nu_products(rvals, powers, high):
+                for k0 in range(max(low - s, 0), high - s + 1):
+                    coeff = binomial(n_unproj - s, k0) * ell
+                    xi = tr._decor({("xi", 0): k0})
+                    for dec, c in prod.items():
+                        pieces[k0 + s].add_term(g, tr._dmul(xi, dec), c * coeff)
+    return pieces
 
 
 def chern_class_terms(spec: StratumSpec, degree: int) -> tr.TautClass:
-    """The degree-d part of the Chern polynomial of the logarithmic
-    cotangent bundle, as a sum over level graphs of binomial-weighted
-    xi-powers and normal-bundle powers."""
-    require_valid(spec)
-    n_unproj = dimension(spec).unprojectivized
-    d = n_unproj - 1
-    out = tr.TautClass.zero(spec)
-    for L in range(0, min(degree, d) + 1):
-        for g in lg.enumerate_LGL(spec, L):
-            pd = lg.prong_data(g)
-            rvals = [n_unproj - ntop for ntop in _top_dims_of_deltas(spec, g)]
-            for ks in _k_tuples(L, degree):
-                k0 = ks[0]
-                coeff = binomial(n_unproj - sum(ks[1:]), k0)
-                if not coeff:
-                    continue
-                poly = {tr._decor({("xi", 0): k0} if k0 else {}): Fraction(coeff)}
-                ok = True
-                for i in range(1, L + 1):
-                    ki = ks[i]
-                    b = binomial(rvals[i - 1] - sum(ks[i + 1:]), ki)
-                    if not b:
-                        ok = False
-                        break
-                    ell_i = pd.ell_levels[i - 1]
-                    nu_scaled = tr.poly_scale(tr.nu_poly(g, i), ell_i)
-                    poly = tr.poly_scale(
-                        tr.poly_mul(poly, tr.poly_pow(nu_scaled, ki - 1)), b)
-                if not ok:
-                    continue
-                for dec, c in poly.items():
-                    out.add_term(g, dec, c * pd.ell)
-    return out
+    """The piece of the given degree of the Chern polynomial of the
+    logarithmic cotangent bundle: the one graph pass of
+    :func:`chern_polynomial`, keeping only the terms of that degree."""
+    pieces = _chern_pieces(spec, degree, degree)
+    return pieces[degree] if 0 <= degree < len(pieces) else tr.TautClass.zero(spec)
 
 
 @dataclass
@@ -184,78 +206,50 @@ class ChernReport:
 
 def chern_polynomial(spec: StratumSpec,
                      evaluator: Evaluator | None = None) -> ChernReport:
-    """All graded pieces of the Chern polynomial, with the top piece
-    evaluated and compared against the Euler characteristic."""
+    """All graded pieces of the Chern polynomial, built in one pass over the
+    level graphs, with the top piece evaluated and compared against the
+    Euler characteristic."""
     ev = evaluator or default_evaluator()
     d = dimension(spec).projectivized
-    classes = [chern_class_terms(spec, k) for k in range(d + 1)]
+    classes = _chern_pieces(spec, 0, d)
     top_value = tr.integrate(classes[d], ev)
     chi = euler_characteristic(spec, ev).chi
     return ChernReport(spec, classes, top_value, chi,
                        top_value == Fraction(-1) ** d * chi)
 
 
-def _k_tuples(L: int, degree: int):
-    """Tuples (k_0, k_1, ..., k_L), k_0 >= 0, k_i >= 1, summing to degree."""
-    if L == 0:
-        yield (degree,)
-        return
-    for rest in itertools.product(range(1, degree + 1), repeat=L):
-        s = sum(rest)
-        if s <= degree:
-            yield (degree - s,) + rest
-
-
 def chern_character(spec: StratumSpec, max_degree: int) -> list[tr.TautClass]:
     """Graded pieces (degree 0..max_degree) of the Chern character of the
     logarithmic cotangent bundle, from the graph sum with inverse Todd
-    factors of the twisted normal bundles."""
+    factors of the twisted normal bundles.  It reads the same per-graph
+    data (ell, r_i, powers of the scaled nu_i) as the Chern polynomial's
+    graph pass."""
     require_valid(spec)
     n_unproj = dimension(spec).unprojectivized
-    d = n_unproj - 1
     pieces = [tr.TautClass.zero(spec) for _ in range(max_degree + 1)]
-
-    def add_poly(g, poly, scalar):
-        for dec, c in poly.items():
-            k = g.n_levels_below + tr.decor_degree(dec)
-            if k <= max_degree and c * scalar:
-                pieces[k].add_term(g, dec, c * scalar)
-
-    for L in range(0, min(max_degree, d) + 1):
+    for j, piece in enumerate(pieces):  # the trivial graph: N e^xi - 1
+        piece.add_term(lg.trivial_graph(spec), tr._decor({("xi", 0): j}),
+                       Fraction(n_unproj, factorial(j)) - (j == 0))
+    for L in range(1, min(max_degree, n_unproj - 1) + 1):
         for g in lg.enumerate_LGL(spec, L):
-            pd = lg.prong_data(g)
-            if L == 0:
-                # N e^xi - 1
-                for j in range(0, max_degree + 1):
-                    dec = tr._decor({("xi", 0): j} if j else {})
-                    c = Fraction(n_unproj, factorial(j))
-                    if j == 0:
-                        c -= 1
-                    if c:
-                        pieces[j].add_term(g, dec, c)
-                continue
-            top_last, _ = lg.level_stratum(lg.delta(g, L), spec, 0)
-            coeff = (n_unproj - dimension(top_last).unprojectivized) * pd.ell
+            ell, rvals, powers = _chern_graph_data(spec, g, max_degree)
+            coeff = rvals[-1] * ell
             if not coeff:
                 continue
-            poly = tr.poly_one()
-            for i in range(1, L + 1):
-                ell_i = pd.ell_levels[i - 1]
-                m = tr.poly_scale(tr.nu_poly(g, i), ell_i)
-                # td(line with c1 = -m)^{-1} = sum_j m^j / (j+1)!
-                td_inv = {(): Fraction(1)}
-                mp = tr.poly_one()
-                for j in range(1, max_degree - L + 1):
-                    mp = tr.poly_mul(mp, m)
+            # e^{xi}, xi restricted to the top level, times
+            # td(line with c1 = -nu_i)^{-1} = sum_j nu_i^j / (j+1)! for each i
+            poly = {tr._decor({("xi", 0): j}): Fraction(1, factorial(j))
+                    for j in range(max_degree - L + 1)}
+            for row in powers:
+                td_inv: tr.Poly = {}
+                for j, nu_j in enumerate(row):
                     td_inv = tr.poly_add(
-                        td_inv, tr.poly_scale(mp, Fraction(1, factorial(j + 1))))
+                        td_inv, tr.poly_scale(nu_j, Fraction(1, factorial(j + 1))))
                 poly = tr.poly_mul(poly, td_inv)
-            # e^{xi} factor, xi restricted to the top level
-            expxi = {(): Fraction(1)}
-            for j in range(1, max_degree - L + 1):
-                expxi = tr.poly_add(
-                    expxi, {tr._decor({("xi", 0): j}): Fraction(1, factorial(j))})
-            add_poly(g, tr.poly_mul(poly, expxi), coeff)
+            for dec, c in poly.items():
+                k = L + tr.decor_degree(dec)
+                if k <= max_degree:
+                    pieces[k].add_term(g, dec, c * coeff)
     return pieces
 
 

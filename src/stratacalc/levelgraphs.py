@@ -129,16 +129,16 @@ def _minimal_orderings(g: LevelGraph, edges: Sequence[tuple] | None = None
     return best, argmin
 
 
-_CANON_CACHE: dict[LevelGraph, tuple[tuple, int]] = caches.memo(
-    "levelgraphs.canonical_encoding")
+_CANON_CACHE: dict[LevelGraph, tuple[tuple, tuple[tuple[int, ...], ...]]] = \
+    caches.memo("levelgraphs.canonical_encoding")
 
 
-def _canonical(g: LevelGraph) -> tuple[tuple, int]:
-    """The canonical encoding and the number of orderings reaching it."""
+def _canonical(g: LevelGraph) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
+    """The canonical encoding and every vertex ordering reaching it."""
     hit = _CANON_CACHE.get(g)
     if hit is None:
         enc, argmin = _minimal_orderings(g)
-        hit = _CANON_CACHE[g] = (enc, len(argmin))
+        hit = _CANON_CACHE[g] = (enc, tuple(map(tuple, argmin)))
     return hit
 
 
@@ -176,7 +176,7 @@ def automorphism_order(g: LevelGraph) -> int:
     levels, genera and enhancements: the vertex automorphisms (orderings
     reaching the canonical encoding) times the permutations of parallel
     edges of equal enhancement."""
-    out = _canonical(g)[1]
+    out = len(_canonical(g)[1])
     for m in Counter(g.edges).values():
         out *= math.factorial(m)
     return out
@@ -188,15 +188,16 @@ def graph_isomorphisms(a: LevelGraph, b: LevelGraph
     enhancement) as (vertex map, edge index map) pairs: one minimizing
     ordering of a against each minimizing ordering of b, with every
     matching of parallel edges."""
-    if canonical_encoding(a) != canonical_encoding(b):
+    enc_a, orders_a = _canonical(a)
+    enc_b, orders_b = _canonical(b)
+    if enc_a != enc_b:
         return []
-    order_a = _minimal_orderings(a)[1][0]
     b_parallel: dict[tuple[int, int, int], list[int]] = {}
     for ei, e in enumerate(b.edges):
         b_parallel.setdefault(e, []).append(ei)
     out = []
-    for order_b in _minimal_orderings(b)[1]:
-        vmap = dict(zip(order_a, order_b))
+    for order_b in orders_b:
+        vmap = dict(zip(orders_a[0], order_b))
         a_parallel: dict[tuple[int, int, int], list[int]] = {}
         for ei, (u, v, k) in enumerate(a.edges):
             a_parallel.setdefault((vmap[u], vmap[v], k), []).append(ei)

@@ -84,9 +84,6 @@ class StratumSpec:
     def is_holomorphic(self) -> bool:
         return all(o >= 0 for _, orders in self.components for o in orders)
 
-    def total_genus(self) -> int:
-        return sum(g for g, _ in self.components)
-
     def drop_part(self, part: ResiduePart) -> "StratumSpec":
         rest = tuple(p for p in self.residue_parts if p is not part and p != part)
         return StratumSpec(self.components, rest)

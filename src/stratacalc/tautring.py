@@ -206,18 +206,6 @@ class TautClass:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree_part(self, k: int) -> "TautClass":
-        """Terms of pure codimension k (graph depth plus decoration degree)."""
-        out = TautClass(self.spec)
-        for (g, d), c in self.terms.items():
-            if g.n_levels_below + decor_degree(d) == k:
-                out.add_term(g, d, c)
-        return out
-
-    def max_degree(self) -> int:
-        return max((g.n_levels_below + decor_degree(d)
-                    for (g, d) in self.terms), default=0)
-
     # -- serialization -------------------------------------------------------
 
     def to_json_obj(self) -> list:

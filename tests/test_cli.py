@@ -205,10 +205,11 @@ def test_colliding_fixture_exits_one(tmp_path, capsys):
 
 
 # sha256 of the --json stdout, recorded before the canonical-form search was
-# merged.  The LG_1 numbering (divisors, profiles) and the order of the
-# decorated terms (c1, chern) follow from the plain tuple order of
-# canonical encodings; a drift there changes these bytes.  Never re-record
-# a pin to absorb a change.
+# merged (the chern pins on g0_cherry, m13_k5 and pair_residue before the
+# Chern graph pass was merged).  The LG_1 numbering (divisors, profiles) and
+# the order of the decorated terms (c1, chern) follow from the plain tuple
+# order of canonical encodings; a drift there changes these bytes.  Never
+# re-record a pin to absorb a change.
 JSON_SHA256 = {
     ("divisors", "m13_k2"):
         "4b2ccac50493fec02dcbcc0d5c77fb71f7406e760522270e1bccff04edff3bf5",
@@ -234,6 +235,12 @@ JSON_SHA256 = {
         "4379836ffd6baa758e37209ec428246c231ea1d7d59042bdc455650cdc4d87d3",
     ("chern", "g0_111"):
         "92d8b93da5a493aec6807e5085fef070f352a693f3e0ff4d52007a8ffa0188d3",
+    ("chern", "g0_cherry"):
+        "d56de3efb9c45f83144913675e816838fba4ca090b473885f125b026339b6ced",
+    ("chern", "m13_k5"):
+        "c2198b3e290fbdc714587d6df6a5120a17ed36340d035c7c25524b726732da72",
+    ("chern", "pair_residue"):
+        "42d5675eee3e238a848bc8d37b59cc058e13e9bb276ac82b5cf865184813dae0",
 }
 
 
@@ -298,6 +305,14 @@ BAD_FIXTURES = [
      "positive exponent"),
     ([{"spec": H2, "value": "1", "integrand": {"psi": [1]}}],
      "fixtures[0].integrand.psi: expected an object"),
+    ([{"spec": H2, "value": "1", "integrand": {"xi_power": 2}}],
+     "fixtures[0].integrand.xi_power: expected 3, got 2"),
+    ([{"spec": H2, "value": "1", "integrand": {"psi": {"0.0": 2}}}],
+     "fixtures[0].integrand.psi: exponents sum to 2"),
+    ([{"spec": H2, "value": "1", "integrand": {"xi_power": 3, "psi": {"0.0": 3}}}],
+     "fixtures[0].integrand.xi_power: expected 0, got 3"),
+    ([{"spec": {"components": [{"genus": 2, "orders": [3]}]}, "value": "1"}],
+     "fixtures[0].spec: "),
 ]
 
 

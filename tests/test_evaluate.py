@@ -163,7 +163,7 @@ def test_extra_fixture_loading():
     reg = default_registry()
     reg.load_json_obj([{
         "spec": C(3, (7, -3)).to_json_obj(),
-        "integrand": {"xi_power": 3},
+        "integrand": {"xi_power": 5},
         "value": "1/7",
         "provenance": "test",
     }])

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -104,6 +106,36 @@ def test_chern_character_truncation():
         want = (tr.multiply(c1, c1, EV) - c2.scale(2)).scale(Fraction(1, 2))
         diff = tr._lam_normalize(ch[2]) - tr._lam_normalize(want)
         assert not diff.terms, mu
+
+
+def _sha256(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of the sorted-key JSON, recorded before the Chern polynomial, its
+# graded pieces and the Chern character were built from one graph pass.
+# Never re-record a pin to absorb a change.
+def test_chern_character_is_pinned():
+    for spec, pin in [
+            (C(2, (2,)),
+             "0d07690df6ac99a352341cdad6adf4df3e74425672853cacf6f03d188935ab27"),
+            (C(1, (2, 1, -3)),
+             "239b7f7b4e2813728d0edc535a8433fd5b74ade3004d6ca9a77f8b659da84786")]:
+        d = dimension(spec).projectivized
+        ch = inv.chern_character(spec, d)
+        assert _sha256([piece.to_json_obj() for piece in ch]) == pin
+
+
+def test_chern_polynomial_with_three_level_passages_is_pinned():
+    spec = C(0, (3, 2, 1, 1, -4, -5))
+    assert dimension(spec).projectivized == 3
+    assert lg.enumerate_LGL(spec, 3)
+    rep = inv.chern_polynomial(spec, EV)
+    assert rep.duality_holds
+    assert _sha256(rep.to_json_obj()) == \
+        "9bc836b596a8e76d3caa1a6362b2df8518e9eb8f3508dac6c2e4a3af393d37c8"
+    for k, piece in enumerate(rep.classes):
+        assert not (piece - inv.chern_class_terms(spec, k)).terms, k
 
 
 def test_lemma_product_to_sum_polynomial_identity():
