@@ -2,8 +2,10 @@
 a stratum described by a JSON spec file.
 
 Commands: info, graphs, divisors, profiles, chi, xi-top, c1, chern, check.
-Diagnostics exit with status 1, internal-consistency failures and any
-other unexpected error with 2; either way stderr gets one line.
+Diagnostics, a bad command line among them, exit with status 1,
+internal-consistency failures and any other unexpected error with 2;
+either way stderr gets one line.  Only ``--help`` exits through
+``SystemExit``.
 
 ``run`` may be called many times in one process: the argument parser is
 built on the first call, and requests with the same fixture files share
@@ -19,7 +21,6 @@ from .exact import rational_str
 from .strata import SpecError, StratumSpec, classify, dimension, validate
 from . import levelgraphs as lg
 from . import invariants as inv
-from . import tautring as tr
 from .evaluate import Evaluator, FixtureCollisionError, UnevaluatableError, shared_evaluator
 
 
@@ -91,12 +92,12 @@ def cmd_divisors(args) -> int:
     reports = []
     for i, g in enumerate(graphs):
         pd = lg.prong_data(g)
-        top, _ = lg.level_stratum(g, spec, 0)
-        dims = lg.dimension_profile(g, spec)
+        rep = lg.graph_report(g, spec)
+        dims = [lev["dim"] for lev in rep["levels"]]
         rows.append([str(i), str(pd.ell), str(pd.kappa_product),
                      str(pd.orbits), str(pd.aut_order),
-                     str(dimension(top).unprojectivized), str(dims)])
-        reports.append(lg.graph_report(g, spec))
+                     str(rep["levels"][0]["dim_unproj"]), str(dims)])
+        reports.append(rep)
     lines = _table(rows)
     if lg.horizontal_divisor_present(spec):
         lines.append("plus the horizontal divisor")
@@ -178,8 +179,19 @@ def cmd_check(args) -> int:
     return 0 if all(r.ok for r in results) else 2
 
 
+class UsageError(Exception):
+    """A command line that argparse rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # raise instead of printing usage and exiting, so that ``run`` writes one
+    # line and returns 1; the subcommand parsers inherit this class
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="stratacalc",
         description="exact boundary combinatorics and intersection numbers "
                     "of strata of abelian differentials")
@@ -217,11 +229,12 @@ def run(argv=None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
         return args.handler(args)
-    except (SpecError, OSError, UnicodeDecodeError, json.JSONDecodeError,
-            FixtureCollisionError, UnevaluatableError) as exc:
+    except (UsageError, SpecError, OSError, UnicodeDecodeError,
+            json.JSONDecodeError, FixtureCollisionError,
+            UnevaluatableError) as exc:
         print(f"error: {_one_line(exc)}", file=sys.stderr)
         return 1
     except lg.EnumerationError as exc:

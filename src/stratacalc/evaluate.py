@@ -10,7 +10,8 @@ The two moves are the divisor relation
 used forwards (trading xi for psi, on genus-0 and disconnected strata) and
 backwards (trading psi for xi, on positive genus), plus the evaluation of a
 boundary term as a product of level integrals weighted by
-K / (|Aut| * ell).  Every failure surfaces the exact missing key.
+K / (|Aut| * ell) in ``Evaluator.boundary_integral``.  Every failure
+surfaces the exact missing key.
 """
 from __future__ import annotations
 
@@ -218,27 +219,21 @@ class Evaluator:
         self._memo[key] = val
         return val
 
-    def stratum_divisor_integral(self, spec: StratumSpec, graph: lg.LevelGraph,
-                                 psi: PsiMap, top_xi: int) -> Rational:
-        """Integral over D_Gamma of the restriction of psi^a xi^{top_xi}:
-        K/(|Aut| ell) times the product of level integrals."""
+    def boundary_integral(self, spec: StratumSpec, graph: lg.LevelGraph,
+                          psi: Mapping[lg.LegTag, int],
+                          xi: Mapping[int, int]) -> Rational:
+        """Integral over the ambient stratum of the class on D_Gamma given by
+        psi exponents at tags (legs or edge half-points) and xi exponents at
+        levels: K/(|Aut| ell) times the product of the level integrals, each
+        over the psi at the tags on its level and its own xi power."""
         pd = lg.prong_data(graph)
-        conds = lg.induced_conditions(graph, spec)
-        legv = graph.leg_vertex()
         out = Fraction(pd.kappa_product, pd.aut_order * pd.ell)
         for lev in range(0, -graph.n_levels_below - 1, -1):
-            sub, pmap = lg.level_stratum(graph, spec, lev, conds)
-            tag_pos = {t: (cj, pj) for cj, tags in enumerate(pmap)
-                       for pj, t in enumerate(tags)}
-            sub_psi: dict[Point, int] = {}
-            for p, e in psi.items():
-                if not e:
-                    continue
-                if legv[p] in graph.vertices_at(lev):
-                    sub_psi[tag_pos[("leg", p)]] = e
-            sub_xi = top_xi if lev == 0 else 0
-            factor = self.integral(sub, sub_psi, sub_xi)
-            if factor == 0:
+            sub, positions = lg.level_stratum(graph, spec, lev)
+            factor = self.integral(
+                sub, {positions[t]: e for t, e in psi.items() if t in positions},
+                xi.get(lev, 0))
+            if not factor:
                 return Fraction(0)
             out *= factor
         return out
@@ -318,9 +313,9 @@ class Evaluator:
         bumped = dict(psi)
         bumped[p] = bumped.get(p, 0) + 1
         total = (m + 1) * self.integral(spec, bumped, xi - 1)
-        legv_low = self._divisors_with_point_low(spec, p)
-        for graph, ell in legv_low:
-            term = self.stratum_divisor_integral(spec, graph, psi, xi - 1)
+        legs = _leg_tags(psi)
+        for graph, ell in divisors_with_point_low(spec, p):
+            term = self.boundary_integral(spec, graph, legs, {0: xi - 1})
             if term:
                 total -= ell * term
         return total
@@ -334,18 +329,12 @@ class Evaluator:
         if not reduced[p]:
             del reduced[p]
         total = self.integral(spec, reduced, xi + 1)
-        for graph, ell in self._divisors_with_point_low(spec, p):
-            term = self.stratum_divisor_integral(spec, graph, reduced, xi)
+        legs = _leg_tags(reduced)
+        for graph, ell in divisors_with_point_low(spec, p):
+            term = self.boundary_integral(spec, graph, legs, {0: xi})
             if term:
                 total += ell * term
         return total / (m + 1)
-
-    def _divisors_with_point_low(self, spec: StratumSpec, p: Point):
-        out = []
-        for graph in lg.enumerate_LG1(spec):
-            if graph.levels[graph.leg_vertex()[p]] == -1:
-                out.append((graph, lg.prong_data(graph).ell))
-        return out
 
     # -- residue condition removal -------------------------------------------
 
@@ -355,12 +344,24 @@ class Evaluator:
         if dimension(spec0).projectivized == dimension(spec).projectivized:
             return self.integral(spec0, psi, xi)
         total = -self.integral(spec0, psi, xi + 1)
+        legs = _leg_tags(psi)
         for graph in removal_divisors(spec0, part):
             ell = lg.prong_data(graph).ell
-            term = self.stratum_divisor_integral(spec0, graph, psi, xi)
+            term = self.boundary_integral(spec0, graph, legs, {0: xi})
             if term:
                 total -= ell * term
         return total
+
+
+def _leg_tags(psi: PsiMap) -> dict[lg.LegTag, int]:
+    return {("leg", p): e for p, e in psi.items()}
+
+
+def divisors_with_point_low(spec: StratumSpec, p: Point) -> list[tuple[lg.LevelGraph, int]]:
+    """(Gamma, ell_Gamma) for the divisors with the point p on the lower
+    level: the boundary part of xi = (m_p + 1) psi_p - sum ell_Gamma [D_Gamma]."""
+    return [(g, lg.prong_data(g).ell) for g in lg.enumerate_LG1(spec)
+            if g.levels[g.leg_vertex()[p]] == -1]
 
 
 def removal_divisors(spec0: StratumSpec, part) -> list[lg.LevelGraph]:

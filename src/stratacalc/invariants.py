@@ -69,14 +69,13 @@ def euler_characteristic(spec: StratumSpec,
     for L in range(0, d + 1):
         for g in lg.enumerate_LGL(spec, L):
             pd = lg.prong_data(g)
-            conds = lg.induced_conditions(g, spec)
-            top, _ = lg.level_stratum(g, spec, 0, conds)
-            ntop = dimension(top).unprojectivized
+            levels = range(0, -L - 1, -1)
+            subs = [lg.level_stratum(g, spec, lev)[0] for lev in levels]
+            ntop = dimension(subs[0]).unprojectivized
             factors: list[Rational] = []
             zero_rule = None
             prod = Fraction(pd.kappa_product * ntop, pd.aut_order)
-            for lev in range(0, -L - 1, -1):
-                sub, _ = lg.level_stratum(g, spec, lev, conds)
+            for lev, sub in zip(levels, subs):
                 dsub = dimension(sub).projectivized
                 try:
                     val = ev.integral(sub, {}, dsub)
@@ -212,7 +211,8 @@ def chern_polynomial(spec: StratumSpec,
     ev = evaluator or default_evaluator()
     d = dimension(spec).projectivized
     classes = _chern_pieces(spec, 0, d)
-    top_value = tr.integrate(classes[d], ev)
+    # an empty stratum (d < 0) has no classes and integrates to zero
+    top_value = tr.integrate(classes[d], ev) if classes else Fraction(0)
     chi = euler_characteristic(spec, ev).chi
     return ChernReport(spec, classes, top_value, chi,
                        top_value == Fraction(-1) ** d * chi)

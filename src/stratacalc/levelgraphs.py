@@ -419,27 +419,25 @@ def induced_conditions(g: LevelGraph, spec: StratumSpec) -> dict[int, list[froze
     return out
 
 
-def level_stratum(g: LevelGraph, spec: StratumSpec, lev: int,
-                  conditions: dict[int, list[frozenset[LegTag]]] | None = None,
-                  ) -> tuple[StratumSpec, list[list[LegTag]]]:
-    """The generalized stratum at a level of the graph.
+def level_stratum(g: LevelGraph, spec: StratumSpec, lev: int
+                  ) -> tuple[StratumSpec, dict[LegTag, Point]]:
+    """The generalized stratum at a level of the graph, with the residue
+    conditions that ``induced_conditions`` induces on that level.
 
-    Returns the spec (one component per vertex at the level) and the point
-    map: point_map[component][point index] is the tag of that marked point
-    (an ambient leg, an incoming edge pole, or an outgoing edge zero).
+    Returns the spec (one component per vertex at the level) and the
+    positions: positions[tag] = (component, point) for every tag on the
+    level (an ambient leg, an incoming edge pole, or an outgoing edge
+    zero).  A tag lies on the level exactly when it is a key.
     """
     verts = g.vertices_at(lev)
     if not verts:
         raise ValueError(f"no vertices at level {lev}")
-    if conditions is None:
-        conditions = induced_conditions(g, spec)
     vert_legs: dict[int, list[Point]] = {v: [] for v in verts}
     for pt, v in g.legs:
         if v in vert_legs:
             vert_legs[v].append(pt)
     comps: list[tuple[int, tuple[int, ...]]] = []
-    point_map: list[list[LegTag]] = []
-    tag_pos: dict[LegTag, Point] = {}
+    positions: dict[LegTag, Point] = {}
     for cj, v in enumerate(verts):
         tags: list[LegTag] = [("leg", pt) for pt in sorted(vert_legs[v])]
         tags += [("ein", ei) for ei, (u, w, k) in enumerate(g.edges) if w == v]
@@ -453,22 +451,18 @@ def level_stratum(g: LevelGraph, spec: StratumSpec, lev: int,
             else:
                 orders.append(g.edges[t[1]][2] - 1)
         for pj, t in enumerate(tags):
-            tag_pos[t] = (cj, pj)
+            positions[t] = (cj, pj)
         comps.append((g.genera[v], tuple(orders)))
-        point_map.append(tags)
-    parts = []
-    for cond in conditions.get(lev, ()):
-        pts = frozenset(tag_pos[t] for t in cond)
-        parts.append(ResiduePart(pts, True))
-    return StratumSpec(tuple(comps), tuple(parts)), point_map
+    parts = tuple(ResiduePart(frozenset(positions[t] for t in cond), True)
+                  for cond in induced_conditions(g, spec).get(lev, ()))
+    return StratumSpec(tuple(comps), parts), positions
 
 
 def level_dims(g: LevelGraph, spec: StratumSpec) -> list[tuple[int, int]]:
     """Per-level (projectivized, unprojectivized) dimensions, top first."""
-    conds = induced_conditions(g, spec)
     out = []
     for lev in range(0, -g.n_levels_below - 1, -1):
-        sub, _ = level_stratum(g, spec, lev, conds)
+        sub, _ = level_stratum(g, spec, lev)
         dd = dimension(sub)
         out.append((dd.projectivized, dd.unprojectivized))
     return out
@@ -575,10 +569,9 @@ def realizability_issues(g: LevelGraph, spec: StratumSpec) -> list[str]:
     issues = _structural_issues(g, spec)
     if issues:
         return issues
-    conds = induced_conditions(g, spec)
     nsum = 0
     for lev in range(0, -g.n_levels_below - 1, -1):
-        sub, _ = level_stratum(g, spec, lev, conds)
+        sub, _ = level_stratum(g, spec, lev)
         dd = dimension(sub)
         nsum += dd.unprojectivized
         if dd.projectivized < 0:
@@ -955,10 +948,9 @@ def dimension_profile(g: LevelGraph, spec: StratumSpec) -> list[int]:
 
 def graph_report(g: LevelGraph, spec: StratumSpec) -> dict:
     pd = prong_data(g)
-    conds = induced_conditions(g, spec)
     levels = []
     for lev in range(0, -g.n_levels_below - 1, -1):
-        sub, pmap = level_stratum(g, spec, lev, conds)
+        sub, _ = level_stratum(g, spec, lev)
         dd = dimension(sub)
         levels.append({"level": lev, "spec": sub.to_json_obj(),
                        "dim": dd.projectivized, "dim_unproj": dd.unprojectivized})

@@ -7,7 +7,8 @@ the one-step degenerations of level i), and psi-classes at marked points or
 edge half-points.  A term stands for the pushforward to the ambient stratum
 of the class on D_Gamma whose pullback to the level-product cover is the
 product of the per-level pieces; its integral is
-K/(|Aut| ell) times the product of the level integrals.
+K/(|Aut| ell) times the product of the level integrals
+(``Evaluator.boundary_integral``).
 
 Products are computed by the excess-intersection formula: common divisors
 contribute normal-bundle factors
@@ -26,7 +27,7 @@ from typing import Mapping
 from .exact import Rational, rational_str
 from .strata import Point, ResiduePart, StratumSpec, dimension, require_valid
 from . import levelgraphs as lg
-from .evaluate import Evaluator, default_evaluator, removal_divisors
+from .evaluate import Evaluator, default_evaluator, divisors_with_point_low, removal_divisors
 
 # decoration symbols
 #   ("psi", tag)   tag = ("leg", point) | ("ein", ei) | ("eout", ei)
@@ -288,56 +289,37 @@ def _splits_deduped(g: lg.LevelGraph, spec: StratumSpec, lev: int,
 # integration
 # ---------------------------------------------------------------------------
 
+def _lam_expand(spec: StratumSpec, g: lg.LevelGraph, decor: Decor):
+    """Expand one lam-class of a decoration: lam^{[lev]} is the sum of
+    ell_new [D] over the one-step splits of the level.  Yields
+    (split graph, transferred decoration, coefficient)."""
+    lev = next(s[1] for s, _ in decor if s[0] == "lam")
+    reduced = dict(decor)
+    reduced[("lam", lev)] -= 1
+    base = _decor(reduced)
+    for cand, emap in _splits_deduped(g, spec, lev, base):
+        ell_new = lg.prong_data(cand).ell_levels[-lev]
+        for d2, c2 in _transfer_under_split(base, lev, emap).items():
+            yield cand, d2, ell_new * c2
+
+
+def _has_lam(decor: Decor) -> bool:
+    return any(s[0] == "lam" for s, _ in decor)
+
+
 def integrate_term(spec: StratumSpec, g: lg.LevelGraph, decor: Decor,
                    evaluator: Evaluator | None = None) -> Rational:
-    """Integral over the ambient stratum of one decorated term."""
+    """Integral over the ambient stratum of one decorated term: its
+    lam-classes are expanded into deeper strata, and a lam-free term is
+    ``Evaluator.boundary_integral`` of its psi exponents (keyed by tag) and
+    xi exponents (keyed by level)."""
     ev = evaluator or default_evaluator()
-    lam_syms = [s for s, e in decor if s[0] == "lam"]
-    if lam_syms:
-        lev = lam_syms[0][1]
-        reduced = dict(decor)
-        reduced[("lam", lev)] -= 1
-        base = _decor(reduced)
-        total = Fraction(0)
-        for cand, emap in _splits_deduped(g, spec, lev, base):
-            pdc = lg.prong_data(cand)
-            ell_new = pdc.ell_levels[-lev]
-            poly = _transfer_under_split(base, lev, emap)
-            for d2, c2 in poly.items():
-                if c2:
-                    total += ell_new * c2 * integrate_term(spec, cand, d2, ev)
-        return total
-    # pure psi/xi decoration: product of level integrals
-    pd = lg.prong_data(g)
-    conds = lg.induced_conditions(g, spec)
-    legv = g.leg_vertex()
-    total = Fraction(pd.kappa_product, pd.aut_order * pd.ell)
-    for lev in range(0, -g.n_levels_below - 1, -1):
-        sub, pmap = lg.level_stratum(g, spec, lev, conds)
-        tag_pos = {t: (cj, pj) for cj, tags in enumerate(pmap)
-                   for pj, t in enumerate(tags)}
-        psi: dict[Point, int] = {}
-        xi = 0
-        for s, e in decor:
-            if s[0] == "xi":
-                if s[1] == lev:
-                    xi += e
-            else:
-                tag = s[1]
-                if tag[0] == "leg":
-                    at_level = g.levels[legv[tag[1]]] == lev
-                elif tag[0] == "ein":
-                    at_level = g.levels[g.edges[tag[1]][1]] == lev
-                else:
-                    at_level = g.levels[g.edges[tag[1]][0]] == lev
-                if at_level:
-                    pt = tag_pos[tag if tag[0] != "leg" else ("leg", tag[1])]
-                    psi[pt] = psi.get(pt, 0) + e
-        factor = ev.integral(sub, psi, xi)
-        if not factor:
-            return Fraction(0)
-        total *= factor
-    return total
+    if _has_lam(decor):
+        return sum((c * integrate_term(spec, cand, d2, ev)
+                    for cand, d2, c in _lam_expand(spec, g, decor)), Fraction(0))
+    psi = {s[1]: e for s, e in decor if s[0] == "psi"}
+    xi = {s[1]: e for s, e in decor if s[0] == "xi"}
+    return ev.boundary_integral(spec, g, psi, xi)
 
 
 def integrate(cls: TautClass, evaluator: Evaluator | None = None,
@@ -376,20 +358,11 @@ def _lam_normalize(cls: TautClass) -> TautClass:
     queue = list(cls.terms.items())
     while queue:
         (g, decor), coeff = queue.pop()
-        lam_syms = [s for s, e in decor if s[0] == "lam"]
-        if not lam_syms:
+        if not _has_lam(decor):
             out.add_term(g, decor, coeff)
             continue
-        lev = lam_syms[0][1]
-        reduced = dict(decor)
-        reduced[("lam", lev)] -= 1
-        base = _decor(reduced)
-        for cand, emap in _splits_deduped(g, cls.spec, lev, base):
-            pdc = lg.prong_data(cand)
-            ell_new = pdc.ell_levels[-lev]
-            poly = _transfer_under_split(base, lev, emap)
-            for d2, c2 in poly.items():
-                queue.append(((cand, d2), coeff * ell_new * c2))
+        for cand, d2, c in _lam_expand(cls.spec, g, decor):
+            queue.append(((cand, d2), coeff * c))
     return out
 
 
@@ -503,7 +476,7 @@ def _degenerations_of(spec: StratumSpec, g: lg.LevelGraph, decor: Decor,
     for _ in range(extra):
         nxt: dict = {}
         for graph, dec, passages in current.values():
-            if any(s[0] == "lam" for s, _ in dec):
+            if _has_lam(dec):
                 raise ValueError("lam in degeneration search; normalize first")
             for lev in range(0, -graph.n_levels_below - 1, -1):
                 for cand, emap in lg.split_level_decorated(graph, spec, lev):
@@ -543,11 +516,9 @@ def xi_as_psi(spec: StratumSpec, point: Point) -> TautClass:
     """xi = (m+1) psi_p  -  sum over divisors with p on the lower level of
     ell_Gamma [D_Gamma]."""
     require_valid(spec)
-    m = spec.order(point)
-    out = TautClass.psi(spec, point).scale(m + 1)
-    for g in lg.enumerate_LG1(spec):
-        if g.levels[g.leg_vertex()[point]] == -1:
-            out.add_term(g, (), -lg.prong_data(g).ell)
+    out = TautClass.psi(spec, point).scale(spec.order(point) + 1)
+    for g, ell in divisors_with_point_low(spec, point):
+        out.add_term(g, (), -ell)
     return out
 
 

@@ -347,3 +347,46 @@ def test_unexpected_error_exits_two_with_one_line(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert err.startswith("internal error: KeyError")
+
+
+USAGE_ERRORS = [
+    (["chi"], "error: the following arguments are required: --spec"),
+    (["frobnicate"], "error: argument command: invalid choice: 'frobnicate'"),
+    (["chi", "--spec", spec_path("g0_111.json"), "--levels", "one"],
+     "error: argument --levels: invalid int value: 'one'"),
+]
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS)
+def test_usage_error_exits_one_with_one_line(argv, message, capsys):
+    try:
+        rc = run(argv)
+    except SystemExit as exc:
+        pytest.fail(f"SystemExit({exc.code}) escaped run()")
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err.startswith(message) and err.count("\n") == 1, err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: stratacalc")
+
+
+SPEC_COMMANDS = ("info", "graphs", "divisors", "profiles", "chi", "xi-top",
+                 "c1", "chern")
+
+
+def test_empty_stratum_answers_every_command(tmp_path, capsys):
+    # genus 0 with orders (1, -3) has projectivized dimension -1
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(_connected(0, (1, -3))))
+    for cmd in SPEC_COMMANDS:
+        assert run([cmd, "--spec", str(path), "--json"]) == 0, cmd
+        out, err = capsys.readouterr()
+        assert err == "", (cmd, err)
+    assert json.loads(out) == {"spec": _connected(0, (1, -3)), "classes": [],
+                               "top_value": "0", "chi": "0",
+                               "duality_holds": True}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ from math import factorial
 
 import pytest
 
+from stratacalc.exact import rational_str
 from stratacalc.strata import ResiduePart, StratumSpec, dimension
 from stratacalc.evaluate import Evaluator
 from stratacalc import levelgraphs as lg
@@ -324,3 +326,34 @@ def test_canonical_decorated_relabel_roundtrip():
                             (banana.edges[1], banana.edges[0]))
     c = tr.canonical_decorated(swapped, tr._decor({("psi", ("ein", 0)): 1}))
     assert c == a
+
+
+# Integrals of psi^(d-L) at one edge half-point, over every graph with
+# 2 <= L < d levels below zero, every edge and both half-points, in the order
+# of enumerate_LGL and the edge indices: (terms, non-zero terms, sum, sha256
+# of the space-separated values).  Recorded before the boundary integral was
+# merged into Evaluator.boundary_integral; never re-record a pin to absorb a
+# change.
+EDGE_PSI_PINS = {
+    (0, (1, 1, 1, 1, 1, -7)): (970, 190, "1055/6",
+        "3a03ca2b1c92c4d2b5dba2ef31a42631da45688a298c29db3fbf693480b8de99"),
+    (0, (2, 1, 1, 1, -3, -4)): (650, 146, "259/2",
+        "d43fbcc8742a73985eeb40f3b77dbc5e8b5dd118518eb9ffb717e1e2a8641c0c"),
+    (1, (3, 1, 1, -5)): (340, 101, "5533/72",
+        "f3ac3a7f8029506cc87e13eb30812acd72be2fc630fd270a0eb06de247757ac0"),
+}
+
+
+@pytest.mark.parametrize("genus,orders", sorted(EDGE_PSI_PINS))
+def test_edge_half_point_psi_integrals_are_pinned(genus, orders):
+    spec = C(genus, orders)
+    d = dimension(spec).projectivized
+    ev = Evaluator()
+    vals = [tr.integrate_term(spec, g, tr._decor({("psi", (side, ei)): d - L}), ev)
+            for L in range(2, d)
+            for g in lg.enumerate_LGL(spec, L)
+            for ei in range(len(g.edges))
+            for side in ("ein", "eout")]
+    text = " ".join(rational_str(v) for v in vals)
+    assert (len(vals), sum(1 for v in vals if v), rational_str(sum(vals)),
+            hashlib.sha256(text.encode()).hexdigest()) == EDGE_PSI_PINS[genus, orders]
