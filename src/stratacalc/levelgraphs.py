@@ -17,7 +17,8 @@ from typing import Iterable, Iterator, Sequence
 
 from . import caches
 from .exact import lcm_list, orbit_count
-from .strata import Point, ResiduePart, SpecError, StratumSpec, dimension, forced_zero_residues, require_valid
+from .strata import (DimensionData, Point, ResiduePart, SpecError, StratumSpec, dimension,
+                     require_valid)
 
 # point tags inside a level stratum
 LegTag = tuple  # ("leg", Point) | ("ein", edge index) | ("eout", edge index)
@@ -537,38 +538,35 @@ def _structural_issues(g: LevelGraph, spec: StratumSpec) -> list[str]:
     return issues
 
 
-def _genus0_zero_residue_ok(sub: StratumSpec, cj: int, forced: set[Point]) -> bool:
+def _genus0_zero_residue_ok(sub: StratumSpec, cj: int, dd: DimensionData) -> bool:
     """Existence of a differential on a genus-0 component all of whose pole
-    residues vanish.  Zero residues on a rational curve force an exact
-    differential; with poles of orders p_i the antiderivative has degree
-    d = sum(p_i - 1), and a marked zero of order a needs a <= d - 1 when
-    there are at least two poles.  Exact for <= 2 poles, a necessary
-    condition only for more.
+    residues vanish, read off the residue record ``dd`` of ``sub``.  Zero
+    residues on a rational curve force an exact differential; with poles
+    of orders p_i the antiderivative has degree d = sum(p_i - 1), and a
+    marked zero of order a needs a <= d - 1 when there are at least two
+    poles.  Exact for <= 2 poles, a necessary condition only for more.
     """
     genus, orders = sub.components[cj]
     if genus != 0:
         return True
-    poles = [-o for o in orders if o < 0]
-    zero_pts = [o for o in orders if o > 0]
-    np_ = len(poles)
-    if np_ == 0:
+    pole_pts = [pt for pt in dd.poles if pt[0] == cj]
+    if not pole_pts:
         return False  # genus 0 needs a pole; unreachable for valid specs
-    pole_pts = [(cj, pj) for pj, o in enumerate(orders) if o < 0]
-    if not all(pt in forced for pt in pole_pts):
+    if not all(pt in dd.forced_zero for pt in pole_pts):
         return True
-    d = sum(p - 1 for p in poles)
-    if np_ == 1:
+    if len(pole_pts) == 1:
         return True
-    return all(a <= d - 1 for a in zero_pts)
+    d = sum(-orders[pj] - 1 for _, pj in pole_pts)
+    return all(a <= d - 1 for a in orders if a > 0)
 
 
-def realizability_issues(g: LevelGraph, spec: StratumSpec) -> list[str]:
-    """Full realizability predicate: structural invariants, nonnegative
-    level dimensions, no simple pole with identically vanishing residue,
-    and the genus-0 zero-residue obstruction."""
-    issues = _structural_issues(g, spec)
-    if issues:
-        return issues
+def _level_issues(g: LevelGraph, spec: StratumSpec) -> list[str]:
+    """The level part of the realizability predicate, for a structurally
+    sound graph: nonnegative level dimensions, no simple pole with
+    identically vanishing residue, and the genus-0 zero-residue
+    obstruction.  Raises ``EnumerationError`` when the level dimensions of
+    a realizable graph do not add up to the stratum's."""
+    issues: list[str] = []
     nsum = 0
     for lev in range(0, -g.n_levels_below - 1, -1):
         sub, _ = level_stratum(g, spec, lev)
@@ -577,12 +575,11 @@ def realizability_issues(g: LevelGraph, spec: StratumSpec) -> list[str]:
         if dd.projectivized < 0:
             issues.append(f"level {lev}: negative dimension")
             continue
-        forced = forced_zero_residues(sub)
-        for pt in forced:
-            if sub.order(pt) == -1:
+        for pt in dd.poles:
+            if pt in dd.forced_zero and sub.order(pt) == -1:
                 issues.append(f"level {lev}: simple pole with zero residue")
         for cj in range(sub.n_components):
-            if not _genus0_zero_residue_ok(sub, cj, forced):
+            if not _genus0_zero_residue_ok(sub, cj, dd):
                 issues.append(f"level {lev}: genus-0 zero-residue obstruction")
     if not issues:
         total = dimension(spec).unprojectivized
@@ -590,6 +587,29 @@ def realizability_issues(g: LevelGraph, spec: StratumSpec) -> list[str]:
             raise EnumerationError(
                 f"level dimension sum {nsum} != stratum dimension {total}")
     return issues
+
+
+_LEVEL_VERDICTS: dict[tuple[tuple, StratumSpec], tuple[str, ...]] = caches.memo(
+    "levelgraphs.level_verdict")
+
+
+def realizability_issues(g: LevelGraph, spec: StratumSpec) -> list[str]:
+    """Full realizability predicate: structural invariants, then the level
+    part (nonnegative level dimensions, no simple pole with identically
+    vanishing residue, and the genus-0 zero-residue obstruction).
+
+    The structural check runs on every call, since its messages name
+    vertex indices.  The level part depends only on the isomorphism class
+    of ``g``: it runs once per (canonical encoding, spec) and is memoized.
+    """
+    issues = _structural_issues(g, spec)
+    if issues:
+        return issues
+    key = (canonical_encoding(g), spec)
+    hit = _LEVEL_VERDICTS.get(key)
+    if hit is None:
+        hit = _LEVEL_VERDICTS[key] = tuple(_level_issues(g, spec))
+    return list(hit)
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +662,7 @@ def _piece_splits_by_orders(genus: int, orders: tuple[int, ...]):
                 E = b1 + V - 1
                 if E < max(t, b):
                     continue
-                for assign in itertools.product(range(V), repeat=n):
+                for assign in _leg_assignments(orders, t, gvec, E):
                     legsum = [0] * V
                     legct = [0] * V
                     for li, slot in enumerate(assign):
@@ -688,6 +708,46 @@ def _piece_splits_by_orders(genus: int, orders: tuple[int, ...]):
     return tuple(results)
 
 
+def _leg_assignments(orders: tuple[int, ...], t: int, gvec: tuple[int, ...],
+                     E: int) -> list[tuple[int, ...]]:
+    """The assignments of legs to vertex slots (tops 0..t-1, bottoms
+    t..V-1) in ``itertools.product`` order, less those whose leg sums
+    cannot meet the bounds of a split: a top's at most 2g - 2, a bottom's
+    at least 2g, and the bottoms' total at least 2E - 2b + 2 (sum of
+    bottom genera).  A depth-first search over the legs drops a branch as
+    soon as the legs still to place cannot bring some sum into bounds."""
+    n, V = len(orders), len(gvec)
+    pos_rest = [0] * (n + 1)
+    neg_rest = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        pos_rest[i] = pos_rest[i + 1] + max(orders[i], 0)
+        neg_rest[i] = neg_rest[i + 1] + min(orders[i], 0)
+    hi = [2 * gv - 2 for gv in gvec[:t]]
+    lo = [2 * gv for gv in gvec[t:]]
+    bottoms_lo = 2 * E - 2 * (V - t) + 2 * sum(gvec[t:])
+    legsum = [0] * V
+    assign = [0] * n
+    out: list[tuple[int, ...]] = []
+
+    def place(i: int, bottoms: int) -> None:
+        if i == n:
+            out.append(tuple(assign))
+            return
+        o, neg, pos = orders[i], neg_rest[i + 1], pos_rest[i + 1]
+        for slot in range(V):
+            legsum[slot] += o
+            bsum = bottoms + o if slot >= t else bottoms
+            if bsum + pos >= bottoms_lo \
+                    and all(legsum[j] + neg <= hi[j] for j in range(t)) \
+                    and all(legsum[t + j] + pos >= lo[j] for j in range(V - t)):
+                assign[i] = slot
+                place(i + 1, bsum)
+            legsum[slot] -= o
+
+    place(0, 0)
+    return out
+
+
 def _piece_splits(genus: int, legs: list[tuple[LegTag, int]]):
     """Connected two-level splittings of one smooth surface piece.
 
@@ -730,14 +790,11 @@ def _split_connected(t: int, b: int, edges: list[tuple[int, int, int]]) -> bool:
     return len({find(x) for x in range(t + b)}) == 1
 
 
-def split_level_decorated(g: LevelGraph, spec: StratumSpec, lev: int,
-                          ) -> list[tuple[LevelGraph, dict[int, int]]]:
-    """All realizable one-step degenerations splitting the given level,
-    each with the map from old edge indices to new edge indices.
-
-    Not canonicalized and not deduplicated; distinct entries correspond to
-    distinct labeled splittings of the level stratum.
-    """
+def _split_candidates(g: LevelGraph, spec: StratumSpec, lev: int,
+                      ) -> Iterator[tuple[LevelGraph, dict[int, int]]]:
+    """Every assembled one-step degeneration splitting the given level,
+    realizable or not, each with the map from old edge indices to new edge
+    indices."""
     verts = g.vertices_at(lev)
     vert_legs: dict[int, list[Point]] = {v: [] for v in verts}
     for pt, v in g.legs:
@@ -761,26 +818,28 @@ def split_level_decorated(g: LevelGraph, spec: StratumSpec, lev: int,
             opts.append(("split", s))
         options.append(opts)
 
-    out = []
     for choice in itertools.product(*options):
         has_top = any(c[0] == "top" or c[0] == "split" for c in choice)
         has_bot = any(c[0] == "bot" or c[0] == "split" for c in choice)
         if not (has_top and has_bot):
             continue
         cand = _assemble_split(g, spec, lev, verts, choice)
-        if cand is None:
-            continue
-        graph, edge_map = cand
-        if not realizability_issues(graph, spec):
-            out.append((graph, edge_map))
-    return out
+        if cand is not None:
+            yield cand
 
 
-def split_level(g: LevelGraph, spec: StratumSpec, lev: int) -> list[LevelGraph]:
-    """Canonical representatives of the one-step degenerations splitting
-    the given level (duplicates possible across calls)."""
-    return [canonicalize(graph)
-            for graph, _ in split_level_decorated(g, spec, lev)]
+def split_level_decorated(g: LevelGraph, spec: StratumSpec, lev: int,
+                          ) -> list[tuple[LevelGraph, dict[int, int]]]:
+    """All realizable one-step degenerations splitting the given level,
+    each with the map from old edge indices to new edge indices.
+
+    Not canonicalized and not deduplicated; distinct entries correspond to
+    distinct labeled splittings of the level stratum.  The level part of
+    each verdict is read from the per-class memo of
+    :func:`realizability_issues`.
+    """
+    return [(graph, edge_map) for graph, edge_map in _split_candidates(g, spec, lev)
+            if not realizability_issues(graph, spec)]
 
 
 def _assemble_split(g: LevelGraph, spec: StratumSpec, lev: int,
@@ -884,11 +943,15 @@ def enumerate_LGL(spec: StratumSpec, L: int) -> tuple[LevelGraph, ...]:
         _ENUM_CACHE[key] = (triv,)
         return _ENUM_CACHE[key]
     prev = enumerate_LGL(spec, L - 1)
+    # realizability is a class invariant: a candidate whose class is
+    # already found needs no verdict
     found: dict[tuple, LevelGraph] = {}
     for g in prev:
         for lev in range(0, -g.n_levels_below - 1, -1):
-            for cand in split_level(g, spec, lev):
-                found.setdefault(canonical_encoding(cand), cand)
+            for cand, _ in _split_candidates(g, spec, lev):
+                enc = canonical_encoding(cand)
+                if enc not in found and not realizability_issues(cand, spec):
+                    found[enc] = _from_encoding(*enc)
     graphs = tuple(found[k] for k in sorted(found))
     _ENUM_CACHE[key] = graphs
     return graphs
@@ -902,10 +965,19 @@ def enumerate_LG1(spec: StratumSpec) -> tuple[LevelGraph, ...]:
 # profiles
 # ---------------------------------------------------------------------------
 
+_LG1_NUMBERING: dict[StratumSpec, dict[tuple, int]] = caches.memo(
+    "levelgraphs.lg1_numbering")
+
+
 def lg1_numbering(spec: StratumSpec) -> dict[tuple, int]:
     """The fixed global numbering of LG_1: canonical encodings in sorted
-    order, numbered from 0."""
-    return {canonical_encoding(g): i for i, g in enumerate(enumerate_LG1(spec))}
+    order, numbered from 0.  Memoized per spec; callers must not mutate
+    the dict."""
+    hit = _LG1_NUMBERING.get(spec)
+    if hit is None:
+        hit = _LG1_NUMBERING[spec] = {canonical_encoding(g): i
+                                      for i, g in enumerate(enumerate_LG1(spec))}
+    return hit
 
 
 def profile(g: LevelGraph, spec: StratumSpec) -> tuple[int, ...]:

@@ -9,8 +9,8 @@ zero.  Unconstrained parts are inert bookkeeping.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import caches
@@ -198,11 +198,18 @@ def _integer(x, where: str) -> int:
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DimensionData:
+    """The residue record of a spec, from one elimination: both dimensions,
+    the poles (simple poles included), the rank of the residue subspace and
+    the poles whose residue vanishes identically, in pole order.  Tuples
+    and slots keep the record small: there is one per level stratum."""
+
     unprojectivized: int
     projectivized: int
     residue_rank: int
+    poles: tuple[Point, ...]
+    forced_zero: tuple[Point, ...]
 
 
 _DIMENSIONS: dict[StratumSpec, DimensionData] = caches.memo("strata.dimension")
@@ -245,94 +252,76 @@ def classify(spec: StratumSpec) -> str:
     return "holomorphic" if spec.is_holomorphic() else "meromorphic"
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    """Rank over Q by fraction-free Gaussian elimination."""
-    if not rows:
-        return 0
+def _eliminate(rows: list[list[int]]) -> tuple[int, set[int]]:
+    """Rank over Q of integer rows, by fraction-free Gauss-Jordan
+    elimination, and the columns p whose unit vector e_p lies in the row
+    space: exactly those whose pivot row of the reduced echelon form is a
+    multiple of e_p."""
     mat = [row[:] for row in rows]
-    ncols = len(mat[0])
-    rank = 0
-    col = 0
-    while col < ncols and rank < len(mat):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
+    ncols = len(mat[0]) if mat else 0
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
         if piv is None:
-            col += 1
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        pv = mat[rank][col]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col] / pv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
-def residue_constraint_rows(spec: StratumSpec) -> tuple[list[Point], list[list[Fraction]], int]:
-    """The residue linear algebra of a spec.
-
-    Returns (pole list, constraint rows, rank of the intersection of the
-    residue-condition space with the residue-theorem space R).  Rows span
-    the annihilator: per-component residue theorem plus one row per
-    constrained part.
-    """
-    poles = spec.poles()
-    index = {pt: i for i, pt in enumerate(poles)}
-    rows: list[list[Fraction]] = []
-    for ci, (_, orders) in enumerate(spec.components):
-        comp_poles = [index[(ci, pi)] for pi in range(len(orders)) if orders[pi] < 0]
-        if comp_poles:
-            row = [Fraction(0)] * len(poles)
-            for j in comp_poles:
-                row[j] = Fraction(1)
-            rows.append(row)
-    for part in spec.constrained_parts():
-        row = [Fraction(0)] * len(poles)
-        for pt in part.points:
-            row[index[pt]] = Fraction(1)
-        rows.append(row)
-    rank = _rank(rows)
-    return poles, rows, len(poles) - rank
+        top = mat[rank]
+        pv = top[col]
+        for i, row in enumerate(mat):
+            f = row[col]
+            if i != rank and f:
+                row = [pv * a - f * b for a, b in zip(row, top)]
+                div = math.gcd(*row)
+                mat[i] = [a // div for a in row] if div > 1 else row
+        pivots.append(col)
+    unit = {col for i, col in enumerate(pivots)
+            if sum(1 for a in mat[i] if a) == 1}
+    return len(pivots), unit
 
 
 def residue_subspace_rank(spec: StratumSpec) -> int:
     """dim of (residue condition space) intersected with (residue theorem
     space R), inside the product of the pole coordinate spaces."""
-    require_valid(spec)
-    _, _, dim = residue_constraint_rows(spec)
-    return dim
+    return dimension(spec).residue_rank
 
 
 def dimension(spec: StratumSpec) -> DimensionData:
-    """Unprojectivized and projectivized dimension of a generalized stratum.
+    """The residue record of a generalized stratum, memoized per spec.
 
-    N = sum_i (2 g_i + n_i - 1) - (l - dim(constraints cap R)) with l the
-    total number of poles.
+    The rows of the residue constraint system are 0/1 vectors over the
+    poles: one residue theorem per component with poles and one row per
+    constrained part.  One elimination of them gives the residue rank
+    r = l - rank (l the number of poles), the unprojectivized dimension
+    N = sum_i (2 g_i + n_i - 1) - (l - r), the projectivized N - 1, and
+    the poles whose residue is forced to zero.
     """
     hit = _DIMENSIONS.get(spec)
     if hit is not None:
         return hit
     require_valid(spec)
-    poles, _, res_rank = residue_constraint_rows(spec)
+    poles = spec.poles()
+    index = {pt: i for i, pt in enumerate(poles)}
+    rows = [[0] * len(poles) for _ in range(spec.n_components)]
+    for pt, i in index.items():
+        rows[pt[0]][i] = 1
+    rows = [row for row in rows if any(row)]
+    for part in spec.constrained_parts():
+        row = [0] * len(poles)
+        for pt in part.points:
+            row[index[pt]] = 1
+        rows.append(row)
+    rank, unit = _eliminate(rows)
     base = sum(2 * g + len(orders) - 1 for g, orders in spec.components)
-    n_unproj = base - (len(poles) - res_rank)
-    hit = _DIMENSIONS[spec] = DimensionData(n_unproj, n_unproj - 1, res_rank)
+    n_unproj = base - rank
+    hit = _DIMENSIONS[spec] = DimensionData(
+        n_unproj, n_unproj - 1, len(poles) - rank, tuple(poles),
+        tuple(pt for i, pt in enumerate(poles) if i in unit))
     return hit
 
 
-def forced_zero_residues(spec: StratumSpec) -> set[Point]:
-    """Poles whose residue vanishes identically on the stratum.
-
-    A pole coordinate is forced to zero when adding the row e_p to the
-    constraint system does not change its rank.
-    """
-    poles, rows, _ = residue_constraint_rows(spec)
-    base_rank = _rank(rows)
-    out: set[Point] = set()
-    for i, pt in enumerate(poles):
-        row = [Fraction(0)] * len(poles)
-        row[i] = Fraction(1)
-        if _rank(rows + [row]) == base_rank:
-            out.add(pt)
-    return out
+def forced_zero_residues(spec: StratumSpec) -> frozenset[Point]:
+    """Poles whose residue vanishes identically on the stratum: those p
+    with e_p in the span of the residue constraint rows.  A view of the
+    record of :func:`dimension`."""
+    return frozenset(dimension(spec).forced_zero)

@@ -35,7 +35,7 @@ GENUS0_SPECS = [
     (0, 0, 0, -2),
     (1, 1, 2, 2, -8), (1, 1, 1, 1, -6), (2, 2, -2, -2, -2), (1, 0, 1, -2, -2),
     (1, 1, 1, 1, 1, -7), (2, 1, 1, -2, -2, -2), (1, 1, 1, 0, -3, -2),
-    (1, 1, 1, 1, 1, 1, -8), (1, 1, 1, 1, -2, -2, -2),
+    (1, 1, 1, 1, 1, 1, -8), (1, 1, 1, 1, -2, -2, -2), (2, 1, 1, 1, -1, -3, -3),
 ]
 
 K_RANGE = (2, 3, 4, 5, 6)

@@ -2,23 +2,27 @@
 ``stratacalc.levelgraphs``: relabelling the vertices and shuffling the
 edges of a level graph leaves its canonical encoding, its automorphism
 order and its decorated canonical form unchanged, and its isomorphisms
-onto the relabelled copy number |Aut|.  Skipped where hypothesis is not
-installed."""
+onto the relabelled copy number |Aut|.  The realizability verdict, memoized
+per isomorphism class and stratum, is a class invariant too.  Skipped where
+hypothesis is not installed."""
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+import random
 from collections import Counter
+from typing import Sequence
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from stratacalc import caches  # noqa: E402
 from stratacalc import levelgraphs as lg  # noqa: E402
 from stratacalc import tautring as tr  # noqa: E402
-from stratacalc.strata import StratumSpec  # noqa: E402
+from stratacalc.strata import ResiduePart, StratumSpec, dimension  # noqa: E402
 
 # (genus, orders, deepest level): genus 2 and 3 bring vertex automorphisms
 # and parallel edges, genus 0 many legs and no symmetry
@@ -42,13 +46,19 @@ def relabelled(draw):
     eperm = draw(st.permutations(range(len(g.edges))))
     exps = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
                          min_size=len(g.edges), max_size=len(g.edges)))
+    return g, relabel(g, perm, eperm), perm, eperm, exps
+
+
+def relabel(g: lg.LevelGraph, perm: Sequence[int], eperm: Sequence[int]
+            ) -> lg.LevelGraph:
+    """The copy of g whose vertex j is vertex perm[j] of g and whose edge j
+    is edge eperm[j] of g."""
     new = {old: j for j, old in enumerate(perm)}
-    h = lg.LevelGraph(tuple(g.genera[v] for v in perm),
-                      tuple(g.levels[v] for v in perm),
-                      tuple(sorted((pt, new[v]) for pt, v in g.legs)),
-                      tuple((new[g.edges[i][0]], new[g.edges[i][1]], g.edges[i][2])
-                            for i in eperm))
-    return g, h, perm, eperm, exps
+    return lg.LevelGraph(tuple(g.genera[v] for v in perm),
+                         tuple(g.levels[v] for v in perm),
+                         tuple(sorted((pt, new[v]) for pt, v in g.legs)),
+                         tuple((new[g.edges[i][0]], new[g.edges[i][1]], g.edges[i][2])
+                               for i in eperm))
 
 
 def brute_force_automorphisms(g: lg.LevelGraph) -> int:
@@ -98,3 +108,44 @@ def test_relabelling_keeps_the_canonical_data(case):
     moved = [exps[i] for i in eperm]
     assert tr.canonical_decorated(h, edge_decor(moved)) == \
         tr.canonical_decorated(g, edge_decor(exps))
+
+
+PAIRED = StratumSpec.make([(0, (-2, -2, 2)), (0, (-2, -2, 1, 1))],
+                          [({(0, 0), (1, 0)}, True), ({(0, 1), (1, 1)}, True)])
+# the paired-residue stratum comes before its twin with the same parts left
+# unconstrained: they share every labelled candidate, and some candidates
+# are realizable only in the twin
+VERDICT_STRATA = [
+    StratumSpec.connected(0, (2, 1, 1, 1, -3, -4)),
+    StratumSpec.connected(0, (3, 1, 1, -1, -2, -4)),
+    StratumSpec.connected(1, (3, 1, -4)),
+    PAIRED,
+    StratumSpec(PAIRED.components,
+                tuple(ResiduePart(p.points, False) for p in PAIRED.residue_parts)),
+]
+
+
+def test_realizability_verdict_is_a_class_invariant():
+    """Every labelled candidate that the split assembly produces, realizable
+    or not, gets the uncached verdict from the memoized predicate, and a
+    relabelled copy gets the same verdict."""
+    caches.clear()
+    rng = random.Random(6)
+    verdicts = Counter()
+    for spec in VERDICT_STRATA:
+        d = dimension(spec).projectivized
+        for L in range(d):
+            for g in lg.enumerate_LGL(spec, L):
+                for lev in range(0, -g.n_levels_below - 1, -1):
+                    for cand, _ in lg._split_candidates(g, spec, lev):
+                        structural = lg._structural_issues(cand, spec)
+                        uncached = structural or lg._level_issues(cand, spec)
+                        assert lg.realizability_issues(cand, spec) == uncached
+                        verdicts[bool(uncached)] += 1
+                        if structural:
+                            continue
+                        h = relabel(cand, rng.sample(range(cand.n_vertices), cand.n_vertices),
+                                    rng.sample(range(len(cand.edges)), len(cand.edges)))
+                        assert lg._level_issues(h, spec) == uncached
+                        assert lg.realizability_issues(h, spec) == uncached
+    assert verdicts[True] and verdicts[False]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 
@@ -177,6 +178,29 @@ def test_splits_section_property():
                 back = lg.undegenerate(cand, [i for i in (1, 2)
                                               if i != -lev + 1])
                 assert back == lg.canonicalize(g)
+
+
+def test_leg_assignments_are_the_product_filtered_by_the_bounds():
+    """The pruned search yields exactly the assignments of
+    itertools.product(range(V), repeat=n), in that order, whose leg sums
+    meet the bounds of a split."""
+    for genus, orders in [(0, (3, 1, 1, -1, -2, -4)), (0, (1, 1, -2, -2, -2, 2)),
+                          (1, (3, 1, -4)), (2, (4, -2, 0)), (2, (1, 1))]:
+        for V in range(2, len(orders) + 2 * genus - 1):
+            for t in range(1, V):
+                for gvec in lg._genus_vectors_up_to(genus, V):
+                    E = genus - sum(gvec) + V - 1
+                    want = []
+                    for assign in itertools.product(range(V), repeat=len(orders)):
+                        legsum = [0] * V
+                        for li, slot in enumerate(assign):
+                            legsum[slot] += orders[li]
+                        if all(legsum[i] <= 2 * gvec[i] - 2 for i in range(t)) \
+                                and all(legsum[i] >= 2 * gvec[i] for i in range(t, V)) \
+                                and sum(legsum[t:]) + 2 * (V - t) \
+                                - 2 * sum(gvec[t:]) >= 2 * E:
+                            want.append(assign)
+                    assert lg._leg_assignments(orders, t, gvec, E) == want
 
 
 # ---------------------------------------------------------------------------
