@@ -20,6 +20,8 @@ INFINITE_INDEX = "infinite"
 
 def rational_str(x: Rational | int) -> str:
     """Serialize a rational as ``p/q``, or ``p`` when the denominator is 1."""
+    if type(x) is int:
+        return str(x)
     x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)

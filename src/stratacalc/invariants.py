@@ -4,9 +4,10 @@ forms for hyperelliptic components, and cross-check ledgers.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Sequence
 
 from .exact import Rational, binomial, rational_str
@@ -115,40 +116,57 @@ def c1_log_cotangent(spec: StratumSpec) -> tr.TautClass:
     return out
 
 
-def _chern_graph_data(spec: StratumSpec, g: lg.LevelGraph, high: int
-                      ) -> tuple[int, list[int], list[list[tr.Poly]]]:
-    """What the Chern graph sums up to degree ``high`` need of one level
-    graph: ell_Gamma, the r_i = N - N_top(delta_i Gamma), and the powers
-    nu_i^0 .. nu_i^(high - L) of the ell_i-scaled nu_i, i = 1..L."""
-    n_unproj = dimension(spec).unprojectivized
-    pd = lg.prong_data(g)
-    L = g.n_levels_below
-    rvals, powers = [], []
-    for i in range(1, L + 1):
-        top, _ = lg.level_stratum(lg.delta(g, i), spec, 0)
-        rvals.append(n_unproj - dimension(top).unprojectivized)
-        nu = tr.poly_scale(tr.nu_poly(g, i), pd.ell_levels[i - 1])
-        powers.append([tr.poly_one()])
-        for _ in range(high - L):
-            powers[-1].append(tr.poly_mul(powers[-1][-1], nu))
-    return pd.ell, rvals, powers
+def _chern_graph_data(spec: StratumSpec, g: lg.LevelGraph) -> tuple[int, list[int]]:
+    """The integers the Chern graph sums need of one level graph: ell_Gamma
+    and r_i = N - N_top(delta_i Gamma), i = 1..L.  For a realizable graph
+    the level dimensions add up to N, so r_i is the suffix sum
+    N_i + ... + N_L of Gamma's own unprojectivized level dimensions."""
+    rvals, r = [], 0
+    for lev in range(-g.n_levels_below, 0):
+        r += dimension(lg.level_stratum(g, spec, lev)[0]).unprojectivized
+        rvals.append(r)
+    return lg.prong_data(g).ell, rvals[::-1]
 
 
-def _nu_products(rvals: list[int], powers: list[list[tr.Poly]], high: int):
-    """(s, P) for every (k_1, ..., k_L) with k_i >= 1 and s = sum k_i <= high,
-    where P = prod_i binom(r_i - k_{i+1} - ... - k_L, k_i) nu_i^(k_i - 1).
-    Tuples with a zero binomial are skipped; the k_i are chosen from the
-    last passage up, so tuples sharing a tail share its partial product."""
-    def walk(i: int, s: int, prod: tr.Poly):
+def _nu_products(rvals: list[int], high: int):
+    """(k_1, ..., k_L) and its weight prod_i binom(r_i - k_{i+1} - ... - k_L, k_i)
+    for every tuple with k_i >= 1 and k_1 + ... + k_L <= high.  Tuples
+    with a zero binomial are skipped; the k_i are chosen from the last
+    passage up, so tuples sharing a tail share its partial weight.  The
+    weights are integers; the products of the nu_i come from
+    :class:`_NuTable`."""
+    def walk(i: int, s: int, ks: tuple[int, ...], weight: int):
         if i == 0:
-            yield s, prod
+            yield ks, weight
             return
         for k in range(1, high - s - i + 2):
             b = binomial(rvals[i - 1] - s, k)
             if b:
-                yield from walk(i - 1, s + k, tr.poly_scale(
-                    tr.poly_mul(prod, powers[i - 1][k - 1]), b))
-    yield from walk(len(rvals), 0, tr.poly_one())
+                yield from walk(i - 1, s + k, (k,) + ks, weight * b)
+    yield from walk(len(rvals), 0, (), 1)
+
+
+class _NuTable(dict):
+    """The graph-independent half of the Chern graph sums, for one pass:
+    (k_0, k_1, ..., k_L) -> xi^k_0 prod_i (ell_i nu_i)^(k_i - 1), an
+    integral Poly (the ell_i nu_i of :func:`tautring.scaled_nu_power` have
+    coefficients +-1).  Entries are built on first use, each from the entry
+    without k_0 or with k_L dropped, so a pass multiplies once per distinct
+    tuple, however many graphs share it."""
+
+    def __missing__(self, ks: tuple[int, ...]) -> tr.Poly:
+        if ks[0]:
+            xi = tr._decor({("xi", 0): ks[0]})
+            poly = {tr._dmul(xi, d): c for d, c in self[(0,) + ks[1:]].items()}
+        elif len(ks) == 1:
+            poly = tr.poly_one()
+        elif ks[-1] == 1:
+            poly = self[ks[:-1]]
+        else:
+            poly = tr.poly_mul(self[ks[:-1]],
+                               tr.scaled_nu_power(len(ks) - 1, ks[-1] - 1))
+        self[ks] = poly
+        return poly
 
 
 def _chern_pieces(spec: StratumSpec, low: int, high: int) -> list[tr.TautClass]:
@@ -157,23 +175,28 @@ def _chern_pieces(spec: StratumSpec, low: int, high: int) -> list[tr.TautClass]:
     over the level graphs:
 
         c = sum over Gamma, (k_0, ..., k_L) of
-            ell_Gamma binom(N - k_1 - ... - k_L, k_0) xi^k_0 P(k_1, ..., k_L) [D_Gamma]
+            ell_Gamma binom(N - k_1 - ... - k_L, k_0) W(k_1, ..., k_L)
+            xi^k_0 prod_i (ell_i nu_i)^(k_i - 1) [D_Gamma]
 
-    with P from :func:`_nu_products`; the term has degree k_0 + k_1 + ... + k_L.
+    with the integer weight W from :func:`_nu_products`; the term has degree
+    k_0 + k_1 + ... + k_L.  The polynomials come from one :class:`_NuTable`
+    per pass; per graph only ell_Gamma, the r_i and the binomials are
+    computed, and every coefficient is an integer.  The enumerated graphs
+    are canonical, so the terms skip the canonical form.
     """
     require_valid(spec)
     n_unproj = dimension(spec).unprojectivized
     high = min(high, n_unproj - 1)
     pieces = [tr.TautClass.zero(spec) for _ in range(high + 1)]
+    table = _NuTable()
     for L in range(0, high + 1):
         for g in lg.enumerate_LGL(spec, L):
-            ell, rvals, powers = _chern_graph_data(spec, g, high)
-            for s, prod in _nu_products(rvals, powers, high):
+            ell, rvals = _chern_graph_data(spec, g)
+            for ks, weight in _nu_products(rvals, high):
+                s = sum(ks)
                 for k0 in range(max(low - s, 0), high - s + 1):
-                    coeff = binomial(n_unproj - s, k0) * ell
-                    xi = tr._decor({("xi", 0): k0})
-                    for dec, c in prod.items():
-                        pieces[k0 + s].add_term(g, tr._dmul(xi, dec), c * coeff)
+                    pieces[k0 + s]._add_canonical(
+                        g, table[(k0,) + ks], binomial(n_unproj - s, k0) * ell * weight)
     return pieces
 
 
@@ -221,35 +244,36 @@ def chern_polynomial(spec: StratumSpec,
 def chern_character(spec: StratumSpec, max_degree: int) -> list[tr.TautClass]:
     """Graded pieces (degree 0..max_degree) of the Chern character of the
     logarithmic cotangent bundle, from the graph sum with inverse Todd
-    factors of the twisted normal bundles.  It reads the same per-graph
-    data (ell, r_i, powers of the scaled nu_i) as the Chern polynomial's
-    graph pass."""
+    factors of the twisted normal bundles:
+
+        ch = N e^xi - 1 + sum over Gamma with L >= 1 of
+             ell_Gamma r_L e^xi prod_i td(line with c1 = -ell_i nu_i)^{-1} [D_Gamma]
+
+    with xi restricted to the top level and td^{-1} = sum_j x^j / (j+1)!.
+    The factor after r_L depends only on L: it is the sum over
+    (k_0, ..., k_L) of the :class:`_NuTable` entries over k_0! k_1! ... k_L!,
+    read from the same per-pass table as the Chern polynomial's pass."""
     require_valid(spec)
     n_unproj = dimension(spec).unprojectivized
     pieces = [tr.TautClass.zero(spec) for _ in range(max_degree + 1)]
     for j, piece in enumerate(pieces):  # the trivial graph: N e^xi - 1
         piece.add_term(lg.trivial_graph(spec), tr._decor({("xi", 0): j}),
                        Fraction(n_unproj, factorial(j)) - (j == 0))
-    for L in range(1, min(max_degree, n_unproj - 1) + 1):
+    high = min(max_degree, n_unproj - 1)
+    table = _NuTable()
+    for L in range(1, high + 1):
+        graded: list[tr.Poly] = [{} for _ in range(high + 1)]
+        for ks in itertools.product(range(1, high - L + 2), repeat=L):
+            s = sum(ks)
+            denom = prod(map(factorial, ks))
+            for k0 in range(high - s + 1):
+                graded[k0 + s] = tr.poly_add(graded[k0 + s], tr.poly_scale(
+                    table[(k0,) + ks], Fraction(1, factorial(k0) * denom)))
         for g in lg.enumerate_LGL(spec, L):
-            ell, rvals, powers = _chern_graph_data(spec, g, max_degree)
-            coeff = rvals[-1] * ell
-            if not coeff:
-                continue
-            # e^{xi}, xi restricted to the top level, times
-            # td(line with c1 = -nu_i)^{-1} = sum_j nu_i^j / (j+1)! for each i
-            poly = {tr._decor({("xi", 0): j}): Fraction(1, factorial(j))
-                    for j in range(max_degree - L + 1)}
-            for row in powers:
-                td_inv: tr.Poly = {}
-                for j, nu_j in enumerate(row):
-                    td_inv = tr.poly_add(
-                        td_inv, tr.poly_scale(nu_j, Fraction(1, factorial(j + 1))))
-                poly = tr.poly_mul(poly, td_inv)
-            for dec, c in poly.items():
-                k = L + tr.decor_degree(dec)
-                if k <= max_degree:
-                    pieces[k].add_term(g, dec, c * coeff)
+            ell, rvals = _chern_graph_data(spec, g)
+            if rvals[-1]:
+                for piece, poly in zip(pieces, graded):
+                    piece._add_canonical(g, poly, rvals[-1] * ell)
     return pieces
 
 

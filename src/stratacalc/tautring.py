@@ -24,7 +24,7 @@ import itertools
 from fractions import Fraction
 from typing import Mapping
 
-from .exact import Rational, rational_str
+from .exact import Rational, multinomial, rational_str
 from .strata import Point, ResiduePart, StratumSpec, dimension, require_valid
 from . import levelgraphs as lg
 from .evaluate import Evaluator, default_evaluator, divisors_with_point_low, removal_divisors
@@ -35,7 +35,7 @@ from .evaluate import Evaluator, default_evaluator, divisors_with_point_low, rem
 #   ("lam", level) sum of ell_new [D] over one-step splits of the level
 Symbol = tuple
 Decor = tuple  # sorted tuple of (Symbol, exponent)
-Poly = dict    # Decor -> Fraction
+Poly = dict    # Decor -> int or Fraction: int until a genuinely rational scale
 
 
 def _decor(d: Mapping[Symbol, int]) -> Decor:
@@ -50,7 +50,7 @@ def _dmul(a: Decor, b: Decor) -> Decor:
 
 
 def poly_one() -> Poly:
-    return {(): Fraction(1)}
+    return {(): 1}
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
@@ -58,18 +58,18 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
     for da, ca in a.items():
         for db, cb in b.items():
             d = _dmul(da, db)
-            out[d] = out.get(d, Fraction(0)) + ca * cb
+            out[d] = out.get(d, 0) + ca * cb
     return {d: c for d, c in out.items() if c}
 
 
-def poly_scale(a: Poly, c: Rational) -> Poly:
-    return {d: x * Fraction(c) for d, x in a.items() if x * Fraction(c)}
+def poly_scale(a: Poly, c: Rational | int) -> Poly:
+    return {d: y for d, x in a.items() if (y := x * c)}
 
 
 def poly_add(a: Poly, b: Poly) -> Poly:
     out = dict(a)
     for d, c in b.items():
-        out[d] = out.get(d, Fraction(0)) + c
+        out[d] = out.get(d, 0) + c
     return {d: c for d, c in out.items() if c}
 
 
@@ -85,16 +85,27 @@ def decor_degree(d: Decor) -> int:
 
 
 def nu_poly(g: lg.LevelGraph, passage: int) -> Poly:
-    """First Chern class of the normal bundle of D_Gamma inside the stratum
-    where the given level passage is undone."""
-    pd = lg.prong_data(g)
-    ell_i = pd.ell_levels[passage - 1]
+    """First Chern class nu_i of the normal bundle of D_Gamma inside the
+    stratum where the given level passage i is undone.  Only the factor
+    1/ell_i depends on Gamma: ell_i nu_i is :func:`scaled_nu_power`
+    (passage, 1), which the Chern graph sums use instead."""
+    ell_i = lg.prong_data(g).ell_levels[passage - 1]
     top, bot = -passage + 1, -passage
     return {
         _decor({("xi", top): 1}): Fraction(-1, ell_i),
         _decor({("lam", top): 1}): Fraction(-1, ell_i),
         _decor({("xi", bot): 1}): Fraction(1, ell_i),
     }
+
+
+def scaled_nu_power(passage: int, k: int) -> Poly:
+    """(ell_i nu_i)^k for passage i, where ell_i nu_i = -xi^{[-i+1]} -
+    lam^{[-i+1]} + xi^{[-i]} does not depend on the graph: the multinomial
+    expansion, with integer coefficients."""
+    top, bot = -passage + 1, -passage
+    return {_decor({("xi", top): a, ("lam", top): b, ("xi", bot): k - a - b}):
+            (-1) ** (a + b) * multinomial(k, (a, b, k - a - b))
+            for a in range(k + 1) for b in range(k - a + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -127,15 +138,22 @@ def canonical_decorated(g: lg.LevelGraph, decor: Decor) -> tuple[lg.LevelGraph, 
 # TautClass
 # ---------------------------------------------------------------------------
 
+def _check_exact(c) -> None:
+    """Coefficients are exact: an int (not a bool) or a Fraction."""
+    if type(c) is not int and not isinstance(c, Fraction):
+        raise TypeError(f"coefficient must be an int or a Fraction, not {type(c).__name__}")
+
+
 class TautClass:
     """Exact-rational combination of decorated boundary-stratum classes of
     a fixed ambient generalized stratum."""
 
     def __init__(self, spec: StratumSpec,
-                 terms: Mapping[tuple[lg.LevelGraph, Decor], Rational] | None = None):
+                 terms: Mapping[tuple[lg.LevelGraph, Decor], Rational | int] | None = None):
         self.spec = spec
         self._dim = dimension(spec).projectivized
-        self.terms: dict[tuple[lg.LevelGraph, Decor], Fraction] = {}
+        # coefficients are ints until a genuinely rational scale, else Fractions
+        self.terms: dict[tuple[lg.LevelGraph, Decor], int | Fraction] = {}
         if terms:
             for (g, d), c in terms.items():
                 self.add_term(g, d, c)
@@ -171,19 +189,34 @@ class TautClass:
         out.add_term(graph, (), 1)
         return out
 
-    def add_term(self, g: lg.LevelGraph, decor: Decor, coeff: Rational) -> None:
-        coeff = Fraction(coeff)
+    def add_term(self, g: lg.LevelGraph, decor: Decor, coeff: Rational | int) -> None:
+        _check_exact(coeff)
         if not coeff:
             return
         # classes of degree above the dimension vanish
         if g.n_levels_below + decor_degree(decor) > self._dim:
             return
         key = canonical_decorated(g, decor)
-        new = self.terms.get(key, Fraction(0)) + coeff
+        new = self.terms.get(key, 0) + coeff
         if new:
             self.terms[key] = new
         else:
             self.terms.pop(key, None)
+
+    def _add_canonical(self, g: lg.LevelGraph, poly: Poly, scale: Rational | int) -> None:
+        """``add_term(g, d, c * scale)`` for every (d, c) of ``poly``, trusted:
+        g is its own canonical form under decorations without edge psi,
+        every d is such a decoration of degree at most the dimension, and
+        the coefficients are exact.  So neither the canonical form nor the
+        checks run.  The Chern graph sums add their terms this way."""
+        terms = self.terms
+        for d, c in poly.items():
+            key = (g, d)
+            new = terms.get(key, 0) + c * scale
+            if new:
+                terms[key] = new
+            else:
+                terms.pop(key, None)
 
     # -- linear structure ----------------------------------------------------
 
@@ -198,10 +231,10 @@ class TautClass:
     def __sub__(self, other: "TautClass") -> "TautClass":
         return self + other.scale(-1)
 
-    def scale(self, c: Rational) -> "TautClass":
+    def scale(self, c: Rational | int) -> "TautClass":
+        _check_exact(c)
         out = TautClass(self.spec)
-        for (g, d), x in self.terms.items():
-            out.add_term(g, d, x * Fraction(c))
+        out.terms = {key: y for key, x in self.terms.items() if (y := x * c)}
         return out
 
     def is_zero(self) -> bool:
@@ -241,23 +274,23 @@ def _transfer_under_split(decor: Decor, lev: int, edge_map: dict[int, int]) -> P
                 sym = s
             else:
                 sym = ("psi", (tag[0], edge_map[tag[1]]))
-            out = poly_mul(out, {_decor({sym: e}): Fraction(1)})
+            out = poly_mul(out, {_decor({sym: e}): 1})
         elif s[0] == "xi":
             x = s[1]
             nx = x if x >= lev else x - 1
-            out = poly_mul(out, {_decor({("xi", nx): e}): Fraction(1)})
+            out = poly_mul(out, {_decor({("xi", nx): e}): 1})
         elif s[0] == "lam":
             x = s[1]
             if x > lev:
-                out = poly_mul(out, {_decor({("lam", x): e}): Fraction(1)})
+                out = poly_mul(out, {_decor({("lam", x): e}): 1})
             elif x < lev:
-                out = poly_mul(out, {_decor({("lam", x - 1): e}): Fraction(1)})
+                out = poly_mul(out, {_decor({("lam", x - 1): e}): 1})
             else:
                 # restriction of the level class to a splitting of the level
                 sub = {
-                    _decor({("lam", lev - 1): 1}): Fraction(1),
-                    _decor({("xi", lev - 1): 1}): Fraction(1),
-                    _decor({("xi", lev): 1}): Fraction(-1),
+                    _decor({("lam", lev - 1): 1}): 1,
+                    _decor({("xi", lev - 1): 1}): 1,
+                    _decor({("xi", lev): 1}): -1,
                 }
                 out = poly_mul(out, poly_pow(sub, e))
         else:
@@ -457,7 +490,7 @@ def multiply_term_by_bounded(spec: StratumSpec, g1: lg.LevelGraph, d1: Decor,
                     for k in set(i1) & set(i2):
                         nu = poly_mul(nu, nu_poly(fine, k))
                     for dd, cc in poly_mul(
-                            {_dmul(fine_decor, td): Fraction(1)}, nu).items():
+                            {_dmul(fine_decor, td): 1}, nu).items():
                         out.add_term(fine, dd, cc * weight)
     return out
 

@@ -1,5 +1,6 @@
 """Property tests of the Euler characteristic and the Chern polynomial on
-strata with closed forms.  Skipped where hypothesis is not installed."""
+strata with closed forms, and of the integers the Chern graph pass reads
+per graph.  Skipped where hypothesis is not installed."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -8,11 +9,12 @@ from math import factorial
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from stratacalc import invariants as inv  # noqa: E402
+from stratacalc import levelgraphs as lg  # noqa: E402
 from stratacalc.evaluate import Evaluator  # noqa: E402
-from stratacalc.strata import StratumSpec  # noqa: E402
+from stratacalc.strata import StratumSpec, dimension  # noqa: E402
 
 EV = Evaluator()
 
@@ -45,3 +47,39 @@ def test_genus1_chi_closed_form_and_duality(k):
     rep = inv.chern_polynomial(StratumSpec.connected(1, (k, 1, -k - 1)), EV)
     assert rep.chi == Fraction(k * (k + 1), 6)
     assert rep.duality_holds
+
+
+
+PAIRED = StratumSpec.make([(0, (-2, -2, 2)), (0, (-2, -2, 1, 1))],
+                          [({(0, 0), (1, 0)}, True), ({(0, 1), (1, 1)}, True)])
+
+
+@st.composite
+def small_stratum(draw):
+    """Genus 0 with n = 4, 5 or 6 nonzero orders, or genus 1 (k, 1, -k-1)."""
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 8))
+        return StratumSpec.connected(1, (k, 1, -k - 1))
+    n = draw(st.sampled_from([4, 5, 6]))
+    orders = draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                           min_size=n - 1, max_size=n - 1))
+    last = -2 - sum(orders)
+    assume(last != 0 and last >= -8)
+    return StratumSpec.connected(0, tuple(orders) + (last,))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=small_stratum())
+@example(spec=PAIRED)
+def test_passage_ranks_are_suffix_sums_of_level_dimensions(spec):
+    """r_i = N - N_top(delta_i Gamma), computed through the undegeneration
+    as the reference, is the suffix sum N_i + ... + N_L of Gamma's own
+    level dimensions, which is what the Chern pass reads per graph."""
+    n = dimension(spec).unprojectivized
+    for L in range(1, dimension(spec).projectivized + 1):
+        for g in lg.enumerate_LGL(spec, L):
+            ref = [n - dimension(lg.level_stratum(lg.delta(g, i), spec, 0)[0]).unprojectivized
+                   for i in range(1, L + 1)]
+            dims = [u for _, u in lg.level_dims(g, spec)]
+            assert [sum(dims[i:]) for i in range(1, L + 1)] == ref
+            assert inv._chern_graph_data(spec, g) == (lg.prong_data(g).ell, ref)

@@ -103,3 +103,7 @@ def test_rational_str():
     from fractions import Fraction
     assert rational_str(Fraction(3, 1)) == "3"
     assert rational_str(Fraction(-1, 40)) == "-1/40"
+    # Chern coefficients are ints; the --json pins need an int to print
+    # as the equal Fraction does
+    for n in (-3, 0, 7):
+        assert rational_str(n) == rational_str(Fraction(n)) == str(n)

@@ -138,6 +138,40 @@ def test_chern_polynomial_with_three_level_passages_is_pinned():
         assert not (piece - inv.chern_class_terms(spec, k)).terms, k
 
 
+@pytest.mark.parametrize("genus, orders", [(2, (2,)), (1, (2, 1, -3)),
+                                           (0, (3, 2, 1, 1, -4, -5))])
+def test_chern_pass_is_integral_and_adds_canonical_terms(genus, orders):
+    """The Chern polynomial's graph pass stays in integers, and the terms
+    it adds without a canonical search are already canonical: every
+    enumerated graph is its own canonical form, and every term is its own
+    decorated canonical form."""
+    spec = C(genus, orders)
+    d = dimension(spec).projectivized
+    for L in range(d + 1):
+        for g in lg.enumerate_LGL(spec, L):
+            assert lg.canonicalize(g) == g
+    pieces = inv.chern_polynomial(spec, EV).classes
+    pieces += [inv.chern_class_terms(spec, k) for k in range(d + 1)]
+    for piece in pieces:
+        for (g, dec), c in piece.terms.items():
+            assert type(c) is int
+            assert tr.canonical_decorated(g, dec) == (g, dec)
+
+
+def test_chern_pass_multiplies_per_tuple_not_per_graph(monkeypatch):
+    """The nu-products of a pass are built once per (k_1, ..., k_L) tuple:
+    with k_i >= 1 and k_1 + ... + k_L <= d there are 2^d - 1 of them, far
+    fewer than the graphs."""
+    spec = C(0, (3, 2, 1, 1, -4, -5))
+    d = dimension(spec).projectivized
+    calls = []
+    real = tr.poly_mul
+    monkeypatch.setattr(tr, "poly_mul", lambda a, b: calls.append(1) or real(a, b))
+    inv._chern_pieces(spec, 0, d)
+    assert sum(len(lg.enumerate_LGL(spec, L)) for L in range(d + 1)) > 2 ** d
+    assert 0 < len(calls) < 2 ** d
+
+
 def test_lemma_product_to_sum_polynomial_identity():
     """The product/sum expansion identity in Q[xi, D1, D2] for M = 2:
     the flag product over profiles with signed exponents equals the sum of

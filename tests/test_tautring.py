@@ -157,6 +157,32 @@ def test_h2_divisor_product_supported_on_lg2():
     assert coeff == 1
 
 
+def test_coefficients_are_exact_at_the_boundary():
+    """add_term and scale keep an int or a Fraction as it is and refuse
+    anything else, bool included, rather than coerce it."""
+    spec = C(2, (2,))
+    triv = lg.trivial_graph(spec)
+    one = tr.TautClass.one(spec)
+    for bad in (0.1, 1.0, True, False, "1/2", None):
+        with pytest.raises(TypeError):
+            one.scale(bad)
+        with pytest.raises(TypeError):
+            tr.TautClass(spec).add_term(triv, (), bad)
+        with pytest.raises(TypeError):
+            tr.TautClass(spec, {(triv, ()): bad})
+    assert list(one.terms.values()) == [1] and type(one.terms[triv, ()]) is int
+    for c in (3, Fraction(1, 10), Fraction(2)):
+        (value,) = one.scale(c).terms.values()
+        assert value == c and type(value) is type(c)
+        cls = tr.TautClass(spec)
+        cls.add_term(triv, (), c)
+        cls.add_term(triv, (), c)
+        assert cls.terms == {(triv, ()): 2 * c}
+        assert type(cls.terms[triv, ()]) is type(c)
+    assert one.scale(0).is_zero()
+    assert (one - one).is_zero()
+
+
 def test_multiply_rejects_mixed_ambient():
     a = tr.TautClass.one(C(2, (2,)))
     b = tr.TautClass.one(C(1, (0,)))
