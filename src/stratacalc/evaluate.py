@@ -73,10 +73,6 @@ class FixtureRegistry:
         hit = self._entries.get(key)
         return hit[0] if hit else None
 
-    def provenance(self, spec: StratumSpec) -> str | None:
-        hit = self._entries.get(_xi_key(spec))
-        return hit[1] if hit else None
-
     def load_json_obj(self, items: Sequence[dict]) -> None:
         """Register the items of a fixture file, checked as strictly as a
         spec: a violation raises a one-line ``SpecError`` naming the item's

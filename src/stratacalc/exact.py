@@ -1,5 +1,5 @@
-"""Exact integer and rational kernels: lcm, multinomials, Smith normal form,
-integer-lattice indices and orbit counts of translation actions.
+"""Exact integer and rational kernels: lcm, multinomials, Smith normal form
+and orbit counts of translation actions.
 
 Everything here is exact.  Rational numbers are ``fractions.Fraction``
 throughout the package; no floating point is used anywhere.
@@ -7,15 +7,11 @@ throughout the package; no floating point is used anywhere.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, factorial
+from math import factorial, gcd, prod
 from typing import Sequence
 
 Rational = Fraction
-
-#: Sentinel returned by :func:`lattice_index` when the span is rank-deficient.
-INFINITE_INDEX = "infinite"
 
 
 def rational_str(x: Rational | int) -> str:
@@ -71,30 +67,6 @@ def binomial(n: int, k: int) -> int:
     return num // factorial(k)
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
-    """A rectangular matrix of arbitrary-precision integers (row-major)."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
-        r = len(rows)
-        if r == 0:
-            if cols is None:
-                raise ValueError("empty matrix needs explicit column count")
-            return IntegerMatrix(0, cols, ())
-        c = len(rows[0]) if cols is None else cols
-        ent = []
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows in IntegerMatrix")
-            ent.append(tuple(int(x) for x in row))
-        return IntegerMatrix(r, c, tuple(ent))
-
-
 def smith_diagonal(mat: Sequence[Sequence[int]]) -> list[int]:
     """Diagonal of the Smith normal form of an integer matrix.
 
@@ -142,25 +114,6 @@ def smith_diagonal(mat: Sequence[Sequence[int]]) -> list[int]:
     return diag
 
 
-def lattice_index(ambient_rank: int, generators: IntegerMatrix | Sequence[Sequence[int]]):
-    """Index of the sublattice spanned by the generator rows inside Z^rank.
-
-    Returns a positive integer, or :data:`INFINITE_INDEX` when the span has
-    rank lower than ``ambient_rank``.
-    """
-    rows = generators.entries if isinstance(generators, IntegerMatrix) else generators
-    for row in rows:
-        if len(row) != ambient_rank:
-            raise ValueError("generator row length differs from ambient rank")
-    diag = smith_diagonal(list(rows)) if rows else []
-    if len(diag) < ambient_rank:
-        return INFINITE_INDEX
-    out = 1
-    for d in diag:
-        out *= d
-    return out
-
-
 def orbit_count(moduli: Sequence[int], action_rows: Sequence[Sequence[int]]) -> int:
     """Number of orbits of the translation action of the subgroup of
     ``prod Z/kappa`` generated by ``action_rows`` (0/1 vectors).
@@ -181,9 +134,8 @@ def orbit_count(moduli: Sequence[int], action_rows: Sequence[Sequence[int]]) -> 
     stack = [list(r) for r in action_rows]
     for i, k in enumerate(moduli):
         stack.append([k if j == i else 0 for j in range(n)])
-    idx = lattice_index(n, stack)
-    assert idx != INFINITE_INDEX
-    return idx
+    # full rank through the diag(moduli) rows: n diagonal entries
+    return prod(smith_diagonal(stack))
 
 
 def orbit_count_bfs(moduli: Sequence[int], action_rows: Sequence[Sequence[int]]) -> int:

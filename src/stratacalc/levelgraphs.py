@@ -49,7 +49,7 @@ class LevelGraph:
         return dict(self.legs)
 
     def vertices_at(self, level: int) -> list[int]:
-        return [v for v in range(self.n_vertices) if self.levels[v] == level]
+        return [v for v, x in enumerate(self.levels) if x == level]
 
     def is_trivial(self) -> bool:
         return self.n_levels_below == 0
@@ -256,6 +256,28 @@ def prong_data(g: LevelGraph) -> ProngData:
 # undegeneration
 # ---------------------------------------------------------------------------
 
+def _roots(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Union-find over the nodes 0..n-1 joined by ``pairs``: the root of
+    each node's class.  Each pair hangs its first node's root below its
+    second's, so the roots depend on the pairs' order;
+    ``undegenerate_with_edgemap`` numbers its vertices by them.  The trees
+    have a handful of nodes, so there is no path compression."""
+    parent = list(range(n))
+    for a, b in pairs:
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+    out = []
+    for x in range(n):
+        while parent[x] != x:
+            x = parent[x]
+        out.append(x)
+    return out
+
+
 def undegenerate(g: LevelGraph, passages: Iterable[int]) -> LevelGraph:
     """delta_I: contract every level passage outside I and renormalize.
 
@@ -283,40 +305,28 @@ def undegenerate_with_edgemap(g: LevelGraph, passages: Iterable[int]
         return -sum(1 for i in keep if old <= -i)
 
     nl = [new_level(x) for x in g.levels]
-    parent = list(range(g.n_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    contracted = []
-    for (u, v, k) in g.edges:
-        if nl[u] == nl[v]:
-            contracted.append((u, v))
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-    reps = sorted({find(v) for v in range(g.n_vertices)})
+    contracted = [(u, v) for (u, v, _) in g.edges if nl[u] == nl[v]]
+    root = _roots(g.n_vertices, contracted)
+    reps = sorted(set(root))
     idx = {r: i for i, r in enumerate(reps)}
+    new = [idx[r] for r in root]
     genera = [0] * len(reps)
     counts = [0] * len(reps)
     for v in range(g.n_vertices):
-        genera[idx[find(v)]] += g.genera[v]
-        counts[idx[find(v)]] += 1
+        genera[new[v]] += g.genera[v]
+        counts[new[v]] += 1
     for (u, v) in contracted:
-        genera[idx[find(u)]] += 1
+        genera[new[u]] += 1
     for i in range(len(reps)):
         genera[i] -= counts[i] - 1
     levels = tuple(nl[r] for r in reps)
-    legs = tuple(sorted((pt, idx[find(v)]) for pt, v in g.legs))
+    legs = tuple(sorted((pt, new[v]) for pt, v in g.legs))
     edges = []
     edge_map: dict[int, int] = {}
     for ei, (u, v, k) in enumerate(g.edges):
         if nl[u] != nl[v]:
             edge_map[ei] = len(edges)
-            edges.append((idx[find(u)], idx[find(v)], k))
+            edges.append((new[u], new[v], k))
     return LevelGraph(tuple(genera), levels, legs, tuple(edges)), edge_map
 
 
@@ -364,34 +374,17 @@ def induced_conditions(g: LevelGraph, spec: StratumSpec) -> dict[int, list[froze
         # auxiliary nodes: vertices above lev (ids 0..n-1) and parts (n+j)
         included = [v for v in range(n) if g.levels[v] > lev]
         nodes = set(included) | {n + j for j in range(len(parts))}
-        parent = {x: x for x in nodes}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        for (u, v, _) in g.edges:
-            if u in parent and v in parent:
-                union(u, v)
-        for j, pts in enumerate(parts):
-            for pt in pts:
-                v = legv[pt]
-                if g.levels[v] > lev:
-                    union(n + j, v)
+        root = _roots(n + len(parts), itertools.chain(
+            ((u, v) for (u, v, _) in g.edges if min(g.levels[u], g.levels[v]) > lev),
+            ((n + j, legv[pt]) for j, pts in enumerate(parts) for pt in pts
+             if g.levels[legv[pt]] > lev)))
         comps: dict[int, dict] = {}
         for x in nodes:
-            comps.setdefault(find(x), {"verts": [], "parts": []})
+            comp = comps.setdefault(root[x], {"verts": [], "parts": []})
             if x < n:
-                comps[find(x)]["verts"].append(x)
+                comp["verts"].append(x)
             else:
-                comps[find(x)]["parts"].append(x - n)
+                comp["parts"].append(x - n)
         for comp in comps.values():
             escape = False
             for v in comp["verts"]:
@@ -420,40 +413,40 @@ def induced_conditions(g: LevelGraph, spec: StratumSpec) -> dict[int, list[froze
     return out
 
 
+def _half_edges(g: LevelGraph, spec: StratumSpec, v: int) -> list[tuple[LegTag, int]]:
+    """The points of vertex v as (tag, order) pairs: its legs in point
+    order, then the poles of its incoming edges and the zeros of its
+    outgoing edges, each in edge order.  The points of a level stratum are
+    numbered in this order, so the ``graphs`` and ``divisors`` output
+    depends on it; a two-level split of v distributes these points."""
+    out = [(("leg", pt), spec.order(pt)) for pt, w in g.legs if w == v]
+    out.sort()
+    out += [(("ein", ei), -k - 1) for ei, (_, w, k) in enumerate(g.edges) if w == v]
+    out += [(("eout", ei), k - 1) for ei, (u, _, k) in enumerate(g.edges) if u == v]
+    return out
+
+
 def level_stratum(g: LevelGraph, spec: StratumSpec, lev: int
                   ) -> tuple[StratumSpec, dict[LegTag, Point]]:
     """The generalized stratum at a level of the graph, with the residue
     conditions that ``induced_conditions`` induces on that level.
 
-    Returns the spec (one component per vertex at the level) and the
-    positions: positions[tag] = (component, point) for every tag on the
-    level (an ambient leg, an incoming edge pole, or an outgoing edge
-    zero).  A tag lies on the level exactly when it is a key.
+    Returns the spec (one component per vertex at the level, its points
+    listed by ``_half_edges``) and the positions: positions[tag] =
+    (component, point) for every tag on the level (an ambient leg, an
+    incoming edge pole, or an outgoing edge zero).  A tag lies on the
+    level exactly when it is a key.
     """
     verts = g.vertices_at(lev)
     if not verts:
         raise ValueError(f"no vertices at level {lev}")
-    vert_legs: dict[int, list[Point]] = {v: [] for v in verts}
-    for pt, v in g.legs:
-        if v in vert_legs:
-            vert_legs[v].append(pt)
     comps: list[tuple[int, tuple[int, ...]]] = []
     positions: dict[LegTag, Point] = {}
     for cj, v in enumerate(verts):
-        tags: list[LegTag] = [("leg", pt) for pt in sorted(vert_legs[v])]
-        tags += [("ein", ei) for ei, (u, w, k) in enumerate(g.edges) if w == v]
-        tags += [("eout", ei) for ei, (u, w, k) in enumerate(g.edges) if u == v]
-        orders = []
-        for t in tags:
-            if t[0] == "leg":
-                orders.append(spec.order(t[1]))
-            elif t[0] == "ein":
-                orders.append(-g.edges[t[1]][2] - 1)
-            else:
-                orders.append(g.edges[t[1]][2] - 1)
-        for pj, t in enumerate(tags):
-            positions[t] = (cj, pj)
-        comps.append((g.genera[v], tuple(orders)))
+        points = _half_edges(g, spec, v)
+        for pj, (tag, _) in enumerate(points):
+            positions[tag] = (cj, pj)
+        comps.append((g.genera[v], tuple(o for _, o in points)))
     parts = tuple(ResiduePart(frozenset(positions[t] for t in cond), True)
                   for cond in induced_conditions(g, spec).get(lev, ()))
     return StratumSpec(tuple(comps), parts), positions
@@ -503,27 +496,16 @@ def _structural_issues(g: LevelGraph, spec: StratumSpec) -> list[str]:
         if not g.vertices_at(lev):
             issues.append(f"level {lev} empty")
     # connectivity and genus per ambient component
-    parent = list(range(g.n_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (u, v, _) in g.edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
+    root = _roots(g.n_vertices, [(u, v) for (u, v, _) in g.edges])
     comp_of_piece: dict[int, int] = {}
     for pt, v in g.legs:
-        r = find(v)
+        r = root[v]
         if r in comp_of_piece and comp_of_piece[r] != pt[0]:
             issues.append("a connected piece carries legs of two components")
         comp_of_piece[r] = pt[0]
     pieces: dict[int, list[int]] = {}
     for v in range(g.n_vertices):
-        pieces.setdefault(find(v), []).append(v)
+        pieces.setdefault(root[v], []).append(v)
     if len(pieces) != spec.n_components:
         issues.append("piece count differs from component count")
     for r, vs in pieces.items():
@@ -531,7 +513,7 @@ def _structural_issues(g: LevelGraph, spec: StratumSpec) -> list[str]:
             issues.append("piece without legs")
             continue
         ci = comp_of_piece[r]
-        ne = sum(1 for (u, v, _) in g.edges if find(u) == r)
+        ne = sum(1 for (u, v, _) in g.edges if root[u] == r)
         btotal = sum(g.genera[v] for v in vs) + ne - (len(vs) - 1)
         if btotal != spec.components[ci][0]:
             issues.append(f"piece of component {ci}: genus mismatch")
@@ -748,21 +730,6 @@ def _leg_assignments(orders: tuple[int, ...], t: int, gvec: tuple[int, ...],
     return out
 
 
-def _piece_splits(genus: int, legs: list[tuple[LegTag, int]]):
-    """Connected two-level splittings of one smooth surface piece.
-
-    legs: (tag, order) pairs.  Returns (tops, bots, edges) with tops/bots
-    lists of (genus, leg tag list) and edges (ti, bi, kappa).
-    """
-    orders = tuple(o for _, o in legs)
-    out = []
-    for tops_data, bots_data, edges in _piece_splits_by_orders(genus, orders):
-        tops = [(gv, [legs[li][0] for li in lis]) for gv, lis in tops_data]
-        bots = [(gv, [legs[li][0] for li in lis]) for gv, lis in bots_data]
-        out.append((tops, bots, list(edges)))
-    return out
-
-
 def _genus_vectors_up_to(total: int, nv: int):
     """Genus assignments with sum <= total; the difference goes to the
     first Betti number of the local graph."""
@@ -775,57 +742,38 @@ def _genus_vectors_up_to(total: int, nv: int):
 
 
 def _split_connected(t: int, b: int, edges: list[tuple[int, int, int]]) -> bool:
-    parent = list(range(t + b))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (ti, bi, _) in edges:
-        ru, rv = find(ti), find(t + bi)
-        if ru != rv:
-            parent[ru] = rv
-    return len({find(x) for x in range(t + b)}) == 1
+    return len(set(_roots(t + b, [(ti, t + bi) for (ti, bi, _) in edges]))) == 1
 
 
 def _split_candidates(g: LevelGraph, spec: StratumSpec, lev: int,
                       ) -> Iterator[tuple[LevelGraph, dict[int, int]]]:
     """Every assembled one-step degeneration splitting the given level,
     realizable or not, each with the map from old edge indices to new edge
-    indices."""
-    verts = g.vertices_at(lev)
-    vert_legs: dict[int, list[Point]] = {v: [] for v in verts}
-    for pt, v in g.legs:
-        if v in vert_legs:
-            vert_legs[v].append(pt)
+    indices.
 
-    def vertex_points(v: int) -> list[tuple[LegTag, int]]:
-        pts: list[tuple[LegTag, int]] = [(("leg", pt), spec.order(pt))
-                                         for pt in sorted(vert_legs[v])]
-        for ei, (u, w, k) in enumerate(g.edges):
-            if w == v:
-                pts.append((("ein", ei), -k - 1))
-            if u == v:
-                pts.append((("eout", ei), k - 1))
-        return pts
-
-    options: list[list] = []
-    for v in verts:
-        opts: list = [("top", None), ("bot", None)]
-        for s in _piece_splits(g.genera[v], vertex_points(v)):
-            opts.append(("split", s))
+    Each vertex at the level is placed by one split of its points
+    (``_half_edges``): a (tops, bots, new edges) triple from
+    ``_piece_splits_by_orders`` with leg indices read as tags, or the
+    whole vertex on top, ``((genus, all tags),), (), ()``, or at the
+    bottom, ``(), ((genus, all tags),), ()``.  A choice of one split per
+    vertex is kept when something lands on each side."""
+    options: list[list[tuple]] = []
+    for v in g.vertices_at(lev):
+        points = _half_edges(g, spec, v)
+        tags = tuple(tag for tag, _ in points)
+        whole = ((g.genera[v], tags),)
+        opts = [(whole, (), ()), ((), whole, ())]
+        for split in _piece_splits_by_orders(g.genera[v], tuple(o for _, o in points)):
+            tops, bots = (tuple((gv, tuple(tags[li] for li in lis)) for gv, lis in side)
+                          for side in split[:2])
+            opts.append((tops, bots, split[2]))
         options.append(opts)
 
     for choice in itertools.product(*options):
-        has_top = any(c[0] == "top" or c[0] == "split" for c in choice)
-        has_bot = any(c[0] == "bot" or c[0] == "split" for c in choice)
-        if not (has_top and has_bot):
-            continue
-        cand = _assemble_split(g, spec, lev, verts, choice)
-        if cand is not None:
-            yield cand
+        if any(tops for tops, _, _ in choice) and any(bots for _, bots, _ in choice):
+            cand = _assemble_split(g, lev, choice)
+            if cand is not None:
+                yield cand
 
 
 def split_level_decorated(g: LevelGraph, spec: StratumSpec, lev: int,
@@ -842,13 +790,12 @@ def split_level_decorated(g: LevelGraph, spec: StratumSpec, lev: int,
             if not realizability_issues(graph, spec)]
 
 
-def _assemble_split(g: LevelGraph, spec: StratumSpec, lev: int,
-                    verts: list[int], choice) -> tuple[LevelGraph, dict[int, int]] | None:
-    # new level numbering: levels above stay, lev -> lev (upper) and lev-1
-    # (lower), levels below shift down by one
-    def map_level(x: int) -> int:
-        return x if x >= lev else x - 1
-
+def _assemble_split(g: LevelGraph, lev: int, choice: Sequence[tuple]
+                    ) -> tuple[LevelGraph, dict[int, int]] | None:
+    """The graph of one choice of ``_split_candidates`` with its edge map,
+    or None when an old edge no longer descends.  The vertices off the
+    level come first in their order, then per choice its tops and its
+    bottoms; the choices' new edges come before the old edges."""
     genera: list[int] = []
     levels: list[int] = []
     legs: dict[Point, int] = {}
@@ -857,58 +804,34 @@ def _assemble_split(g: LevelGraph, spec: StratumSpec, lev: int,
 
     old_to_new: dict[int, int] = {}
     for v in range(g.n_vertices):
-        if v in verts:
-            continue
-        old_to_new[v] = len(genera)
-        genera.append(g.genera[v])
-        levels.append(map_level(g.levels[v]))
+        if g.levels[v] != lev:
+            old_to_new[v] = len(genera)
+            genera.append(g.genera[v])
+            # levels above stay, levels below shift down by one
+            levels.append(g.levels[v] if g.levels[v] > lev else g.levels[v] - 1)
     for pt, v in g.legs:
-        if v not in verts:
+        if v in old_to_new:
             legs[pt] = old_to_new[v]
 
-    for v, c in zip(verts, choice):
-        kind, data = c
-        if kind in ("top", "bot"):
+    for tops, bots, sedges in choice:
+        base_top = len(genera)
+        base_bot = base_top + len(tops)
+        for gv, tags in tops + bots:
             nv = len(genera)
-            genera.append(g.genera[v])
-            levels.append(lev if kind == "top" else lev - 1)
-            for pt, w in g.legs:
-                if w == v:
-                    legs[pt] = nv
-            for ei, (u, w, k) in enumerate(g.edges):
-                if w == v:
-                    tag_vertex[("ein", ei)] = nv
-                if u == v:
-                    tag_vertex[("eout", ei)] = nv
-        else:
-            tops_data, bots_data, sedges = data
-            base_top = len(genera)
-            for gv, tags in tops_data:
-                nv = len(genera)
-                genera.append(gv)
-                levels.append(lev)
-                for tag in tags:
-                    if tag[0] == "leg":
-                        legs[tag[1]] = nv
-                    else:
-                        tag_vertex[tag] = nv
-            base_bot = len(genera)
-            for gv, tags in bots_data:
-                nv = len(genera)
-                genera.append(gv)
-                levels.append(lev - 1)
-                for tag in tags:
-                    if tag[0] == "leg":
-                        legs[tag[1]] = nv
-                    else:
-                        tag_vertex[tag] = nv
-            for (ti, bi, k) in sedges:
-                new_edges.append((base_top + ti, base_bot + bi, k))
+            genera.append(gv)
+            levels.append(lev if nv < base_bot else lev - 1)
+            for tag in tags:
+                if tag[0] == "leg":
+                    legs[tag[1]] = nv
+                else:
+                    tag_vertex[tag] = nv
+        for (ti, bi, k) in sedges:
+            new_edges.append((base_top + ti, base_bot + bi, k))
 
     edge_map: dict[int, int] = {}
     for ei, (u, w, k) in enumerate(g.edges):
-        nu = old_to_new[u] if u not in verts else tag_vertex[("eout", ei)]
-        nw = old_to_new[w] if w not in verts else tag_vertex[("ein", ei)]
+        nu = old_to_new[u] if u in old_to_new else tag_vertex[("eout", ei)]
+        nw = old_to_new[w] if w in old_to_new else tag_vertex[("ein", ei)]
         edge_map[ei] = len(new_edges)
         new_edges.append((nu, nw, k))
 
@@ -949,9 +872,15 @@ def enumerate_LGL(spec: StratumSpec, L: int) -> tuple[LevelGraph, ...]:
     for g in prev:
         for lev in range(0, -g.n_levels_below - 1, -1):
             for cand, _ in _split_candidates(g, spec, lev):
-                enc = canonical_encoding(cand)
+                enc, orders = _canonical(cand)
                 if enc not in found and not realizability_issues(cand, spec):
-                    found[enc] = _from_encoding(*enc)
+                    found[enc] = h = _from_encoding(*enc)
+                    # h's vertex j is cand's vertex orders[0][j]; _orderings
+                    # yields in lexicographic order, so the sorted images
+                    # of cand's minimizing orderings are h's own list
+                    inv = {v: j for j, v in enumerate(orders[0])}
+                    _CANON_CACHE[h] = (enc, tuple(sorted(tuple(inv[v] for v in o)
+                                                         for o in orders)))
     graphs = tuple(found[k] for k in sorted(found))
     _ENUM_CACHE[key] = graphs
     return graphs

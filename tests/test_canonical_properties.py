@@ -3,7 +3,9 @@
 edges of a level graph leaves its canonical encoding, its automorphism
 order and its decorated canonical form unchanged, and its isomorphisms
 onto the relabelled copy number |Aut|.  The realizability verdict, memoized
-per isomorphism class and stratum, is a class invariant too.  Skipped where
+per isomorphism class and stratum, is a class invariant too, and so are
+the classes of a level's split candidates.  Enumeration leaves each class
+it stores with the canonical form a fresh search gives.  Skipped where
 hypothesis is not installed."""
 from __future__ import annotations
 
@@ -125,6 +127,22 @@ VERDICT_STRATA = [
 ]
 
 
+def test_enumerated_graphs_carry_their_own_canonical_form():
+    """Enumeration stores each found class's canonical graph in the
+    canonical-form memo with the encoding and minimizing orderings it
+    already knows; they are what a fresh ordering search of the stored
+    graph gives, in the same order.  It runs before the next test, which
+    empties the memos again, so its own clear costs later tests nothing."""
+    caches.clear()
+    for spec in (StratumSpec.connected(0, (2, 1, 1, 1, -3, -4)),
+                 StratumSpec.connected(1, (5, 1, -6)),
+                 StratumSpec.connected(2, (2, 2, -2)), PAIRED):
+        for L in range(1, dimension(spec).projectivized + 1):
+            for g in lg.enumerate_LGL(spec, L):
+                enc, orders = lg._minimal_orderings(g)
+                assert lg._CANON_CACHE[g] == (enc, tuple(map(tuple, orders)))
+
+
 def test_realizability_verdict_is_a_class_invariant():
     """Every labelled candidate that the split assembly produces, realizable
     or not, gets the uncached verdict from the memoized predicate, and a
@@ -149,3 +167,29 @@ def test_realizability_verdict_is_a_class_invariant():
                         assert lg._level_issues(h, spec) == uncached
                         assert lg.realizability_issues(h, spec) == uncached
     assert verdicts[True] and verdicts[False]
+
+
+def test_split_candidates_are_the_same_classes_under_relabelling():
+    """Relabelling a graph permutes the points that ``_half_edges`` lists
+    and so the labelled splits of each vertex; the split candidates are
+    still the same classes with the same multiplicities.  Each candidate
+    is structurally sound, and its edge map sends an old edge to an edge
+    of the same enhancement."""
+    rng = random.Random(8)
+    for spec in VERDICT_STRATA:
+        for L in range(dimension(spec).projectivized):
+            for g in lg.enumerate_LGL(spec, L):
+                h = relabel(g, rng.sample(range(g.n_vertices), g.n_vertices),
+                            rng.sample(range(len(g.edges)), len(g.edges)))
+                for lev in range(0, -L - 1, -1):
+                    classes = []
+                    for graph in (g, h):
+                        found = Counter()
+                        for cand, emap in lg._split_candidates(graph, spec, lev):
+                            assert lg._structural_issues(cand, spec) == []
+                            assert sorted(emap) == list(range(len(graph.edges)))
+                            assert [cand.edges[emap[ei]][2] for ei in emap] == \
+                                [k for _, _, k in graph.edges]
+                            found[lg.canonical_encoding(cand)] += 1
+                        classes.append(found)
+                    assert classes[0] == classes[1]

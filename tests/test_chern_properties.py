@@ -1,6 +1,8 @@
 """Property tests of the Euler characteristic and the Chern polynomial on
-strata with closed forms, and of the integers the Chern graph pass reads
-per graph.  Skipped where hypothesis is not installed."""
+strata with closed forms (genus 0 up to the n = 6 strata of the
+euler-sweep workload, and a genus-1 family), and of the integers the
+Chern graph pass reads per graph.  Skipped where hypothesis is not
+installed."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -30,15 +32,46 @@ def genus0_signature(draw):
     return tuple(orders) + (last,)
 
 
-@settings(max_examples=100, deadline=None)
-@given(mu=genus0_signature())
-def test_genus0_chi_closed_form_duality_and_c1(mu):
+@st.composite
+def euler_sweep_signature(draw):
+    """n = 6 with two to four poles of order >= -9 and zeros whose orders
+    sum to at most 7, in any order: the genus-0 strata of the euler-sweep
+    workload."""
+    def parts(total, k):
+        """total as a sum of k positive integers."""
+        out = [1] * k
+        for i in draw(st.lists(st.integers(0, k - 1), min_size=total - k,
+                               max_size=total - k)):
+            out[i] += 1
+        return out
+
+    poles = draw(st.integers(2, 4))
+    zero_sum = draw(st.integers(6 - poles, 7))
+    mu = parts(zero_sum, 6 - poles) + [-x for x in parts(zero_sum + 2, poles)]
+    return tuple(draw(st.permutations(mu)))
+
+
+def check_genus0_chi_closed_form_duality_and_c1(mu):
     spec = StratumSpec.connected(0, mu)
     n = len(mu)
     rep = inv.chern_polynomial(spec, EV)
     assert rep.chi == Fraction(-1) ** (n - 3) * factorial(n - 3)
     assert rep.duality_holds
     assert not (inv.chern_class_terms(spec, 1) - inv.c1_log_cotangent(spec)).terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(mu=genus0_signature())
+def test_genus0_chi_closed_form_duality_and_c1(mu):
+    check_genus0_chi_closed_form_duality_and_c1(mu)
+
+
+# each example is a cold chi + Chern pass of about 0.4 s, so the count is
+# what the tier-1 time budget allows
+@settings(max_examples=4, deadline=None)
+@given(mu=euler_sweep_signature())
+def test_genus0_n6_chi_closed_form_duality_and_c1(mu):
+    check_genus0_chi_closed_form_duality_and_c1(mu)
 
 
 @settings(max_examples=12, deadline=None)

@@ -1,14 +1,13 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
 
-from stratacalc.exact import (INFINITE_INDEX, IntegerMatrix, binomial,
-                              lattice_index, lcm_list, multinomial,
-                              orbit_count, orbit_count_bfs, rational_str,
-                              smith_diagonal)
+from stratacalc.exact import (binomial, lcm_list, multinomial, orbit_count,
+                              orbit_count_bfs, rational_str, smith_diagonal)
 
 
 def test_lcm_basic():
@@ -48,12 +47,10 @@ def test_binomial_conventions():
     assert binomial(2, 5) == 0
 
 
-def test_lattice_index():
-    assert lattice_index(1, [[5]]) == 5
-    assert lattice_index(2, [[0, 3], [5, -5]]) == 15
-    assert lattice_index(2, [[1, 0]]) == INFINITE_INDEX
-    mat = IntegerMatrix.from_rows([[0, 2], [3, -3]])
-    assert lattice_index(2, mat) == 6
+def test_smith_diag_product_is_the_index_of_a_full_rank_span():
+    assert math.prod(smith_diagonal([[5]])) == 5
+    assert math.prod(smith_diagonal([[0, 3], [5, -5]])) == 15
+    assert math.prod(smith_diagonal([[0, 2], [3, -3]])) == 6
 
 
 def test_smith_diag_matches_det():

@@ -1,8 +1,10 @@
-"""Every module-level import of the package is used.
+"""Every module-level import of the package is used, and so is every
+top-level private function.
 
-No linter runs on this repository, so an import left behind by a refactor
-would go unnoticed; this reads each module with the standard ``ast``
-module instead.  ``__init__.py`` is exempt: its imports are re-exports.
+No linter runs on this repository, so an import or a ``_helper`` left
+behind by a refactor would go unnoticed; this reads each module with the
+standard ``ast`` module instead.  ``__init__.py`` is exempt from the
+import check: its imports are re-exports.
 """
 from __future__ import annotations
 
@@ -39,3 +41,28 @@ def test_no_unused_module_level_import(path):
 
 def test_an_unused_import_is_reported():
     assert unused_imports("import os\nimport sys\nfrom a import b as c\nsys.exit(c)\n") == ["os"]
+
+
+def unused_private_functions(sources: list[str]) -> list[str]:
+    """Top-level ``def _name`` of any source that no source references as
+    a name or an attribute."""
+    trees = [ast.parse(source) for source in sources]
+    defined = [node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name.startswith("_")]
+    used = {n.id if isinstance(n, ast.Name) else n.attr
+            for tree in trees for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+    return [name for name in defined if name not in used]
+
+
+def test_no_unused_private_function():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    assert unused_private_functions(sources) == []
+
+
+def test_an_unused_private_function_is_reported():
+    assert unused_private_functions([
+        "def _called():\n    pass\ndef _orphan():\n    pass\ndef public():\n    pass\n",
+        "import m\ndef _attribute():\n    pass\nm._attribute()\n_called()\n",
+    ]) == ["_orphan"]
