@@ -183,6 +183,16 @@ class UsageError(Exception):
     """A command line that argparse rejects."""
 
 
+def _levels(value: str) -> int:
+    try:
+        n = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {n}")
+    return n
+
+
 class _Parser(argparse.ArgumentParser):
     # raise instead of printing usage and exiting, so that ``run`` writes one
     # line and returns 1; the subcommand parsers inherit this class
@@ -210,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="check the shipped chi tables")
         sp.add_argument("--fixtures", nargs="*", default=[],
                         help="extra fixture JSON files")
-        sp.add_argument("--levels", type=int, default=None)
+        sp.add_argument("--levels", type=_levels, default=None)
         sp.add_argument("--json", action="store_true")
         sp.add_argument("--out", default=None)
         sp.add_argument("--verbose", action="store_true")

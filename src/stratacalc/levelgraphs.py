@@ -582,7 +582,10 @@ def realizability_issues(g: LevelGraph, spec: StratumSpec) -> list[str]:
 
     The structural check runs on every call, since its messages name
     vertex indices.  The level part depends only on the isomorphism class
-    of ``g``: it runs once per (canonical encoding, spec) and is memoized.
+    of ``g``: it runs once per (canonical encoding, spec) and is memoized,
+    on the first graph of the class it is asked about.  ``enumerate_LGL``
+    asks about the canonical graph, so the induced conditions and level
+    dimensions it builds are keyed under the graph that it returns.
     """
     issues = _structural_issues(g, spec)
     if issues:
@@ -782,9 +785,11 @@ def split_level_decorated(g: LevelGraph, spec: StratumSpec, lev: int,
     each with the map from old edge indices to new edge indices.
 
     Not canonicalized and not deduplicated; distinct entries correspond to
-    distinct labeled splittings of the level stratum.  The level part of
-    each verdict is read from the per-class memo of
-    :func:`realizability_issues`.
+    distinct labeled splittings of the level stratum.  Any level may be
+    split here (``tautring`` degenerates every level of a graph), while
+    ``enumerate_LGL`` splits only the bottom one and judges each class on
+    its canonical graph.  The level part of each verdict is read from the
+    per-class memo of :func:`realizability_issues`.
     """
     return [(graph, edge_map) for graph, edge_map in _split_candidates(g, spec, lev)
             if not realizability_issues(graph, spec)]
@@ -847,7 +852,14 @@ _ENUM_CACHE: dict[tuple, tuple[LevelGraph, ...]] = caches.memo("levelgraphs.enum
 
 def enumerate_LGL(spec: StratumSpec, L: int) -> tuple[LevelGraph, ...]:
     """All realizable enhanced level graphs with L levels below zero and no
-    horizontal edges, as canonical representatives sorted by encoding."""
+    horizontal edges, as canonical representatives sorted by encoding.
+
+    The L-level graphs are the splits of the bottom level of each
+    (L-1)-level graph: merging the two lowest levels of an L-level graph
+    (delta_{1..L-1}) gives one of those, and splitting its bottom level
+    gives the graph back.  Each new class is judged once, on its canonical
+    graph, so the level strata the verdict builds are those that the
+    callers of the returned graphs read."""
     require_valid(spec)
     key = (spec, L)
     if key in _ENUM_CACHE:
@@ -865,22 +877,23 @@ def enumerate_LGL(spec: StratumSpec, L: int) -> tuple[LevelGraph, ...]:
             raise SpecError("ambient stratum not realizable: " + "; ".join(issues))
         _ENUM_CACHE[key] = (triv,)
         return _ENUM_CACHE[key]
-    prev = enumerate_LGL(spec, L - 1)
-    # realizability is a class invariant: a candidate whose class is
-    # already found needs no verdict
     found: dict[tuple, LevelGraph] = {}
-    for g in prev:
-        for lev in range(0, -g.n_levels_below - 1, -1):
-            for cand, _ in _split_candidates(g, spec, lev):
-                enc, orders = _canonical(cand)
-                if enc not in found and not realizability_issues(cand, spec):
-                    found[enc] = h = _from_encoding(*enc)
-                    # h's vertex j is cand's vertex orders[0][j]; _orderings
-                    # yields in lexicographic order, so the sorted images
-                    # of cand's minimizing orderings are h's own list
-                    inv = {v: j for j, v in enumerate(orders[0])}
-                    _CANON_CACHE[h] = (enc, tuple(sorted(tuple(inv[v] for v in o)
-                                                         for o in orders)))
+    judged: set[tuple] = set()
+    for g in enumerate_LGL(spec, L - 1):
+        for cand, _ in _split_candidates(g, spec, -g.n_levels_below):
+            enc, orders = _canonical(cand)
+            if enc in judged:
+                continue
+            judged.add(enc)
+            h = _from_encoding(*enc)
+            # h's vertex j is cand's vertex orders[0][j]; _orderings yields
+            # in lexicographic order, so the sorted images of cand's
+            # minimizing orderings are h's own list
+            inv = {v: j for j, v in enumerate(orders[0])}
+            _CANON_CACHE[h] = (enc, tuple(sorted(tuple(inv[v] for v in o)
+                                                 for o in orders)))
+            if not realizability_issues(h, spec):
+                found[enc] = h
     graphs = tuple(found[k] for k in sorted(found))
     _ENUM_CACHE[key] = graphs
     return graphs

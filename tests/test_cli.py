@@ -354,6 +354,10 @@ USAGE_ERRORS = [
     (["frobnicate"], "error: argument command: invalid choice: 'frobnicate'"),
     (["chi", "--spec", spec_path("g0_111.json"), "--levels", "one"],
      "error: argument --levels: invalid int value: 'one'"),
+    (["graphs", "--spec", spec_path("g0_111.json"), "--levels", "-1"],
+     "error: argument --levels: expected a nonnegative integer, got -1"),
+    (["profiles", "--spec", spec_path("g0_111.json"), "--levels", "-1"],
+     "error: argument --levels: expected a nonnegative integer, got -1"),
 ]
 
 

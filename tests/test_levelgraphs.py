@@ -4,7 +4,10 @@ import itertools
 import math
 from collections import Counter
 
-from stratacalc.strata import StratumSpec, dimension
+import pytest
+
+from stratacalc.strata import StratumSpec, dimension, validate
+from stratacalc import caches
 from stratacalc import levelgraphs as lg
 
 
@@ -15,10 +18,13 @@ def family_13(k: int) -> StratumSpec:
     return StratumSpec.connected(1, (k, 1, -k - 1))
 
 
-def pair_spec() -> StratumSpec:
+def pair_spec(residue_conditions: bool = True) -> StratumSpec:
+    """Two genus-0 components whose first two poles are paired by residue
+    conditions; without them, the unconstrained twin."""
     return StratumSpec.make(
         [(0, (-2, -2, 2)), (0, (-2, -2, 1, 1))],
-        [({(0, 0), (1, 0)}, True), ({(0, 1), (1, 1)}, True)])
+        [({(0, 0), (1, 0)}, True), ({(0, 1), (1, 1)}, True)]
+        if residue_conditions else [])
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +88,84 @@ def test_913_divisor_inventory_k5():
     assert ells["D5"] == {math.lcm(a, k - a) for a in (1, 2)}
     assert (ntops["D1"], ntops["D2"], ntops["D3"], ntops["D4"], ntops["D5"]) \
         == ({1}, {2}, {2}, {1}, {2})
+
+
+def every_level_enumeration(spec: StratumSpec) -> list[list[tuple]]:
+    """The canonical encodings per L of the enumeration that splits every
+    level of every (L-1)-level graph and keeps a class once some labelled
+    candidate of it is realizable: the reference for the bottom-level
+    splits of ``enumerate_LGL``."""
+    layers = [[lg.canonicalize(lg.trivial_graph(spec))]]
+    for _ in range(dimension(spec).projectivized):
+        found: dict[tuple, lg.LevelGraph] = {}
+        for g in layers[-1]:
+            for lev in range(0, -g.n_levels_below - 1, -1):
+                for cand, _ in lg._split_candidates(g, spec, lev):
+                    enc = lg.canonical_encoding(cand)
+                    if enc not in found and not lg.realizability_issues(cand, spec):
+                        found[enc] = lg.canonicalize(cand)
+        layers.append([found[k] for k in sorted(found)])
+    return [[lg.canonical_encoding(g) for g in layer] for layer in layers]
+
+
+def assert_bottom_splits_enumerate_every_class(spec: StratumSpec) -> None:
+    caches.clear()
+    got = [[lg.canonical_encoding(g) for g in lg.enumerate_LGL(spec, L)]
+           for L in range(dimension(spec).projectivized + 1)]
+    caches.clear()
+    assert got == every_level_enumeration(spec), spec
+
+
+@pytest.mark.parametrize("spec", [
+    StratumSpec.connected(0, (2, 1, 1, 1, -3, -4)),
+    StratumSpec.connected(0, (3, 1, 1, -1, -2, -4)),
+    family_13(5), StratumSpec.connected(2, (2, 2, -2)),
+    pair_spec(), pair_spec(residue_conditions=False)])
+def test_bottom_splits_enumerate_every_class(spec):
+    assert_bottom_splits_enumerate_every_class(spec)
+
+
+def test_bottom_splits_enumerate_every_class_property():
+    """Random genus-0 strata with four or five points and the genus-1
+    family (k, 1, -k-1), k <= 8.  Skipped where hypothesis is not
+    installed."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @st.composite
+    def genus0(draw):
+        n = draw(st.sampled_from((4, 5)))
+        orders = draw(st.lists(st.integers(-5, 4).filter(bool),
+                               min_size=n - 1, max_size=n - 1))
+        orders.append(-2 - sum(orders))
+        hyp.assume(-6 <= orders[-1] <= 5 and orders[-1])
+        spec = StratumSpec.connected(0, tuple(sorted(orders, reverse=True)))
+        hyp.assume(not validate(spec) and dimension(spec).projectivized >= 1)
+        return spec
+
+    @hyp.settings(max_examples=25, deadline=None)
+    @hyp.given(st.one_of(genus0(), st.integers(1, 8).map(family_13)))
+    def check(spec):
+        assert_bottom_splits_enumerate_every_class(spec)
+
+    check()
+
+
+def test_enumeration_judges_the_graphs_it_returns():
+    """The verdict runs on the canonical graph that enumeration returns, so
+    the induced conditions and level dimensions it builds are the ones that
+    the level strata of the returned graphs read: reading them all again
+    builds nothing."""
+    spec = StratumSpec.connected(0, (2, 1, 1, 1, -3, -4))
+    caches.clear()
+    graphs = [g for L in range(dimension(spec).projectivized + 1)
+              for g in lg.enumerate_LGL(spec, L)]
+    before = caches.stats()
+    for g in graphs:
+        lg.level_dims(g, spec)
+    after = caches.stats()
+    for name in ("levelgraphs.induced_conditions", "strata.dimension"):
+        assert after[name] == before[name], name
 
 
 def test_enumeration_invariants_hold():
