@@ -224,11 +224,12 @@ class Evaluator:
         over the psi at the tags on its level and its own xi power."""
         pd = lg.prong_data(graph)
         out = Fraction(pd.kappa_product, pd.aut_order * pd.ell)
-        for lev in range(0, -graph.n_levels_below - 1, -1):
-            sub, positions = lg.level_stratum(graph, spec, lev)
-            factor = self.integral(
-                sub, {positions[t]: e for t, e in psi.items() if t in positions},
-                xi.get(lev, 0))
+        for i, sub in enumerate(lg.level_strata(graph, spec)):
+            level_psi = {}
+            if psi:
+                positions = lg.level_positions(graph, spec, -i)
+                level_psi = {positions[t]: e for t, e in psi.items() if t in positions}
+            factor = self.integral(sub, level_psi, xi.get(-i, 0))
             if not factor:
                 return Fraction(0)
             out *= factor
@@ -372,8 +373,8 @@ def removal_divisors(spec0: StratumSpec, part) -> list[lg.LevelGraph]:
         if all_low:
             out.append(graph)
             continue
-        top_with, _ = lg.level_stratum(graph, spec_with, 0)
-        top_without, _ = lg.level_stratum(graph, spec0, 0)
+        top_with = lg.level_strata(graph, spec_with)[0]
+        top_without = lg.level_strata(graph, spec0)[0]
         if dimension(top_with).residue_rank == dimension(top_without).residue_rank:
             out.append(graph)
     return out

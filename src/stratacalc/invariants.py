@@ -71,7 +71,7 @@ def euler_characteristic(spec: StratumSpec,
         for g in lg.enumerate_LGL(spec, L):
             pd = lg.prong_data(g)
             levels = range(0, -L - 1, -1)
-            subs = [lg.level_stratum(g, spec, lev)[0] for lev in levels]
+            subs = lg.level_strata(g, spec)
             ntop = dimension(subs[0]).unprojectivized
             factors: list[Rational] = []
             zero_rule = None
@@ -110,8 +110,7 @@ def c1_log_cotangent(spec: StratumSpec) -> tr.TautClass:
     n_unproj = dims.unprojectivized
     out = tr.TautClass.xi(spec).scale(n_unproj)
     for g in lg.enumerate_LG1(spec):
-        top, _ = lg.level_stratum(g, spec, 0)
-        ntop = dimension(top).unprojectivized
+        ntop = dimension(lg.level_strata(g, spec)[0]).unprojectivized
         out.add_term(g, (), (n_unproj - ntop) * lg.prong_data(g).ell)
     return out
 
@@ -122,8 +121,8 @@ def _chern_graph_data(spec: StratumSpec, g: lg.LevelGraph) -> tuple[int, list[in
     the level dimensions add up to N, so r_i is the suffix sum
     N_i + ... + N_L of Gamma's own unprojectivized level dimensions."""
     rvals, r = [], 0
-    for lev in range(-g.n_levels_below, 0):
-        r += dimension(lg.level_stratum(g, spec, lev)[0]).unprojectivized
+    for sub in reversed(lg.level_strata(g, spec)[1:]):
+        r += dimension(sub).unprojectivized
         rvals.append(r)
     return lg.prong_data(g).ell, rvals[::-1]
 

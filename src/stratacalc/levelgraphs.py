@@ -342,10 +342,6 @@ def _constrained_part_of(spec: StratumSpec) -> dict[Point, frozenset[Point]]:
     return out
 
 
-_COND_CACHE: dict[tuple[LevelGraph, StratumSpec], dict] = caches.memo(
-    "levelgraphs.induced_conditions")
-
-
 def induced_conditions(g: LevelGraph, spec: StratumSpec) -> dict[int, list[frozenset[LegTag]]]:
     """Residue conditions induced on each level by the residue-condition
     variant of the global residue condition.
@@ -356,9 +352,6 @@ def induced_conditions(g: LevelGraph, spec: StratumSpec) -> dict[int, list[froze
     residue, the residues at the ends of edges descending from Y to this
     exact level sum to zero.
     """
-    hit = _COND_CACHE.get((g, spec))
-    if hit is not None:
-        return hit
     part_of = _constrained_part_of(spec)
     legv = g.leg_vertex()
     vert_legs: dict[int, list[Point]] = {v: [] for v in range(g.n_vertices)}
@@ -409,7 +402,6 @@ def induced_conditions(g: LevelGraph, spec: StratumSpec) -> dict[int, list[froze
                         cond.add(("leg", pt))
             if cond:
                 out.setdefault(lev, []).append(frozenset(cond))
-    _COND_CACHE[(g, spec)] = out
     return out
 
 
@@ -426,40 +418,72 @@ def _half_edges(g: LevelGraph, spec: StratumSpec, v: int) -> list[tuple[LegTag, 
     return out
 
 
+def _positions(points: Iterable[list[tuple[LegTag, int]]]) -> dict[LegTag, Point]:
+    """tag -> (component, point) over the ``_half_edges`` lists of a
+    level's vertices, in vertex order."""
+    return {tag: (cj, pj) for cj, pts in enumerate(points)
+            for pj, (tag, _) in enumerate(pts)}
+
+
+_LEVEL_STRATA: dict[tuple[LevelGraph, StratumSpec], tuple[StratumSpec, ...]] = \
+    caches.memo("levelgraphs.level_strata")
+# every distinct level spec once: equal specs of different graphs are one
+# object, so records hold no copies and memo hits on a spec match by identity
+_LEVEL_SPECS: dict[StratumSpec, StratumSpec] = caches.memo("levelgraphs.level_specs")
+
+
+def _build_level_strata(g: LevelGraph, spec: StratumSpec) -> tuple[StratumSpec, ...]:
+    """The level specs of :func:`level_strata`, built in one pass with the
+    induced conditions computed once."""
+    conds = induced_conditions(g, spec)
+    out = []
+    for lev in range(0, -g.n_levels_below - 1, -1):
+        verts = g.vertices_at(lev)
+        points = [_half_edges(g, spec, v) for v in verts]
+        positions = _positions(points)
+        sub = StratumSpec(
+            tuple((g.genera[v], tuple(o for _, o in pts)) for v, pts in zip(verts, points)),
+            tuple(ResiduePart(frozenset(positions[t] for t in cond), True)
+                  for cond in conds.get(lev, ())))
+        out.append(_LEVEL_SPECS.setdefault(sub, sub))
+    return tuple(out)
+
+
+def level_strata(g: LevelGraph, spec: StratumSpec) -> tuple[StratumSpec, ...]:
+    """The generalized strata at the levels of the graph, top level first
+    (entry i is level -i): one component per vertex at the level, its
+    points listed by ``_half_edges``, with the residue conditions that
+    ``induced_conditions`` induces on that level.  Memoized per (graph,
+    spec); the tuple is shared, and so is each spec."""
+    hit = _LEVEL_STRATA.get((g, spec))
+    if hit is None:
+        hit = _LEVEL_STRATA[(g, spec)] = _build_level_strata(g, spec)
+    return hit
+
+
+def level_positions(g: LevelGraph, spec: StratumSpec, lev: int) -> dict[LegTag, Point]:
+    """positions[tag] = (component, point) in the level stratum at ``lev``
+    for every tag on that level (an ambient leg, an incoming edge pole, or
+    an outgoing edge zero); a tag lies on the level exactly when it is a
+    key.  Built on every call and not kept: only psi exponents need them,
+    and a dict per level would cost more memory than the level specs."""
+    return _positions(_half_edges(g, spec, v) for v in g.vertices_at(lev))
+
+
 def level_stratum(g: LevelGraph, spec: StratumSpec, lev: int
                   ) -> tuple[StratumSpec, dict[LegTag, Point]]:
-    """The generalized stratum at a level of the graph, with the residue
-    conditions that ``induced_conditions`` induces on that level.
-
-    Returns the spec (one component per vertex at the level, its points
-    listed by ``_half_edges``) and the positions: positions[tag] =
-    (component, point) for every tag on the level (an ambient leg, an
-    incoming edge pole, or an outgoing edge zero).  A tag lies on the
-    level exactly when it is a key.
-    """
-    verts = g.vertices_at(lev)
-    if not verts:
+    """The generalized stratum at one level of the graph (the entry of
+    :func:`level_strata`) and its :func:`level_positions`.  Raises
+    ``ValueError`` for a level with no vertices."""
+    if not g.vertices_at(lev):
         raise ValueError(f"no vertices at level {lev}")
-    comps: list[tuple[int, tuple[int, ...]]] = []
-    positions: dict[LegTag, Point] = {}
-    for cj, v in enumerate(verts):
-        points = _half_edges(g, spec, v)
-        for pj, (tag, _) in enumerate(points):
-            positions[tag] = (cj, pj)
-        comps.append((g.genera[v], tuple(o for _, o in points)))
-    parts = tuple(ResiduePart(frozenset(positions[t] for t in cond), True)
-                  for cond in induced_conditions(g, spec).get(lev, ()))
-    return StratumSpec(tuple(comps), parts), positions
+    return level_strata(g, spec)[-lev], level_positions(g, spec, lev)
 
 
 def level_dims(g: LevelGraph, spec: StratumSpec) -> list[tuple[int, int]]:
     """Per-level (projectivized, unprojectivized) dimensions, top first."""
-    out = []
-    for lev in range(0, -g.n_levels_below - 1, -1):
-        sub, _ = level_stratum(g, spec, lev)
-        dd = dimension(sub)
-        out.append((dd.projectivized, dd.unprojectivized))
-    return out
+    return [(dd.projectivized, dd.unprojectivized)
+            for dd in map(dimension, level_strata(g, spec))]
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +574,8 @@ def _level_issues(g: LevelGraph, spec: StratumSpec) -> list[str]:
     a realizable graph do not add up to the stratum's."""
     issues: list[str] = []
     nsum = 0
-    for lev in range(0, -g.n_levels_below - 1, -1):
-        sub, _ = level_stratum(g, spec, lev)
+    for i, sub in enumerate(level_strata(g, spec)):
+        lev = -i
         dd = dimension(sub)
         nsum += dd.unprojectivized
         if dd.projectivized < 0:
@@ -584,7 +608,7 @@ def realizability_issues(g: LevelGraph, spec: StratumSpec) -> list[str]:
     vertex indices.  The level part depends only on the isomorphism class
     of ``g``: it runs once per (canonical encoding, spec) and is memoized,
     on the first graph of the class it is asked about.  ``enumerate_LGL``
-    asks about the canonical graph, so the induced conditions and level
+    asks about the canonical graph, so the level strata and level
     dimensions it builds are keyed under the graph that it returns.
     """
     issues = _structural_issues(g, spec)
@@ -963,10 +987,9 @@ def dimension_profile(g: LevelGraph, spec: StratumSpec) -> list[int]:
 def graph_report(g: LevelGraph, spec: StratumSpec) -> dict:
     pd = prong_data(g)
     levels = []
-    for lev in range(0, -g.n_levels_below - 1, -1):
-        sub, _ = level_stratum(g, spec, lev)
+    for i, sub in enumerate(level_strata(g, spec)):
         dd = dimension(sub)
-        levels.append({"level": lev, "spec": sub.to_json_obj(),
+        levels.append({"level": -i, "spec": sub.to_json_obj(),
                        "dim": dd.projectivized, "dim_unproj": dd.unprojectivized})
     return {
         "vertices": [{"genus": gv, "level": lv}

@@ -6,8 +6,8 @@ from collections import Counter
 
 import pytest
 
-from stratacalc.strata import StratumSpec, dimension, validate
-from stratacalc import caches
+from stratacalc.strata import ResiduePart, StratumSpec, dimension, validate
+from stratacalc import caches, cli
 from stratacalc import levelgraphs as lg
 
 
@@ -153,9 +153,9 @@ def test_bottom_splits_enumerate_every_class_property():
 
 def test_enumeration_judges_the_graphs_it_returns():
     """The verdict runs on the canonical graph that enumeration returns, so
-    the induced conditions and level dimensions it builds are the ones that
-    the level strata of the returned graphs read: reading them all again
-    builds nothing."""
+    the level strata and level dimensions it builds are the ones that the
+    callers of the returned graphs read: reading them all again builds
+    nothing."""
     spec = StratumSpec.connected(0, (2, 1, 1, 1, -3, -4))
     caches.clear()
     graphs = [g for L in range(dimension(spec).projectivized + 1)
@@ -164,8 +164,77 @@ def test_enumeration_judges_the_graphs_it_returns():
     for g in graphs:
         lg.level_dims(g, spec)
     after = caches.stats()
-    for name in ("levelgraphs.induced_conditions", "strata.dimension"):
+    for name in ("levelgraphs.level_strata", "strata.dimension"):
         assert after[name] == before[name], name
+
+
+def reference_level_stratum(g: lg.LevelGraph, spec: StratumSpec, lev: int):
+    """One level stratum built on its own: the per-level construction that
+    the level-strata record replaced."""
+    verts = g.vertices_at(lev)
+    comps, positions = [], {}
+    for cj, v in enumerate(verts):
+        points = lg._half_edges(g, spec, v)
+        for pj, (tag, _) in enumerate(points):
+            positions[tag] = (cj, pj)
+        comps.append((g.genera[v], tuple(o for _, o in points)))
+    parts = tuple(ResiduePart(frozenset(positions[t] for t in cond), True)
+                  for cond in lg.induced_conditions(g, spec).get(lev, ()))
+    return StratumSpec(tuple(comps), parts), positions
+
+
+RECORD_SPECS = [StratumSpec.connected(0, (2, 1, 1, 1, -3, -4)), family_13(5),
+                StratumSpec.connected(2, (2, 2, -2)), pair_spec(), pair_spec(False)]
+
+
+@pytest.mark.parametrize("spec", RECORD_SPECS,
+                         ids=["g0_n6", "g1_5_1_m6", "g2_2_2_m2", "pair", "pair_free"])
+def test_level_strata_record_matches_the_per_level_build(spec):
+    for L in range(dimension(spec).projectivized + 1):
+        for g in lg.enumerate_LGL(spec, L):
+            record = lg.level_strata(g, spec)
+            assert len(record) == L + 1
+            for i, sub in enumerate(record):
+                ref = reference_level_stratum(g, spec, -i)
+                assert sub == ref[0]
+                assert lg.level_stratum(g, spec, -i) == ref
+            for lev in (1, -L - 1):
+                with pytest.raises(ValueError):
+                    lg.level_stratum(g, spec, lev)
+
+
+def test_equal_level_specs_are_one_object():
+    """Equal level specs of different graphs are kept once, so a record
+    holds references and not copies."""
+    spec = StratumSpec.connected(0, (2, 1, 1, 1, -3, -4))
+    caches.clear()
+    subs = [sub for L in range(dimension(spec).projectivized + 1)
+            for g in lg.enumerate_LGL(spec, L) for sub in lg.level_strata(g, spec)]
+    assert len(set(subs)) < len(subs)
+    assert len({id(sub) for sub in subs}) == len(set(subs))
+
+
+def test_warm_cli_requests_build_no_level_stratum(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(StratumSpec.connected(0, (2, 1, 1, -2, -4)).to_json())
+    builds = []
+    build = lg._build_level_strata
+
+    def counted(g, spec):
+        builds.append(g)
+        return build(g, spec)
+
+    monkeypatch.setattr(lg, "_build_level_strata", counted)
+    for cmd in ("chi", "divisors"):
+        caches.clear()
+        builds.clear()
+        argv = [cmd, "--spec", str(path), "--json"]
+        assert cli.run(argv) == 0
+        cold = len(builds)
+        assert cold
+        assert cli.run(argv) == 0
+        assert len(builds) == cold, cmd
+    capsys.readouterr()
 
 
 def test_enumeration_invariants_hold():
