@@ -658,41 +658,38 @@ def _piece_splits_by_orders(genus: int, orders: tuple[int, ...]):
 
     Returns tuples (tops, bots, edges): tops/bots are ((genus, leg index
     tuple), ...) and edges (top slot, bottom slot, kappa).  Stability caps
-    the vertex count at n + 2*genus - 2.
-    """
-    n = len(orders)
-    max_v = n + 2 * genus - 2
+    the vertex count at n + 2*genus - 2.  The vertices are numbered slots,
+    so a splitting with interchangeable vertices is listed once per
+    numbering of them: entries are not distinct labelled splittings.
+
+    The search runs over vertex counts, top counts, genus vectors, leg
+    assignments (``_leg_assignments``), one kappa bundle per bottom
+    (``_exact_bundles``) and one top per edge, each in product order."""
     results = []
-    for V in range(2, max_v + 1):
+    for V in range(2, len(orders) + 2 * genus - 1):
         for t in range(1, V):
             b = V - t
             for gvec in _genus_vectors_up_to(genus, V):
-                b1 = genus - sum(gvec)
-                E = b1 + V - 1
+                E = genus - sum(gvec) + V - 1
                 if E < max(t, b):
                     continue
                 for assign in _leg_assignments(orders, t, gvec, E):
+                    legs: list[list[int]] = [[] for _ in range(V)]
                     legsum = [0] * V
-                    legct = [0] * V
                     for li, slot in enumerate(assign):
+                        legs[slot].append(li)
                         legsum[slot] += orders[li]
-                        legct[slot] += 1
-                    # bottom vertices: sum over edges of (kappa+1) is fixed
-                    svals = [legsum[t + i] + 2 - 2 * gvec[t + i] for i in range(b)]
-                    if any(s < 2 for s in svals) or sum(svals) < 2 * E:
-                        continue
-                    need = [2 * gvec[i] - 2 - legsum[i] for i in range(t)]
-                    if any(x < 0 for x in need) or sum(svals) - 2 * E != sum(need):
-                        continue
-                    bundle_opts = [_kappa_bundles(s, E) for s in svals]
-                    for bundles in itertools.product(*bundle_opts):
-                        if sum(len(bl) for bl in bundles) != E:
-                            continue
-                        if any(2 * gvec[t + i] - 2 + legct[t + i] + len(bundles[i]) <= 0
-                               for i in range(b)):
-                            continue
-                        edge_list = [(bi, k) for bi, bl in enumerate(bundles)
-                                     for k in bl]
+                    verts = [(gv, tuple(lis)) for gv, lis in zip(gvec, legs)]
+                    sides = (tuple(verts[:t]), tuple(verts[t:]))
+                    # a bottom's edges: a bundle with sum(kappa + 1) fixed by
+                    # its legs, long enough to make it stable
+                    bundle_opts = [
+                        [bl for bl in _kappa_bundles(legsum[j] + 2 - 2 * gvec[j], E)
+                         if 2 * gvec[j] - 2 + len(legs[j]) + len(bl) > 0]
+                        for j in range(t, V)]
+                    need = [2 * gvec[j] - 2 - legsum[j] for j in range(t)]
+                    for bundles in _exact_bundles(bundle_opts, E):
+                        edge_list = [(bi, k) for bi, bl in enumerate(bundles) for k in bl]
                         for tops in itertools.product(range(t), repeat=E):
                             ksum = [0] * t
                             deg = [0] * t
@@ -700,60 +697,97 @@ def _piece_splits_by_orders(genus: int, orders: tuple[int, ...]):
                                 ksum[ti] += k - 1
                                 deg[ti] += 1
                             if any(deg[i] == 0 or ksum[i] != need[i]
-                                   or 2 * gvec[i] - 2 + legct[i] + deg[i] <= 0
+                                   or 2 * gvec[i] - 2 + len(legs[i]) + deg[i] <= 0
                                    for i in range(t)):
                                 continue
-                            edges = tuple((ti, bi, k)
-                                          for (bi, k), ti in zip(edge_list, tops))
-                            if not _split_connected(t, b, edges):
-                                continue
-                            tops_data = tuple(
-                                (gvec[i], tuple(li for li, s in enumerate(assign) if s == i))
-                                for i in range(t))
-                            bots_data = tuple(
-                                (gvec[t + i], tuple(li for li, s in enumerate(assign) if s == t + i))
-                                for i in range(b))
-                            results.append((tops_data, bots_data, edges))
+                            edges = tuple((ti, bi, k) for (bi, k), ti in zip(edge_list, tops))
+                            if _split_connected(t, b, edges):
+                                results.append(sides + (edges,))
     return tuple(results)
 
 
 def _leg_assignments(orders: tuple[int, ...], t: int, gvec: tuple[int, ...],
                      E: int) -> list[tuple[int, ...]]:
     """The assignments of legs to vertex slots (tops 0..t-1, bottoms
-    t..V-1) in ``itertools.product`` order, less those whose leg sums
-    cannot meet the bounds of a split: a top's at most 2g - 2, a bottom's
-    at least 2g, and the bottoms' total at least 2E - 2b + 2 (sum of
-    bottom genera).  A depth-first search over the legs drops a branch as
-    soon as the legs still to place cannot bring some sum into bounds."""
+    t..V-1) in ``itertools.product`` order that can carry a split: a top's
+    leg sum is at most 2g - 2, a bottom's at least 2g, the bottoms' total
+    at least 2E - 2b + 2 (sum of bottom genera), and each slot has the
+    3 - 2g - d legs it needs to be stable at its largest degree d
+    (E - t + 1 for a top, E - b + 1 for a bottom).
+
+    A depth-first search over the legs counts the tops over their bound,
+    the bottoms under theirs and the legs the slots lack, and drops a
+    branch once the negative legs, the positive legs or all the legs still
+    to place are too few for them, or the positive legs too small for the
+    bottoms' total."""
     n, V = len(orders), len(gvec)
-    pos_rest = [0] * (n + 1)
-    neg_rest = [0] * (n + 1)
+    b = V - t
+    # over the legs from i on: positive sum, negative and positive count
+    rest = [(0, 0, 0)] * (n + 1)
     for i in range(n - 1, -1, -1):
-        pos_rest[i] = pos_rest[i + 1] + max(orders[i], 0)
-        neg_rest[i] = neg_rest[i + 1] + min(orders[i], 0)
-    hi = [2 * gv - 2 for gv in gvec[:t]]
-    lo = [2 * gv for gv in gvec[t:]]
-    bottoms_lo = 2 * E - 2 * (V - t) + 2 * sum(gvec[t:])
-    legsum = [0] * V
+        pos, neg_ct, pos_ct = rest[i + 1]
+        rest[i] = (pos + max(orders[i], 0), neg_ct + (orders[i] < 0),
+                   pos_ct + (orders[i] > 0))
+    # gap[j] > 0: a top's leg sum over its bound, a bottom's under it
+    gap = [2 - 2 * gv for gv in gvec[:t]] + [2 * gv for gv in gvec[t:]]
+    # lack[j] > 0: legs slot j still needs to be stable at its largest degree
+    lack = [max(0, 2 - 2 * gv - E + t) for gv in gvec[:t]] + \
+        [max(0, 2 - 2 * gv - E + b) for gv in gvec[t:]]
+    bottoms_lo = 2 * E - 2 * b + 2 * sum(gvec[t:])
     assign = [0] * n
     out: list[tuple[int, ...]] = []
 
-    def place(i: int, bottoms: int) -> None:
+    def place(i: int, bottoms: int, over: int, under: int, lacking: int) -> None:
         if i == n:
             out.append(tuple(assign))
             return
-        o, neg, pos = orders[i], neg_rest[i + 1], pos_rest[i + 1]
+        o = orders[i]
+        pos, neg_ct, pos_ct = rest[i + 1]
         for slot in range(V):
-            legsum[slot] += o
-            bsum = bottoms + o if slot >= t else bottoms
-            if bsum + pos >= bottoms_lo \
-                    and all(legsum[j] + neg <= hi[j] for j in range(t)) \
-                    and all(legsum[t + j] + pos >= lo[j] for j in range(V - t)):
+            old = gap[slot]
+            new = old + o if slot < t else old - o
+            moved = (new > 0) - (old > 0)
+            if slot < t:
+                ov, un, bsum = over + moved, under, bottoms
+            else:
+                ov, un, bsum = over, under + moved, bottoms + o
+            short = lacking - (lack[slot] > 0)
+            if ov <= neg_ct and un <= pos_ct and short < n - i \
+                    and bsum + pos >= bottoms_lo:
+                gap[slot] = new
+                lack[slot] -= 1
                 assign[i] = slot
-                place(i + 1, bsum)
-            legsum[slot] -= o
+                place(i + 1, bsum, ov, un, short)
+                lack[slot] += 1
+                gap[slot] = old
 
-    place(0, 0)
+    place(0, 0, sum(x > 0 for x in gap[:t]), sum(x > 0 for x in gap[t:]), sum(lack))
+    return out
+
+
+def _exact_bundles(options: list[list[tuple[int, ...]]], total: int
+                   ) -> list[tuple[tuple[int, ...], ...]]:
+    """The tuples of ``itertools.product(*options)`` whose lengths add up
+    to ``total``, in that order.  A depth-first search extends a prefix
+    only while the least and the greatest lengths of the options still to
+    choose can make up the rest."""
+    if not all(options):
+        return []
+    lo, hi = [0], [0]
+    for opts in reversed(options):
+        lo.insert(0, lo[0] + min(map(len, opts)))
+        hi.insert(0, hi[0] + max(map(len, opts)))
+    out: list[tuple[tuple[int, ...], ...]] = []
+
+    def pick(i: int, left: int, acc: tuple) -> None:
+        if i == len(options):
+            out.append(acc)
+            return
+        for o in options[i]:
+            if lo[i + 1] <= left - len(o) <= hi[i + 1]:
+                pick(i + 1, left - len(o), acc + (o,))
+
+    pick(0, total, ())
     return out
 
 
@@ -808,8 +842,12 @@ def split_level_decorated(g: LevelGraph, spec: StratumSpec, lev: int,
     """All realizable one-step degenerations splitting the given level,
     each with the map from old edge indices to new edge indices.
 
-    Not canonicalized and not deduplicated; distinct entries correspond to
-    distinct labeled splittings of the level stratum.  Any level may be
+    Not canonicalized and not deduplicated, and entries repeat: new
+    vertices that can be interchanged come in every order of their slots
+    in ``_piece_splits_by_orders``, so one labelled splitting of the level
+    stratum may be listed several times (genus 0 (3,3,-1,-1,-2,-4): 89
+    entries for 50 labelled splittings of the trivial graph).  Callers that
+    count labelled splittings deduplicate them.  Any level may be
     split here (``tautring`` degenerates every level of a graph), while
     ``enumerate_LGL`` splits only the bottom one and judges each class on
     its canonical graph.  The level part of each verdict is read from the
