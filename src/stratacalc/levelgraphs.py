@@ -13,12 +13,12 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from . import caches
 from .exact import lcm_list, orbit_count
-from .strata import (DimensionData, Point, ResiduePart, SpecError, StratumSpec, dimension,
-                     require_valid)
+from .strata import (DimensionData, Point, ResiduePart, SpecError, StratumSpec, _eliminate,
+                     dimension, require_valid)
 
 # point tags inside a level stratum
 LegTag = tuple  # ("leg", Point) | ("ein", edge index) | ("eout", edge index)
@@ -348,61 +348,80 @@ def induced_conditions(g: LevelGraph, spec: StratumSpec) -> dict[int, list[froze
 
     For every level and every connected component Y of the auxiliary graph
     above it (graph vertices plus one node per constrained part, joined to
-    the vertices carrying its points), unless Y contains a pole with a free
-    residue, the residues at the ends of edges descending from Y to this
-    exact level sum to zero.
+    the vertices carrying its points), the residues at the ends of edges
+    descending from Y to this exact level, and at the points of Y's parts
+    on it, sum to zero, unless Y escapes through a pole with a free
+    residue: a simple pole or a pole in no constrained part.  A component
+    whose only other poles lie in constrained parts of two or more points
+    adds its condition only where it lowers the level's residue rank,
+    given the conditions before it; elsewhere it is implied by them.
     """
     part_of = _constrained_part_of(spec)
     legv = g.leg_vertex()
-    vert_legs: dict[int, list[Point]] = {v: [] for v in range(g.n_vertices)}
+    parts = sorted(set(part_of.values()), key=sorted)
+    n = g.n_vertices
+    free = [False] * n    # a simple pole, or a pole in no constrained part
+    shared = [False] * n  # a pole in a constrained part of two or more points
     for pt, v in g.legs:
-        vert_legs[v].append(pt)
-    parts = list({p for p in part_of.values()})
-    parts.sort(key=lambda s: sorted(s))
+        m = spec.order(pt)
+        if m == -1 or (m < 0 and pt not in part_of):
+            free[v] = True
+        elif m < 0 and len(part_of[pt]) >= 2:
+            shared[v] = True
 
     out: dict[int, list[frozenset[LegTag]]] = {}
-    levels_present = sorted(set(g.levels), reverse=True)
-    n = g.n_vertices
-    for lev in levels_present:
+    for lev in sorted(set(g.levels), reverse=True):
         # auxiliary nodes: vertices above lev (ids 0..n-1) and parts (n+j)
-        included = [v for v in range(n) if g.levels[v] > lev]
-        nodes = set(included) | {n + j for j in range(len(parts))}
         root = _roots(n + len(parts), itertools.chain(
             ((u, v) for (u, v, _) in g.edges if min(g.levels[u], g.levels[v]) > lev),
             ((n + j, legv[pt]) for j, pts in enumerate(parts) for pt in pts
              if g.levels[legv[pt]] > lev)))
-        comps: dict[int, dict] = {}
-        for x in nodes:
-            comp = comps.setdefault(root[x], {"verts": [], "parts": []})
-            if x < n:
-                comp["verts"].append(x)
-            else:
-                comp["parts"].append(x - n)
+        comps: dict[int, list[int]] = {}
+        for x in range(n + len(parts)):
+            if x >= n or g.levels[x] > lev:
+                comps.setdefault(root[x], []).append(x)
+        conds: list[frozenset[LegTag]] = []
+        extra: list[frozenset[LegTag]] = []  # kept only where they lower the rank
         for comp in comps.values():
-            escape = False
-            for v in comp["verts"]:
-                for pt in vert_legs[v]:
-                    m = spec.order(pt)
-                    if m >= 0:
-                        continue
-                    if m == -1 or pt not in part_of or len(part_of[pt]) >= 2:
-                        escape = True
-                        break
-                if escape:
-                    break
-            if escape:
+            verts = [x for x in comp if x < n]
+            if any(free[v] for v in verts):
                 continue
-            cond: set[LegTag] = set()
-            for ei, (u, v, _) in enumerate(g.edges):
-                if u in comp["verts"] and g.levels[v] == lev:
-                    cond.add(("ein", ei))
-            for j in comp["parts"]:
-                for pt in parts[j]:
-                    if g.levels[legv[pt]] == lev:
-                        cond.add(("leg", pt))
+            cond = frozenset(
+                [("ein", ei) for ei, (u, v, _) in enumerate(g.edges)
+                 if g.levels[v] == lev and u in verts]
+                + [("leg", pt) for j in comp if j >= n for pt in parts[j - n]
+                   if g.levels[legv[pt]] == lev])
             if cond:
-                out.setdefault(lev, []).append(frozenset(cond))
+                (extra if any(shared[v] for v in verts) else conds).append(cond)
+        if extra:
+            conds += _rank_lowering(g, spec, lev, conds, extra)
+        if conds:
+            out[lev] = conds
     return out
+
+
+def _rank_lowering(g: LevelGraph, spec: StratumSpec, lev: int,
+                   conds: list[frozenset[LegTag]], extra: list[frozenset[LegTag]]
+                   ) -> list[frozenset[LegTag]]:
+    """The conditions of ``extra`` that lower the residue rank of level
+    ``lev``, each given the residue theorems of the level's vertices,
+    ``conds`` and the conditions of ``extra`` kept before it."""
+    theorems = [[tag for tag, o in _half_edges(g, spec, v) if o < 0]
+                for v in g.vertices_at(lev)]
+    poles = list(itertools.chain(*theorems))
+
+    def row(tags: Collection[LegTag]) -> list[int]:
+        return [int(tag in tags) for tag in poles]
+
+    rows = [row(tags) for tags in theorems + conds]
+    rank = _eliminate(rows)[0]
+    kept = []
+    for cond in extra:
+        if _eliminate(rows + [row(cond)])[0] > rank:
+            rows.append(row(cond))
+            rank += 1
+            kept.append(cond)
+    return kept
 
 
 def _half_edges(g: LevelGraph, spec: StratumSpec, v: int) -> list[tuple[LegTag, int]]:
@@ -410,7 +429,8 @@ def _half_edges(g: LevelGraph, spec: StratumSpec, v: int) -> list[tuple[LegTag, 
     order, then the poles of its incoming edges and the zeros of its
     outgoing edges, each in edge order.  The points of a level stratum are
     numbered in this order, so the ``graphs`` and ``divisors`` output
-    depends on it; a two-level split of v distributes these points."""
+    depends on it; :func:`level_splits` maps the points of a divisor of a
+    level stratum back to these tags."""
     out = [(("leg", pt), spec.order(pt)) for pt, w in g.legs if w == v]
     out.sort()
     out += [(("ein", ei), -k - 1) for ei, (_, w, k) in enumerate(g.edges) if w == v]
@@ -595,30 +615,14 @@ def _level_issues(g: LevelGraph, spec: StratumSpec) -> list[str]:
     return issues
 
 
-_LEVEL_VERDICTS: dict[tuple[tuple, StratumSpec], tuple[str, ...]] = caches.memo(
-    "levelgraphs.level_verdict")
-
-
 def realizability_issues(g: LevelGraph, spec: StratumSpec) -> list[str]:
     """Full realizability predicate: structural invariants, then the level
     part (nonnegative level dimensions, no simple pole with identically
-    vanishing residue, and the genus-0 zero-residue obstruction).
-
-    The structural check runs on every call, since its messages name
-    vertex indices.  The level part depends only on the isomorphism class
-    of ``g``: it runs once per (canonical encoding, spec) and is memoized,
-    on the first graph of the class it is asked about.  ``enumerate_LGL``
-    asks about the canonical graph, so the level strata and level
-    dimensions it builds are keyed under the graph that it returns.
-    """
-    issues = _structural_issues(g, spec)
-    if issues:
-        return issues
-    key = (canonical_encoding(g), spec)
-    hit = _LEVEL_VERDICTS.get(key)
-    if hit is None:
-        hit = _LEVEL_VERDICTS[key] = tuple(_level_issues(g, spec))
-    return list(hit)
+    vanishing residue, and the genus-0 zero-residue obstruction).  Only
+    the trivial graph and the two-level graphs of a stratum are judged in
+    enumeration; deeper graphs are glued from the judged two-level graphs
+    of level strata (:func:`level_splits`)."""
+    return _structural_issues(g, spec) or _level_issues(g, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -806,107 +810,91 @@ def _split_connected(t: int, b: int, edges: list[tuple[int, int, int]]) -> bool:
     return len(set(_roots(t + b, [(ti, t + bi) for (ti, bi, _) in edges]))) == 1
 
 
-def _split_candidates(g: LevelGraph, spec: StratumSpec, lev: int,
-                      ) -> Iterator[tuple[LevelGraph, dict[int, int]]]:
-    """Every assembled one-step degeneration splitting the given level,
-    realizable or not, each with the map from old edge indices to new edge
-    indices.
+def _split_candidates(spec: StratumSpec) -> Iterator[LevelGraph]:
+    """Every assembled two-level splitting of the trivial graph of the
+    stratum, realizable or not.
 
-    Each vertex at the level is placed by one split of its points
-    (``_half_edges``): a (tops, bots, new edges) triple from
-    ``_piece_splits_by_orders`` with leg indices read as tags, or the
-    whole vertex on top, ``((genus, all tags),), (), ()``, or at the
-    bottom, ``(), ((genus, all tags),), ()``.  A choice of one split per
-    vertex is kept when something lands on each side."""
+    Each component is placed by one split of its points: a (tops, bots,
+    new edges) triple from ``_piece_splits_by_orders`` with leg indices
+    read as points, or the whole component on top, ``((genus, all
+    points),), (), ()``, or at the bottom, ``(), ((genus, all points),),
+    ()``.  A choice of one split per component is kept when something
+    lands on each side."""
     options: list[list[tuple]] = []
-    for v in g.vertices_at(lev):
-        points = _half_edges(g, spec, v)
-        tags = tuple(tag for tag, _ in points)
-        whole = ((g.genera[v], tags),)
+    for ci, (genus, orders) in enumerate(spec.components):
+        points = tuple((ci, pi) for pi in range(len(orders)))
+        whole = ((genus, points),)
         opts = [(whole, (), ()), ((), whole, ())]
-        for split in _piece_splits_by_orders(g.genera[v], tuple(o for _, o in points)):
-            tops, bots = (tuple((gv, tuple(tags[li] for li in lis)) for gv, lis in side)
+        for split in _piece_splits_by_orders(genus, orders):
+            tops, bots = (tuple((gv, tuple(points[li] for li in lis)) for gv, lis in side)
                           for side in split[:2])
             opts.append((tops, bots, split[2]))
         options.append(opts)
 
     for choice in itertools.product(*options):
         if any(tops for tops, _, _ in choice) and any(bots for _, bots, _ in choice):
-            cand = _assemble_split(g, lev, choice)
-            if cand is not None:
-                yield cand
+            yield _assemble_split(choice)
 
 
-def split_level_decorated(g: LevelGraph, spec: StratumSpec, lev: int,
-                          ) -> list[tuple[LevelGraph, dict[int, int]]]:
-    """All realizable one-step degenerations splitting the given level,
-    each with the map from old edge indices to new edge indices.
-
-    Not canonicalized and not deduplicated, and entries repeat: new
-    vertices that can be interchanged come in every order of their slots
-    in ``_piece_splits_by_orders``, so one labelled splitting of the level
-    stratum may be listed several times (genus 0 (3,3,-1,-1,-2,-4): 89
-    entries for 50 labelled splittings of the trivial graph).  Callers that
-    count labelled splittings deduplicate them.  Any level may be
-    split here (``tautring`` degenerates every level of a graph), while
-    ``enumerate_LGL`` splits only the bottom one and judges each class on
-    its canonical graph.  The level part of each verdict is read from the
-    per-class memo of :func:`realizability_issues`.
-    """
-    return [(graph, edge_map) for graph, edge_map in _split_candidates(g, spec, lev)
-            if not realizability_issues(graph, spec)]
-
-
-def _assemble_split(g: LevelGraph, lev: int, choice: Sequence[tuple]
-                    ) -> tuple[LevelGraph, dict[int, int]] | None:
-    """The graph of one choice of ``_split_candidates`` with its edge map,
-    or None when an old edge no longer descends.  The vertices off the
-    level come first in their order, then per choice its tops and its
-    bottoms; the choices' new edges come before the old edges."""
+def _assemble_split(choice: Sequence[tuple]) -> LevelGraph:
+    """The graph of one choice of ``_split_candidates``: per choice its
+    tops on level 0 and its bottoms on level -1, and its new edges."""
     genera: list[int] = []
     levels: list[int] = []
-    legs: dict[Point, int] = {}
-    tag_vertex: dict[LegTag, int] = {}
-    new_edges: list[tuple[int, int, int]] = []
-
-    old_to_new: dict[int, int] = {}
-    for v in range(g.n_vertices):
-        if g.levels[v] != lev:
-            old_to_new[v] = len(genera)
-            genera.append(g.genera[v])
-            # levels above stay, levels below shift down by one
-            levels.append(g.levels[v] if g.levels[v] > lev else g.levels[v] - 1)
-    for pt, v in g.legs:
-        if v in old_to_new:
-            legs[pt] = old_to_new[v]
-
+    legs: list[tuple[Point, int]] = []
+    edges: list[tuple[int, int, int]] = []
     for tops, bots, sedges in choice:
         base_top = len(genera)
         base_bot = base_top + len(tops)
-        for gv, tags in tops + bots:
+        for gv, points in tops + bots:
             nv = len(genera)
             genera.append(gv)
-            levels.append(lev if nv < base_bot else lev - 1)
-            for tag in tags:
-                if tag[0] == "leg":
-                    legs[tag[1]] = nv
-                else:
-                    tag_vertex[tag] = nv
-        for (ti, bi, k) in sedges:
-            new_edges.append((base_top + ti, base_bot + bi, k))
+            levels.append(0 if nv < base_bot else -1)
+            legs += [(pt, nv) for pt in points]
+        edges += [(base_top + ti, base_bot + bi, k) for (ti, bi, k) in sedges]
+    return LevelGraph(tuple(genera), tuple(levels), tuple(sorted(legs)), tuple(edges))
 
-    edge_map: dict[int, int] = {}
-    for ei, (u, w, k) in enumerate(g.edges):
-        nu = old_to_new[u] if u in old_to_new else tag_vertex[("eout", ei)]
-        nw = old_to_new[w] if w in old_to_new else tag_vertex[("ein", ei)]
-        edge_map[ei] = len(new_edges)
-        new_edges.append((nu, nw, k))
 
-    cand = LevelGraph(tuple(genera), tuple(levels),
-                      tuple(sorted(legs.items())), tuple(new_edges))
-    if any(cand.levels[u] <= cand.levels[v] for (u, v, _) in cand.edges):
-        return None
-    return cand, edge_map
+def level_splits(g: LevelGraph, spec: StratumSpec, lev: int
+                 ) -> list[tuple[LevelGraph, dict[int, int]]]:
+    """The one-step degenerations of g that split level ``lev``, each with
+    the map from old edge indices to new edge indices: one per two-level
+    graph of the level stratum (``enumerate_LG1`` of its entry of
+    :func:`level_strata`), glued back into g.  So each labelled splitting
+    of the level comes once, and each is realizable, since the level
+    stratum's enumeration judged it.
+
+    The divisor's points go back to their tags through
+    :func:`level_positions`.  The vertices off the level come first in
+    their order, those below it one level lower, then the divisor's
+    vertices on levels ``lev`` and ``lev - 1``; the divisor's edges come
+    first, then the old edges in their order.  Not canonicalized:
+    automorphisms of g may identify two splits."""
+    tag_of = {p: tag for tag, p in level_positions(g, spec, lev).items()}
+    kept = [v for v in range(g.n_vertices) if g.levels[v] != lev]
+    new_of = {v: i for i, v in enumerate(kept)}
+    genera = tuple(g.genera[v] for v in kept)
+    levels = tuple(x if x > lev else x - 1 for x in (g.levels[v] for v in kept))
+    legs = [(pt, new_of[v]) for pt, v in g.legs if v in new_of]
+    out = []
+    for d in enumerate_LG1(level_strata(g, spec)[-lev]):
+        base = len(kept)
+        d_legs = list(legs)
+        ends: dict[LegTag, int] = {}
+        for p, w in d.legs:
+            tag = tag_of[p]
+            if tag[0] == "leg":
+                d_legs.append((tag[1], base + w))
+            else:
+                ends[tag] = base + w
+        edges = [(base + u, base + w, k) for (u, w, k) in d.edges]
+        edges += [(new_of[u] if u in new_of else ends[("eout", ei)],
+                   new_of[w] if w in new_of else ends[("ein", ei)], k)
+                  for ei, (u, w, k) in enumerate(g.edges)]
+        graph = LevelGraph(genera + d.genera, levels + tuple(lev + x for x in d.levels),
+                           tuple(sorted(d_legs)), tuple(edges))
+        out.append((graph, {ei: len(d.edges) + ei for ei in range(len(g.edges))}))
+    return out
 
 
 _ENUM_CACHE: dict[tuple, tuple[LevelGraph, ...]] = caches.memo("levelgraphs.enumerate_LGL")
@@ -916,12 +904,13 @@ def enumerate_LGL(spec: StratumSpec, L: int) -> tuple[LevelGraph, ...]:
     """All realizable enhanced level graphs with L levels below zero and no
     horizontal edges, as canonical representatives sorted by encoding.
 
-    The L-level graphs are the splits of the bottom level of each
-    (L-1)-level graph: merging the two lowest levels of an L-level graph
-    (delta_{1..L-1}) gives one of those, and splitting its bottom level
-    gives the graph back.  Each new class is judged once, on its canonical
-    graph, so the level strata the verdict builds are those that the
-    callers of the returned graphs read."""
+    The two-level graphs are the realizable splits of the trivial graph
+    (``_split_candidates``), each class judged once, on its canonical
+    graph.  For L >= 2 the L-level graphs are the splits of the bottom
+    level of each (L-1)-level graph (merging the two lowest levels of an
+    L-level graph, delta_{1..L-1}, gives one of those), and the splits of
+    a level are the two-level graphs of its level stratum glued back in
+    (:func:`level_splits`), realizable without a further verdict."""
     require_valid(spec)
     key = (spec, L)
     if key in _ENUM_CACHE:
@@ -940,13 +929,15 @@ def enumerate_LGL(spec: StratumSpec, L: int) -> tuple[LevelGraph, ...]:
         _ENUM_CACHE[key] = (triv,)
         return _ENUM_CACHE[key]
     found: dict[tuple, LevelGraph] = {}
-    judged: set[tuple] = set()
+    seen: set[tuple] = set()
     for g in enumerate_LGL(spec, L - 1):
-        for cand, _ in _split_candidates(g, spec, -g.n_levels_below):
+        cands = (_split_candidates(spec) if L == 1 else
+                 (cand for cand, _ in level_splits(g, spec, -g.n_levels_below)))
+        for cand in cands:
             enc, orders = _canonical(cand)
-            if enc in judged:
+            if enc in seen:
                 continue
-            judged.add(enc)
+            seen.add(enc)
             h = _from_encoding(*enc)
             # h's vertex j is cand's vertex orders[0][j]; _orderings yields
             # in lexicographic order, so the sorted images of cand's
@@ -954,7 +945,7 @@ def enumerate_LGL(spec: StratumSpec, L: int) -> tuple[LevelGraph, ...]:
             inv = {v: j for j, v in enumerate(orders[0])}
             _CANON_CACHE[h] = (enc, tuple(sorted(tuple(inv[v] for v in o)
                                                  for o in orders)))
-            if not realizability_issues(h, spec):
+            if L >= 2 or not realizability_issues(h, spec):
                 found[enc] = h
     graphs = tuple(found[k] for k in sorted(found))
     _ENUM_CACHE[key] = graphs

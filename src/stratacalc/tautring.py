@@ -303,7 +303,7 @@ def _splits_deduped(g: lg.LevelGraph, spec: StratumSpec, lev: int,
     """One-step splits of a level, deduplicated by the isomorphism class of
     the split decorated with the transferred base decoration."""
     seen = {}
-    for cand, emap in lg.split_level_decorated(g, spec, lev):
+    for cand, emap in lg.level_splits(g, spec, lev):
         marked = {}
         for s, e in base_decor:
             if s[0] == "psi" and s[1][0] != "leg":
@@ -512,7 +512,7 @@ def _degenerations_of(spec: StratumSpec, g: lg.LevelGraph, decor: Decor,
             if _has_lam(dec):
                 raise ValueError("lam in degeneration search; normalize first")
             for lev in range(0, -graph.n_levels_below - 1, -1):
-                for cand, emap in lg.split_level_decorated(graph, spec, lev):
+                for cand, emap in lg.level_splits(graph, spec, lev):
                     poly = _transfer_under_split(dec, lev, emap)
                     new_passages = tuple(p if -p + 1 > lev else p + 1
                                          for p in passages)
@@ -583,22 +583,11 @@ def normal_bundle_via_edge(spec: StratumSpec, g: lg.LevelGraph, edge: int) -> Ta
     out.add_term(g, _decor({("psi", ("ein", edge)): 1}), Fraction(-kappa, pd.ell))
     counts: dict[tuple, list] = {}
     for lev in (0, -1):
-        labeled: dict[tuple, tuple] = {}
-        for cand, emap in lg.split_level_decorated(g, spec, lev):
-            # pin the old edges with unique marker exponents so labeled
-            # splittings are distinguished exactly up to isomorphism
-            marks = {("psi", ("ein", emap[ei])): 1000 + ei for ei in emap}
-            lab_key = canonical_decorated(cand, _decor(marks))
-            if lab_key not in labeled:
-                labeled[lab_key] = (cand, emap)
-        for cand, emap in labeled.values():
-            enc = lg.canonical_encoding(cand)
-            ei = emap[edge]
-            u, v, _ = cand.edges[ei]
-            is_long = cand.levels[u] == 0 and cand.levels[v] == -2
-            rec = counts.setdefault(enc, [cand, lev, 0, 0])
+        for cand, emap in lg.level_splits(g, spec, lev):
+            u, v, _ = cand.edges[emap[edge]]
+            rec = counts.setdefault(lg.canonical_encoding(cand), [cand, lev, 0, 0])
             rec[3] += 1
-            if is_long:
+            if cand.levels[u] == 0 and cand.levels[v] == -2:
                 rec[2] += 1
     for cand, lev, n_long, n_total in counts.values():
         if not n_long:

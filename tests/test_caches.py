@@ -24,7 +24,8 @@ def test_clear_empties_every_memo_and_keeps_results():
     before = chi_and_chern(SPEC)
     stats = caches.stats()
     assert stats["levelgraphs.enumerate_LGL"] and stats["strata.dimension"]
-    assert stats["levelgraphs.piece_splits"] and stats["levelgraphs.level_verdict"]
+    assert stats["levelgraphs.piece_splits"] and stats["levelgraphs.level_strata"]
+    assert "levelgraphs.level_verdict" not in stats
     caches.clear()
     assert set(caches.stats().values()) == {0}
     assert chi_and_chern(SPEC) == before
@@ -70,7 +71,7 @@ def test_every_module_level_memo_is_registered(tmp_path, capsys):
     capsys.readouterr()
     grown = [name for name, v in state.items() if isinstance(v, caches.Memo) and v]
     assert "levelgraphs._ENUM_CACHE" in grown and "strata._DIMENSIONS" in grown
-    assert "levelgraphs._LEVEL_VERDICTS" in grown and "levelgraphs._LG1_NUMBERING" in grown
+    assert "levelgraphs._LEVEL_STRATA" in grown and "levelgraphs._LG1_NUMBERING" in grown
     # strata keeps one per-spec memo: the residue record of `dimension`
     assert [name for name, v in state.items() if name.startswith("strata.")
             and isinstance(v, caches.Memo)] == ["strata._DIMENSIONS"]

@@ -2,9 +2,9 @@
 ``stratacalc.levelgraphs``: relabelling the vertices and shuffling the
 edges of a level graph leaves its canonical encoding, its automorphism
 order and its decorated canonical form unchanged, and its isomorphisms
-onto the relabelled copy number |Aut|.  The realizability verdict, memoized
-per isomorphism class and stratum, is a class invariant too, and so are
-the classes of a level's split candidates.  Enumeration leaves each class
+onto the relabelled copy number |Aut|.  The level part of the
+realizability verdict is a class invariant too, and so are the classes of
+a level's splits.  Enumeration leaves each class
 it stores with the canonical form a fresh search gives.  Skipped where
 hypothesis is not installed."""
 from __future__ import annotations
@@ -25,6 +25,7 @@ from stratacalc import caches  # noqa: E402
 from stratacalc import levelgraphs as lg  # noqa: E402
 from stratacalc import tautring as tr  # noqa: E402
 from stratacalc.strata import ResiduePart, StratumSpec, dimension  # noqa: E402
+from test_levelgraphs import reference_split_candidates  # noqa: E402
 
 # (genus, orders, deepest level): genus 2 and 3 bring vertex automorphisms
 # and parallel edges, genus 0 many legs and no symmetry
@@ -144,9 +145,9 @@ def test_enumerated_graphs_carry_their_own_canonical_form():
 
 
 def test_realizability_verdict_is_a_class_invariant():
-    """Every labelled candidate that the split assembly produces, realizable
-    or not, gets the uncached verdict from the memoized predicate, and a
-    relabelled copy gets the same verdict."""
+    """Every labelled candidate of the reference every-level split search
+    that is structurally sound, realizable or not, gets the same level
+    verdict as a relabelled copy of it."""
     caches.clear()
     rng = random.Random(6)
     verdicts = Counter()
@@ -155,26 +156,24 @@ def test_realizability_verdict_is_a_class_invariant():
         for L in range(d):
             for g in lg.enumerate_LGL(spec, L):
                 for lev in range(0, -g.n_levels_below - 1, -1):
-                    for cand, _ in lg._split_candidates(g, spec, lev):
-                        structural = lg._structural_issues(cand, spec)
-                        uncached = structural or lg._level_issues(cand, spec)
-                        assert lg.realizability_issues(cand, spec) == uncached
-                        verdicts[bool(uncached)] += 1
-                        if structural:
+                    for cand, _ in reference_split_candidates(g, spec, lev):
+                        if lg._structural_issues(cand, spec):
                             continue
+                        verdict = lg._level_issues(cand, spec)
+                        verdicts[bool(verdict)] += 1
                         h = relabel(cand, rng.sample(range(cand.n_vertices), cand.n_vertices),
                                     rng.sample(range(len(cand.edges)), len(cand.edges)))
-                        assert lg._level_issues(h, spec) == uncached
-                        assert lg.realizability_issues(h, spec) == uncached
+                        assert lg._level_issues(h, spec) == verdict
+                        assert lg.realizability_issues(h, spec) == verdict
     assert verdicts[True] and verdicts[False]
 
 
 def test_split_candidates_are_the_same_classes_under_relabelling():
-    """Relabelling a graph permutes the points that ``_half_edges`` lists
-    and so the labelled splits of each vertex; the split candidates are
-    still the same classes with the same multiplicities.  Each candidate
-    is structurally sound, and its edge map sends an old edge to an edge
-    of the same enhancement."""
+    """Relabelling a graph permutes the points of its level strata and so
+    the labelled splits of each level; ``level_splits`` still gives the
+    same classes with the same multiplicities.  Each split is realizable,
+    and its edge map sends an old edge to an edge of the same
+    enhancement."""
     rng = random.Random(8)
     for spec in VERDICT_STRATA:
         for L in range(dimension(spec).projectivized):
@@ -185,8 +184,8 @@ def test_split_candidates_are_the_same_classes_under_relabelling():
                     classes = []
                     for graph in (g, h):
                         found = Counter()
-                        for cand, emap in lg._split_candidates(graph, spec, lev):
-                            assert lg._structural_issues(cand, spec) == []
+                        for cand, emap in lg.level_splits(graph, spec, lev):
+                            assert lg.realizability_issues(cand, spec) == []
                             assert sorted(emap) == list(range(len(graph.edges)))
                             assert [cand.edges[emap[ei]][2] for ei in emap] == \
                                 [k for _, _, k in graph.edges]

@@ -206,7 +206,8 @@ def test_colliding_fixture_exits_one(tmp_path, capsys):
 
 # sha256 of the --json stdout, recorded before the canonical-form search was
 # merged (the chern pins on g0_cherry, m13_k5 and pair_residue before the
-# Chern graph pass was merged).  The LG_1 numbering (divisors, profiles) and
+# Chern graph pass was merged, the divisors pin on pair_residue before the
+# induced conditions of constrained parts of two or more poles changed).  The LG_1 numbering (divisors, profiles) and
 # the order of the decorated terms (c1, chern) follow from the plain tuple
 # order of canonical encodings; a drift there changes these bytes.  Never
 # re-record a pin to absorb a change.
@@ -217,6 +218,8 @@ JSON_SHA256 = {
         "2428010c980fed48ae423f4735fd4f22bdbaed583d27fc732aa0408117f0ce07",
     ("divisors", "g0_111"):
         "bcd776a9f37501e45a62127f740a179e88a4f2cd3e1ceb8ef93f6ca1b51fa803",
+    ("divisors", "pair_residue"):
+        "9da5bc8697324fc9c6c7879b152539965a4e1635a998af0bb0293d4e920aad41",
     ("profiles", "m13_k2"):
         "3d31c9120fcee2bf868d1921caf96317f5bad6ffc81707769a1c96e9fe1a17ff",
     ("profiles", "h2_min"):
@@ -249,6 +252,33 @@ def test_json_output_is_pinned(cmd, spec, capsys):
     assert run([cmd, "--spec", spec_path(spec + ".json"), "--json"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == JSON_SHA256[cmd, spec]
+
+
+def _part_spec(components, part):
+    return {"components": [{"genus": g, "orders": list(o)} for g, o in components],
+            "residue_parts": [{"points": [list(pt) for pt in part]}]}
+
+
+# strata with a constrained part of two poles whose induced conditions once
+# missed a level's condition, so that enumeration failed; with their chi
+PART_SPECS = [
+    (_part_spec([(0, (2, 2, -2, -2, -2))], [(0, 3), (0, 4)]), "-2"),
+    (_part_spec([(0, (2, 2, -1, -1, -2, -2))], [(0, 4), (0, 5)]), "-16"),
+    (_part_spec([(0, (2, -2, -2)), (0, (2, -2, -2, 0))], [(0, 1), (1, 1)]), "-1"),
+]
+
+
+@pytest.mark.parametrize("obj,chi", PART_SPECS, ids=["g0_n5", "g0_n6", "two_components"])
+def test_constrained_parts_of_two_poles_answer(obj, chi, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(obj))
+    out = {}
+    for cmd in ("divisors", "chi", "chern"):
+        assert run([cmd, "--spec", str(path), "--json"]) == 0, cmd
+        out[cmd] = json.loads(capsys.readouterr().out)
+    assert out["divisors"]
+    assert out["chi"]["chi"] == out["chern"]["chi"] == chi
+    assert out["chern"]["duality_holds"] is True
 
 
 # -- the input boundary ------------------------------------------------------

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from stratacalc.strata import ResiduePart, StratumSpec, dimension, validate
+from stratacalc.strata import ResiduePart, SpecError, StratumSpec, dimension, validate
 from stratacalc import caches, cli
 from stratacalc import levelgraphs as lg
 
@@ -90,17 +90,110 @@ def test_913_divisor_inventory_k5():
         == ({1}, {2}, {2}, {1}, {2})
 
 
+def reference_split_candidates(g: lg.LevelGraph, spec: StratumSpec, lev: int):
+    """The every-level split search that ``level_splits`` replaced, kept as
+    its reference: every assembled one-step degeneration splitting the
+    given level, realizable or not, each with the map from old edge
+    indices to new edge indices.
+
+    Each vertex at the level is placed by one split of its points
+    (``_half_edges``): a (tops, bots, new edges) triple from
+    ``_piece_splits_by_orders`` with leg indices read as tags, or the
+    whole vertex on top, ``((genus, all tags),), (), ()``, or at the
+    bottom, ``(), ((genus, all tags),), ()``.  A choice of one split per
+    vertex is kept when something lands on each side.  New vertices that
+    can be interchanged come in every order of their slots, so one
+    labelled splitting may come several times."""
+    options: list[list[tuple]] = []
+    for v in g.vertices_at(lev):
+        points = lg._half_edges(g, spec, v)
+        tags = tuple(tag for tag, _ in points)
+        whole = ((g.genera[v], tags),)
+        opts = [(whole, (), ()), ((), whole, ())]
+        for split in lg._piece_splits_by_orders(g.genera[v], tuple(o for _, o in points)):
+            tops, bots = (tuple((gv, tuple(tags[li] for li in lis)) for gv, lis in side)
+                          for side in split[:2])
+            opts.append((tops, bots, split[2]))
+        options.append(opts)
+
+    for choice in itertools.product(*options):
+        if any(tops for tops, _, _ in choice) and any(bots for _, bots, _ in choice):
+            cand = reference_assemble_split(g, lev, choice)
+            if cand is not None:
+                yield cand
+
+
+def reference_assemble_split(g: lg.LevelGraph, lev: int, choice):
+    """The graph of one choice of ``reference_split_candidates`` with its
+    edge map, or None when an old edge no longer descends.  The vertices
+    off the level come first in their order, then per choice its tops and
+    its bottoms; the choices' new edges come before the old edges."""
+    genera: list[int] = []
+    levels: list[int] = []
+    legs: dict = {}
+    tag_vertex: dict = {}
+    new_edges: list[tuple[int, int, int]] = []
+
+    old_to_new: dict[int, int] = {}
+    for v in range(g.n_vertices):
+        if g.levels[v] != lev:
+            old_to_new[v] = len(genera)
+            genera.append(g.genera[v])
+            # levels above stay, levels below shift down by one
+            levels.append(g.levels[v] if g.levels[v] > lev else g.levels[v] - 1)
+    for pt, v in g.legs:
+        if v in old_to_new:
+            legs[pt] = old_to_new[v]
+
+    for tops, bots, sedges in choice:
+        base_top = len(genera)
+        base_bot = base_top + len(tops)
+        for gv, tags in tops + bots:
+            nv = len(genera)
+            genera.append(gv)
+            levels.append(lev if nv < base_bot else lev - 1)
+            for tag in tags:
+                if tag[0] == "leg":
+                    legs[tag[1]] = nv
+                else:
+                    tag_vertex[tag] = nv
+        for (ti, bi, k) in sedges:
+            new_edges.append((base_top + ti, base_bot + bi, k))
+
+    edge_map: dict[int, int] = {}
+    for ei, (u, w, k) in enumerate(g.edges):
+        nu = old_to_new[u] if u in old_to_new else tag_vertex[("eout", ei)]
+        nw = old_to_new[w] if w in old_to_new else tag_vertex[("ein", ei)]
+        edge_map[ei] = len(new_edges)
+        new_edges.append((nu, nw, k))
+
+    cand = lg.LevelGraph(tuple(genera), tuple(levels),
+                         tuple(sorted(legs.items())), tuple(new_edges))
+    if any(cand.levels[u] <= cand.levels[v] for (u, v, _) in cand.edges):
+        return None
+    return cand, edge_map
+
+
+def labelled_key(cand: lg.LevelGraph, emap: dict[int, int]):
+    """A labelled splitting up to isomorphism: the canonical form of the
+    split graph with every old edge pinned by its index."""
+    labels = [(0,)] * len(cand.edges)
+    for old, new in emap.items():
+        labels[new] = (old + 1,)
+    return lg.canonicalize_labelled(cand, labels)
+
+
 def every_level_enumeration(spec: StratumSpec) -> list[list[tuple]]:
     """The canonical encodings per L of the enumeration that splits every
-    level of every (L-1)-level graph and keeps a class once some labelled
-    candidate of it is realizable: the reference for the bottom-level
-    splits of ``enumerate_LGL``."""
+    level of every (L-1)-level graph with the reference search and keeps a
+    class once some labelled candidate of it is realizable: the reference
+    for the bottom-level splits of ``enumerate_LGL``."""
     layers = [[lg.canonicalize(lg.trivial_graph(spec))]]
     for _ in range(dimension(spec).projectivized):
         found: dict[tuple, lg.LevelGraph] = {}
         for g in layers[-1]:
             for lev in range(0, -g.n_levels_below - 1, -1):
-                for cand, _ in lg._split_candidates(g, spec, lev):
+                for cand, _ in reference_split_candidates(g, spec, lev):
                     enc = lg.canonical_encoding(cand)
                     if enc not in found and not lg.realizability_issues(cand, spec):
                         found[enc] = lg.canonicalize(cand)
@@ -152,20 +245,94 @@ def test_bottom_splits_enumerate_every_class_property():
 
 
 def test_enumeration_judges_the_graphs_it_returns():
-    """The verdict runs on the canonical graph that enumeration returns, so
-    the level strata and level dimensions it builds are the ones that the
-    callers of the returned graphs read: reading them all again builds
-    nothing."""
+    """Enumeration judges the two-level graphs on the canonical graphs it
+    returns, and splits the returned graphs of every L below the dimension
+    on their own level strata, so reading the level strata of those graphs
+    builds nothing.  The deepest graphs are glued from judged two-level
+    graphs and judged by nothing, and no verdict is memoized."""
     spec = StratumSpec.connected(0, (2, 1, 1, 1, -3, -4))
+    d = dimension(spec).projectivized
     caches.clear()
-    graphs = [g for L in range(dimension(spec).projectivized + 1)
-              for g in lg.enumerate_LGL(spec, L)]
-    before = caches.stats()
-    for g in graphs:
-        lg.level_dims(g, spec)
-    after = caches.stats()
-    for name in ("levelgraphs.level_strata", "strata.dimension"):
-        assert after[name] == before[name], name
+    layers = [lg.enumerate_LGL(spec, L) for L in range(d + 1)]
+    built = caches.stats()["levelgraphs.level_strata"]
+    assert "levelgraphs.level_verdict" not in caches.stats()
+    for g in itertools.chain(*layers[:d]):
+        lg.level_strata(g, spec)
+    assert caches.stats()["levelgraphs.level_strata"] == built
+    for g in layers[d]:
+        lg.level_strata(g, spec)
+    assert caches.stats()["levelgraphs.level_strata"] == built + len(layers[d])
+
+
+# the strata of the labelled-split reference: symmetric vertices and
+# parallel edges (genus 2 and 3), many legs (genus 0), residue conditions
+# (the paired stratum, and a constrained part that a level stratum of
+# genus 2 (2,2,-2) inherits)
+SPLIT_SPECS = [StratumSpec.connected(0, (2, 1, 1, 1, -3, -4)),
+               StratumSpec.connected(0, (3, 1, 1, -1, -2, -4)),
+               StratumSpec.connected(0, (3, 3, -1, -1, -2, -4)),
+               StratumSpec.connected(0, (2, 2, 1, 1, 1, -9)),
+               family_13(5), StratumSpec.connected(1, (3, 1, 1, -5)),
+               StratumSpec.connected(2, (2, 2, -2)), StratumSpec.connected(2, (4, -2)),
+               StratumSpec.connected(2, (1, 1)), StratumSpec.connected(3, (4,)),
+               pair_spec(),
+               StratumSpec.make([(0, (2, 2, -2, -2, -2))], [({(0, 3), (0, 4)}, True)])]
+
+
+@pytest.mark.parametrize("spec", SPLIT_SPECS, ids=lambda spec: str(spec.components))
+def test_level_splits_are_the_labelled_splittings_each_once(spec):
+    """For every (graph, level) pair, ``level_splits`` gives exactly the
+    distinct realizable labelled splittings of the reference every-level
+    search, each once, and every split is realizable."""
+    for L in range(dimension(spec).projectivized + 1):
+        for g in lg.enumerate_LGL(spec, L):
+            for lev in range(0, -L - 1, -1):
+                want = {labelled_key(cand, emap)
+                        for cand, emap in reference_split_candidates(g, spec, lev)
+                        if not lg.realizability_issues(cand, spec)}
+                splits = lg.level_splits(g, spec, lev)
+                got = [labelled_key(cand, emap) for cand, emap in splits]
+                assert len(set(got)) == len(got), (g, lev)
+                assert set(got) == want, (g, lev)
+                assert not any(lg.realizability_issues(cand, spec) for cand, _ in splits)
+
+
+def one_part_specs():
+    """Genus-0 strata of four to six points, with poles of order >= -5,
+    zeros of orders summing to at most 4 and one constrained part over a
+    nonempty set of the poles of order <= -2."""
+    for n in range(4, 7):
+        for orders in itertools.combinations_with_replacement(range(4, -6, -1), n):
+            if 0 in orders or sum(orders) != -2 or sum(o for o in orders if o > 0) > 4:
+                continue
+            poles = [i for i, o in enumerate(orders) if o <= -2]
+            for r in range(1, len(poles) + 1):
+                for part in itertools.combinations(poles, r):
+                    yield StratumSpec.make([(0, orders)], [({(0, i) for i in part}, True)])
+
+
+def test_one_constrained_part_enumerates_at_every_L():
+    """Every realizable stratum of the scan enumerates at every L, so that
+    its level dimensions add up (``_level_issues`` raises otherwise).  A
+    component above a level whose poles lie in constrained parts of two or
+    more points induces a condition where it lowers the level's residue
+    rank; twelve of these strata failed without that condition, among them
+    (2,2,-2,-2,-2) with part {3,4}, a level stratum of genus 2 (2,2,-2).
+    The fourteen others are not realizable (a simple pole with zero
+    residue), six of them of dimension 0."""
+    outcomes = Counter()
+    for spec in one_part_specs():
+        assert not validate(spec)
+        d = dimension(spec).projectivized
+        try:
+            for L in range(d + 1):
+                lg.enumerate_LGL(spec, L)
+            outcomes["enumerated"] += 1
+        except SpecError as exc:
+            assert str(exc).startswith("ambient stratum not realizable"), spec
+            outcomes["not realizable", d > 0] += 1
+    assert outcomes == {"enumerated": 100, ("not realizable", True): 8,
+                        ("not realizable", False): 6}
 
 
 def reference_level_stratum(g: lg.LevelGraph, spec: StratumSpec, lev: int):
@@ -327,7 +494,7 @@ def test_splits_section_property():
     spec = family_13(3)
     for g in lg.enumerate_LG1(spec):
         for lev in (0, -1):
-            for cand, _ in lg.split_level_decorated(g, spec, lev):
+            for cand, _ in lg.level_splits(g, spec, lev):
                 back = lg.undegenerate(cand, [i for i in (1, 2)
                                               if i != -lev + 1])
                 assert back == lg.canonicalize(g)
@@ -612,19 +779,11 @@ def test_913_divisor_level_dims():
 # ---------------------------------------------------------------------------
 
 def _labeled_split_classes(g, spec, lev):
-    """Distinct labeled splittings of a level, grouped by the isomorphism
-    class of the resulting graph."""
-    from stratacalc.tautring import canonical_decorated, _decor
-    labeled: dict = {}
-    for cand, emap in lg.split_level_decorated(g, spec, lev):
-        # pin every surviving old edge with a unique marker exponent
-        marks = {("psi", ("ein", emap[ei])): 1000 + ei for ei in emap}
-        lab_key = canonical_decorated(cand, _decor(marks))
-        if lab_key not in labeled:
-            labeled[lab_key] = cand
+    """The labeled splittings of a level (``level_splits`` gives each
+    once), grouped by the isomorphism class of the resulting graph."""
     groups = Counter()
     reps = {}
-    for cand in labeled.values():
+    for cand, _ in lg.level_splits(g, spec, lev):
         enc = lg.canonical_encoding(cand)
         groups[enc] += 1
         reps[enc] = cand

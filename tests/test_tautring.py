@@ -295,7 +295,7 @@ def test_normal_bundle_pullback_index_shifts():
         pd = lg.prong_data(g)
         nu_scaled = tr.poly_scale(tr.nu_poly(g, 1), pd.ell_levels[0])
         for lev, new_passage in ((0, 2), (-1, 1)):
-            for cand, emap in lg.split_level_decorated(g, spec, lev):
+            for cand, emap in lg.level_splits(g, spec, lev):
                 pdc = lg.prong_data(cand)
                 transferred = {}
                 for dec, c in nu_scaled.items():
