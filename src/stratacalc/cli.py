@@ -109,10 +109,11 @@ def cmd_profiles(args) -> int:
     spec = _load_spec(args.spec)
     d = dimension(spec).projectivized
     top = min(d, args.levels) if args.levels is not None else d
-    lg.profile_order_check(spec, top)
     out = {}
     for L in range(1, top + 1):
-        out[L] = [list(lg.profile(g, spec)) for g in lg.enumerate_LGL(spec, L)]
+        profiles = [lg.profile(g, spec) for g in lg.enumerate_LGL(spec, L)]
+        lg.check_profile_order(profiles)
+        out[L] = [list(p) for p in profiles]
     lines = [f"profiles consistent through L={top}"]
     for L, ps in out.items():
         lines.append(f"L={L}: {ps}")

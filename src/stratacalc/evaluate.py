@@ -238,8 +238,7 @@ class Evaluator:
     # -- dispatch ------------------------------------------------------------
 
     def _integral(self, spec: StratumSpec, psi: dict[Point, int], xi: int) -> Rational:
-        require_valid(spec)
-        d = dimension(spec).projectivized
+        d = dimension(spec).projectivized  # validates the spec on its memo miss
         deg = sum(psi.values()) + xi
         if deg != d or d < 0:
             return Fraction(0)

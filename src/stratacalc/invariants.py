@@ -61,38 +61,40 @@ def _vanishing_rule(sub: StratumSpec) -> str | None:
 def euler_characteristic(spec: StratumSpec,
                          evaluator: Evaluator | None = None) -> EulerReport:
     """Dimension-weighted sum over all level graphs of the products of the
-    top xi-power integrals of the level strata."""
+    top xi-power integrals of the level strata.  Each row multiplies
+    K * N_top, |Aut| and the numerators and denominators of its level
+    factors as integers and reduces them to one fraction."""
     require_valid(spec)
-    ev = evaluator or default_evaluator()
+    integral = (evaluator or default_evaluator()).integral
     d = dimension(spec).projectivized
     rows: list[EulerRow] = []
     total = Fraction(0)
     for L in range(0, d + 1):
         for g in lg.enumerate_LGL(spec, L):
             pd = lg.prong_data(g)
-            levels = range(0, -L - 1, -1)
             subs = lg.level_strata(g, spec)
             ntop = dimension(subs[0]).unprojectivized
             factors: list[Rational] = []
             zero_rule = None
-            prod = Fraction(pd.kappa_product * ntop, pd.aut_order)
-            for lev, sub in zip(levels, subs):
-                dsub = dimension(sub).projectivized
+            num, den = pd.kappa_product * ntop, pd.aut_order
+            for i, sub in enumerate(subs):
                 try:
-                    val = ev.integral(sub, {}, dsub)
+                    val = integral(sub, {}, dimension(sub).projectivized)
                 except UnevaluatableError as err:
-                    frame = ("level " + str(lev) + " of a boundary graph of "
+                    frame = ("level " + str(-i) + " of a boundary graph of "
                              + spec.canonical_key())
                     raise UnevaluatableError(err.key, err.chain + [frame]) \
                         from None
                 factors.append(val)
-                prod *= val
+                num *= val.numerator
+                den *= val.denominator
                 if val == 0 and zero_rule is None:
                     zero_rule = _vanishing_rule(sub)
-            total += prod
+            contribution = Fraction(num, den)
+            total += contribution
             rows.append(EulerRow(repr(lg.canonical_encoding(g)), L,
                                  pd.kappa_product, ntop, pd.aut_order,
-                                 factors, prod, zero_rule))
+                                 factors, contribution, zero_rule))
     chi = Fraction(-1) ** d * total
     return EulerReport(spec, chi, rows)
 

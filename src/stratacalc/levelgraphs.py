@@ -342,72 +342,39 @@ def _constrained_part_of(spec: StratumSpec) -> dict[Point, frozenset[Point]]:
     return out
 
 
-def induced_conditions(g: LevelGraph, spec: StratumSpec) -> dict[int, list[frozenset[LegTag]]]:
-    """Residue conditions induced on each level by the residue-condition
-    variant of the global residue condition.
-
-    For every level and every connected component Y of the auxiliary graph
-    above it (graph vertices plus one node per constrained part, joined to
-    the vertices carrying its points), the residues at the ends of edges
-    descending from Y to this exact level, and at the points of Y's parts
-    on it, sum to zero, unless Y escapes through a pole with a free
-    residue: a simple pole or a pole in no constrained part.  A component
-    whose only other poles lie in constrained parts of two or more points
-    adds its condition only where it lowers the level's residue rank,
-    given the conditions before it; elsewhere it is implied by them.
-    """
-    part_of = _constrained_part_of(spec)
-    legv = g.leg_vertex()
-    parts = sorted(set(part_of.values()), key=sorted)
-    n = g.n_vertices
-    free = [False] * n    # a simple pole, or a pole in no constrained part
-    shared = [False] * n  # a pole in a constrained part of two or more points
-    for pt, v in g.legs:
-        m = spec.order(pt)
-        if m == -1 or (m < 0 and pt not in part_of):
-            free[v] = True
-        elif m < 0 and len(part_of[pt]) >= 2:
-            shared[v] = True
-
-    out: dict[int, list[frozenset[LegTag]]] = {}
-    for lev in sorted(set(g.levels), reverse=True):
-        # auxiliary nodes: vertices above lev (ids 0..n-1) and parts (n+j)
-        root = _roots(n + len(parts), itertools.chain(
-            ((u, v) for (u, v, _) in g.edges if min(g.levels[u], g.levels[v]) > lev),
-            ((n + j, legv[pt]) for j, pts in enumerate(parts) for pt in pts
-             if g.levels[legv[pt]] > lev)))
-        comps: dict[int, list[int]] = {}
-        for x in range(n + len(parts)):
-            if x >= n or g.levels[x] > lev:
-                comps.setdefault(root[x], []).append(x)
-        conds: list[frozenset[LegTag]] = []
-        extra: list[frozenset[LegTag]] = []  # kept only where they lower the rank
-        for comp in comps.values():
-            verts = [x for x in comp if x < n]
-            if any(free[v] for v in verts):
-                continue
-            cond = frozenset(
-                [("ein", ei) for ei, (u, v, _) in enumerate(g.edges)
-                 if g.levels[v] == lev and u in verts]
-                + [("leg", pt) for j in comp if j >= n for pt in parts[j - n]
-                   if g.levels[legv[pt]] == lev])
-            if cond:
-                (extra if any(shared[v] for v in verts) else conds).append(cond)
-        if extra:
-            conds += _rank_lowering(g, spec, lev, conds, extra)
-        if conds:
-            out[lev] = conds
+def _half_edges(g: LevelGraph, spec: StratumSpec) -> list[list[tuple[LegTag, int]]]:
+    """The points of each vertex as (tag, order) pairs, one list per
+    vertex: its legs in point order, then the poles of its incoming edges
+    and the zeros of its outgoing edges, each in edge order.  The points of
+    a level stratum are numbered in this order, so the ``graphs`` and
+    ``divisors`` output depends on it; :func:`level_splits` maps the points
+    of a divisor of a level stratum back to these tags.  Built for all
+    vertices at once, from one pass over the legs and two over the edges."""
+    out: list[list[tuple[LegTag, int]]] = [[] for _ in g.genera]
+    for pt, v in sorted(g.legs):
+        out[v].append((("leg", pt), spec.order(pt)))
+    for ei, (_, w, k) in enumerate(g.edges):
+        out[w].append((("ein", ei), -k - 1))
+    for ei, (u, _, k) in enumerate(g.edges):
+        out[u].append((("eout", ei), k - 1))
     return out
 
 
-def _rank_lowering(g: LevelGraph, spec: StratumSpec, lev: int,
+def _positions(points: Iterable[list[tuple[LegTag, int]]]) -> dict[LegTag, Point]:
+    """tag -> (component, point) over the ``_half_edges`` lists of a
+    level's vertices, in vertex order."""
+    return {tag: (cj, pj) for cj, pts in enumerate(points)
+            for pj, (tag, _) in enumerate(pts)}
+
+
+def _rank_lowering(points: Sequence[list[tuple[LegTag, int]]],
                    conds: list[frozenset[LegTag]], extra: list[frozenset[LegTag]]
                    ) -> list[frozenset[LegTag]]:
-    """The conditions of ``extra`` that lower the residue rank of level
-    ``lev``, each given the residue theorems of the level's vertices,
-    ``conds`` and the conditions of ``extra`` kept before it."""
-    theorems = [[tag for tag, o in _half_edges(g, spec, v) if o < 0]
-                for v in g.vertices_at(lev)]
+    """The conditions of ``extra`` that lower the residue rank of a level
+    whose vertices carry the ``_half_edges`` lists ``points``, each given
+    the residue theorems of those vertices, ``conds`` and the conditions of
+    ``extra`` kept before it."""
+    theorems = [[tag for tag, o in pts if o < 0] for pts in points]
     poles = list(itertools.chain(*theorems))
 
     def row(tags: Collection[LegTag]) -> list[int]:
@@ -424,27 +391,6 @@ def _rank_lowering(g: LevelGraph, spec: StratumSpec, lev: int,
     return kept
 
 
-def _half_edges(g: LevelGraph, spec: StratumSpec, v: int) -> list[tuple[LegTag, int]]:
-    """The points of vertex v as (tag, order) pairs: its legs in point
-    order, then the poles of its incoming edges and the zeros of its
-    outgoing edges, each in edge order.  The points of a level stratum are
-    numbered in this order, so the ``graphs`` and ``divisors`` output
-    depends on it; :func:`level_splits` maps the points of a divisor of a
-    level stratum back to these tags."""
-    out = [(("leg", pt), spec.order(pt)) for pt, w in g.legs if w == v]
-    out.sort()
-    out += [(("ein", ei), -k - 1) for ei, (_, w, k) in enumerate(g.edges) if w == v]
-    out += [(("eout", ei), k - 1) for ei, (u, _, k) in enumerate(g.edges) if u == v]
-    return out
-
-
-def _positions(points: Iterable[list[tuple[LegTag, int]]]) -> dict[LegTag, Point]:
-    """tag -> (component, point) over the ``_half_edges`` lists of a
-    level's vertices, in vertex order."""
-    return {tag: (cj, pj) for cj, pts in enumerate(points)
-            for pj, (tag, _) in enumerate(pts)}
-
-
 _LEVEL_STRATA: dict[tuple[LevelGraph, StratumSpec], tuple[StratumSpec, ...]] = \
     caches.memo("levelgraphs.level_strata")
 # every distinct level spec once: equal specs of different graphs are one
@@ -453,28 +399,101 @@ _LEVEL_SPECS: dict[StratumSpec, StratumSpec] = caches.memo("levelgraphs.level_sp
 
 
 def _build_level_strata(g: LevelGraph, spec: StratumSpec) -> tuple[StratumSpec, ...]:
-    """The level specs of :func:`level_strata`, built in one pass with the
-    induced conditions computed once."""
-    conds = induced_conditions(g, spec)
+    """The level specs of :func:`level_strata` in one walk from the top
+    level down.
+
+    The residue conditions come from the residue-condition variant of the
+    global residue condition.  For every level and every connected
+    component Y of the auxiliary graph above it (graph vertices plus one
+    node per constrained part, joined to the vertices carrying its
+    points), the residues at the ends of edges descending from Y to this
+    exact level, and at the points of Y's parts on it, sum to zero, unless
+    Y escapes through a pole with a free residue: a simple pole or a pole
+    in no constrained part.  A component whose only other poles lie in
+    constrained parts of two or more points adds its condition only where
+    it lowers the level's residue rank, given the conditions before it
+    (``_rank_lowering``); elsewhere it is implied by them.  A level's
+    conditions come in the order of their components' least members
+    (vertices by index, then the parts in sorted order), those of
+    ``_rank_lowering`` after the others.
+
+    One union-find over the auxiliary nodes grows as the walk passes each
+    level: the vertices of a level join their edges to the levels above
+    and their constrained parts once the walk is below them."""
+    part_of = _constrained_part_of(spec)
+    parts = sorted(set(part_of.values()), key=sorted)
+    part_index = {pts: x for x, pts in enumerate(parts, g.n_vertices)}
+    points = _half_edges(g, spec)
+    L = g.n_levels_below
+    nodes = g.n_vertices + len(parts)
+    parent = list(range(nodes))
+    least = list(range(nodes))
+    free = [False] * nodes    # a simple pole, or a pole in no constrained part
+    shared = [False] * nodes  # a pole in a constrained part of two or more points
+    verts: list[list[int]] = [[] for _ in range(L + 1)]
+    for v, x in enumerate(g.levels):
+        verts[-x].append(v)
+    joins: list[list[tuple[int, int]]] = [[] for _ in range(L + 1)]
+    # at each level, the (node, tag) pairs of the conditions it may receive
+    ends: list[list[tuple[int, LegTag]]] = [[] for _ in range(L + 1)]
+    for pt, v in g.legs:
+        m = spec.order(pt)
+        part = part_of.get(pt)
+        if m == -1 or (m < 0 and part is None):
+            free[v] = True
+        elif m < 0 and len(part) >= 2:
+            shared[v] = True
+        if part is not None:
+            joins[-g.levels[v]].append((v, part_index[part]))
+            ends[-g.levels[v]].append((part_index[part], ("leg", pt)))
+    for ei, (u, v, _) in enumerate(g.edges):
+        joins[-min(g.levels[u], g.levels[v])].append((u, v))
+        if g.levels[u] > g.levels[v]:
+            ends[-g.levels[v]].append((u, ("ein", ei)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
     out = []
-    for lev in range(0, -g.n_levels_below - 1, -1):
-        verts = g.vertices_at(lev)
-        points = [_half_edges(g, spec, v) for v in verts]
-        positions = _positions(points)
-        sub = StratumSpec(
-            tuple((g.genera[v], tuple(o for _, o in pts)) for v, pts in zip(verts, points)),
-            tuple(ResiduePart(frozenset(positions[t] for t in cond), True)
-                  for cond in conds.get(lev, ())))
+    for i in range(L + 1):
+        tags: dict[int, list[LegTag]] = {}
+        for x, tag in ends[i]:
+            tags.setdefault(find(x), []).append(tag)
+        conds: list[frozenset[LegTag]] = []
+        extra: list[frozenset[LegTag]] = []  # kept only where they lower the rank
+        for r in sorted(tags, key=least.__getitem__):
+            if not free[r]:
+                (extra if shared[r] else conds).append(frozenset(tags[r]))
+        level_points = [points[v] for v in verts[i]]
+        if extra:
+            conds += _rank_lowering(level_points, conds, extra)
+        parts_here: tuple[ResiduePart, ...] = ()
+        if conds:
+            positions = _positions(level_points)
+            parts_here = tuple(ResiduePart(frozenset(positions[t] for t in cond), True)
+                               for cond in conds)
+        sub = StratumSpec(tuple((g.genera[v], tuple(o for _, o in pts))
+                                for v, pts in zip(verts[i], level_points)), parts_here)
         out.append(_LEVEL_SPECS.setdefault(sub, sub))
+        for a, b in joins[i]:
+            a, b = find(a), find(b)
+            if a != b:
+                parent[a] = b
+                least[b] = min(least[a], least[b])
+                free[b] = free[a] or free[b]
+                shared[b] = shared[a] or shared[b]
     return tuple(out)
 
 
 def level_strata(g: LevelGraph, spec: StratumSpec) -> tuple[StratumSpec, ...]:
     """The generalized strata at the levels of the graph, top level first
     (entry i is level -i): one component per vertex at the level, its
-    points listed by ``_half_edges``, with the residue conditions that
-    ``induced_conditions`` induces on that level.  Memoized per (graph,
-    spec); the tuple is shared, and so is each spec."""
+    points listed by ``_half_edges``, with the residue conditions that the
+    global residue condition induces on that level (see
+    ``_build_level_strata``).  Memoized per (graph, spec); the tuple is
+    shared, and so is each spec."""
     hit = _LEVEL_STRATA.get((g, spec))
     if hit is None:
         hit = _LEVEL_STRATA[(g, spec)] = _build_level_strata(g, spec)
@@ -485,9 +504,11 @@ def level_positions(g: LevelGraph, spec: StratumSpec, lev: int) -> dict[LegTag, 
     """positions[tag] = (component, point) in the level stratum at ``lev``
     for every tag on that level (an ambient leg, an incoming edge pole, or
     an outgoing edge zero); a tag lies on the level exactly when it is a
-    key.  Built on every call and not kept: only psi exponents need them,
-    and a dict per level would cost more memory than the level specs."""
-    return _positions(_half_edges(g, spec, v) for v in g.vertices_at(lev))
+    key.  Read from the ``_half_edges`` lists that the level stratum reads,
+    built on every call and not kept: only psi exponents and level splits
+    need them, and a dict per level would cost more memory than the level
+    specs."""
+    return _positions(pts for pts, x in zip(_half_edges(g, spec), g.levels) if x == lev)
 
 
 def level_stratum(g: LevelGraph, spec: StratumSpec, lev: int
@@ -869,7 +890,12 @@ def level_splits(g: LevelGraph, spec: StratumSpec, lev: int
     their order, those below it one level lower, then the divisor's
     vertices on levels ``lev`` and ``lev - 1``; the divisor's edges come
     first, then the old edges in their order.  Not canonicalized:
-    automorphisms of g may identify two splits."""
+    automorphisms of g may identify two splits.  The level stratum of a
+    trivial graph is ``spec`` up to the order of its components and parts
+    and without its unconstrained parts, so the splits of a trivial graph
+    are the two-level graphs of ``spec`` itself, under its own memo key."""
+    if lev == 0 and g.is_trivial():
+        return [(d, {}) for d in enumerate_LG1(spec)]
     tag_of = {p: tag for tag, p in level_positions(g, spec, lev).items()}
     kept = [v for v in range(g.n_vertices) if g.levels[v] != lev]
     new_of = {v: i for i, v in enumerate(kept)}
@@ -911,10 +937,10 @@ def enumerate_LGL(spec: StratumSpec, L: int) -> tuple[LevelGraph, ...]:
     L-level graph, delta_{1..L-1}, gives one of those), and the splits of
     a level are the two-level graphs of its level stratum glued back in
     (:func:`level_splits`), realizable without a further verdict."""
-    require_valid(spec)
     key = (spec, L)
     if key in _ENUM_CACHE:
         return _ENUM_CACHE[key]
+    require_valid(spec)  # an invalid spec is never cached, so it raises on every call
     if L < 0:
         raise ValueError("negative number of levels")
     d = dimension(spec).projectivized
@@ -986,22 +1012,27 @@ def profile(g: LevelGraph, spec: StratumSpec) -> tuple[int, ...]:
     return tuple(out)
 
 
+def check_profile_order(profiles: Iterable[tuple[int, ...]]) -> None:
+    """Prop.-style consistency of the profiles of one L: no repeated
+    entries, and each unordered index set occurs with a single ordering."""
+    seen: dict[frozenset, tuple] = {}
+    for p in profiles:
+        if len(set(p)) != len(p):
+            raise EnumerationError(f"repeated index in profile {p}")
+        key = frozenset(p)
+        if key in seen and seen[key] != p:
+            raise EnumerationError(
+                f"profiles {seen[key]} and {p} share an index set")
+        seen[key] = p
+
+
 def profile_order_check(spec: StratumSpec, max_L: int | None = None) -> None:
-    """Prop.-style consistency of profiles: no repeated entries, and each
-    unordered index set occurs with a single ordering."""
+    """:func:`check_profile_order` of the profiles of every L from 2 up to
+    the dimension, or to ``max_L``."""
     d = dimension(spec).projectivized
     top = d if max_L is None else min(d, max_L)
     for L in range(2, top + 1):
-        seen: dict[frozenset, tuple] = {}
-        for g in enumerate_LGL(spec, L):
-            p = profile(g, spec)
-            if len(set(p)) != len(p):
-                raise EnumerationError(f"repeated index in profile {p}")
-            key = frozenset(p)
-            if key in seen and seen[key] != p:
-                raise EnumerationError(
-                    f"profiles {seen[key]} and {p} share an index set")
-            seen[key] = p
+        check_profile_order(profile(g, spec) for g in enumerate_LGL(spec, L))
 
 
 def dimension_profile(g: LevelGraph, spec: StratumSpec) -> list[int]:

@@ -369,6 +369,17 @@ def test_bad_specs_exit_one_with_one_line(tmp_path, capsys):
 
 
 
+def test_invalid_spec_gives_the_same_diagnostic_on_every_request(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"components": [{"genus": 0, "orders": [2, -2, -1]}]}))
+    for cmd in ("graphs", "divisors", "chi", "xi-top"):
+        answers = []
+        for _ in range(2):
+            rc = run([cmd, "--spec", str(path)])
+            answers.append((rc, *capsys.readouterr()))
+        assert answers == [(1, "", "error: component 0: order sum -1 != 2g-2 = -2\n")] * 2, cmd
+
+
 def test_unexpected_error_exits_two_with_one_line(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise KeyError("some\nkey")

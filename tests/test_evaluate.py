@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from stratacalc.strata import StratumSpec, dimension
+from stratacalc import levelgraphs as lg
+from stratacalc.strata import SpecError, StratumSpec, dimension
 from stratacalc.evaluate import (Evaluator, FixtureCollisionError,
                                  FixtureRegistry, UnevaluatableError,
                                  default_registry)
@@ -148,6 +149,21 @@ def test_unknown_meromorphic_fails_loud():
     ev = Evaluator(default_registry())
     with pytest.raises(UnevaluatableError):
         ev.xi_top(C(3, (7, -3)))
+
+
+def test_invalid_spec_raises_on_every_call():
+    """Enumeration and integration validate a spec on their memo misses
+    only; an invalid spec is never memoized, so every call raises the same
+    one-line diagnostic."""
+    bad = C(0, (2, -2, -1))
+    for call in (lambda: lg.enumerate_LGL(bad, 1), lambda: Evaluator().integral(bad, {}, 0),
+                 lambda: EV.integral(bad, {}, 0)):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(SpecError) as err:
+                call()
+            messages.append(str(err.value))
+        assert messages == ["component 0: order sum -1 != 2g-2 = -2"] * 2
 
 
 def test_cache_transparency():

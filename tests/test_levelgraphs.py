@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from stratacalc.strata import ResiduePart, SpecError, StratumSpec, dimension, validate
+from stratacalc.strata import ResiduePart, SpecError, StratumSpec, _eliminate, dimension, validate
 from stratacalc import caches, cli
 from stratacalc import levelgraphs as lg
 
@@ -25,6 +25,21 @@ def pair_spec(residue_conditions: bool = True) -> StratumSpec:
         [(0, (-2, -2, 2)), (0, (-2, -2, 1, 1))],
         [({(0, 0), (1, 0)}, True), ({(0, 1), (1, 1)}, True)]
         if residue_conditions else [])
+
+
+def reversed_graph(g: lg.LevelGraph) -> lg.LevelGraph:
+    """g with its vertices and its edges numbered in reverse."""
+    top = g.n_vertices - 1
+    return lg.LevelGraph(g.genera[::-1], g.levels[::-1],
+                         tuple((pt, top - v) for pt, v in g.legs),
+                         tuple((top - u, top - v, k) for u, v, k in g.edges[::-1]))
+
+
+def reversed_pair_spec() -> StratumSpec:
+    """``pair_spec`` with its two constrained parts listed in reverse
+    order: the same stratum under another key."""
+    spec = pair_spec()
+    return StratumSpec(spec.components, spec.residue_parts[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +112,7 @@ def reference_split_candidates(g: lg.LevelGraph, spec: StratumSpec, lev: int):
     indices to new edge indices.
 
     Each vertex at the level is placed by one split of its points
-    (``_half_edges``): a (tops, bots, new edges) triple from
+    (``reference_half_edges``): a (tops, bots, new edges) triple from
     ``_piece_splits_by_orders`` with leg indices read as tags, or the
     whole vertex on top, ``((genus, all tags),), (), ()``, or at the
     bottom, ``(), ((genus, all tags),), ()``.  A choice of one split per
@@ -106,7 +121,7 @@ def reference_split_candidates(g: lg.LevelGraph, spec: StratumSpec, lev: int):
     labelled splitting may come several times."""
     options: list[list[tuple]] = []
     for v in g.vertices_at(lev):
-        points = lg._half_edges(g, spec, v)
+        points = reference_half_edges(g, spec, v)
         tags = tuple(tag for tag, _ in points)
         whole = ((g.genera[v], tags),)
         opts = [(whole, (), ()), ((), whole, ())]
@@ -297,6 +312,27 @@ def test_level_splits_are_the_labelled_splittings_each_once(spec):
                 assert not any(lg.realizability_issues(cand, spec) for cand, _ in splits)
 
 
+@pytest.mark.parametrize("spec", [
+    reversed_pair_spec(),
+    StratumSpec.make([(0, (2, 2, -2, -2, -2))], [({(0, 3), (0, 4)}, False)])],
+    ids=["pair_reversed", "unconstrained_part"])
+def test_trivial_graph_splits_enumerate_the_stratum_once(spec):
+    """The level stratum of the trivial graph sorts its constrained parts
+    and drops the unconstrained ones; its splits are the two-level graphs
+    of the stratum itself, under the one memo key, and the same labelled
+    splittings as the reference search."""
+    caches.clear()
+    triv = lg.enumerate_LGL(spec, 0)[0]
+    assert lg.level_strata(triv, spec)[0] != spec
+    lg.enumerate_LG1(spec)
+    splits = lg.level_splits(triv, spec, 0)
+    assert [key for key in lg._ENUM_CACHE if key[1] == 1] == [(spec, 1)]
+    want = {labelled_key(cand, emap) for cand, emap in reference_split_candidates(triv, spec, 0)
+            if not lg.realizability_issues(cand, spec)}
+    got = [labelled_key(cand, emap) for cand, emap in splits]
+    assert len(set(got)) == len(got) and set(got) == want
+
+
 def one_part_specs():
     """Genus-0 strata of four to six points, with poles of order >= -5,
     zeros of orders summing to at most 4 and one constrained part over a
@@ -335,30 +371,144 @@ def test_one_constrained_part_enumerates_at_every_L():
                         ("not realizable", False): 6}
 
 
-def reference_level_stratum(g: lg.LevelGraph, spec: StratumSpec, lev: int):
+# ---------------------------------------------------------------------------
+# the level-strata record against the per-level construction it replaced
+# ---------------------------------------------------------------------------
+
+def reference_half_edges(g: lg.LevelGraph, spec: StratumSpec, v: int):
+    """The points of vertex v as (tag, order) pairs: its legs in point
+    order, then the poles of its incoming edges and the zeros of its
+    outgoing edges, each in edge order.  One vertex per call, each call a
+    pass over all legs and edges."""
+    out = [(("leg", pt), spec.order(pt)) for pt, w in g.legs if w == v]
+    out.sort()
+    out += [(("ein", ei), -k - 1) for ei, (_, w, k) in enumerate(g.edges) if w == v]
+    out += [(("eout", ei), k - 1) for ei, (u, _, k) in enumerate(g.edges) if u == v]
+    return out
+
+
+def reference_induced_conditions(g: lg.LevelGraph, spec: StratumSpec,
+                                 first_seen: bool = False):
+    """Residue conditions induced on each level, with a fresh union-find
+    over the whole auxiliary graph at every level: the construction that
+    the one-walk record replaced.  The components of a level come in the
+    order of their least members; ``first_seen`` orders them instead by
+    the first of their vertices met walking the levels from the top, the
+    rule that the least-member order is not."""
+    part_of = lg._constrained_part_of(spec)
+    legv = g.leg_vertex()
+    parts = sorted(set(part_of.values()), key=sorted)
+    n = g.n_vertices
+    free = [False] * n    # a simple pole, or a pole in no constrained part
+    shared = [False] * n  # a pole in a constrained part of two or more points
+    for pt, v in g.legs:
+        m = spec.order(pt)
+        if m == -1 or (m < 0 and pt not in part_of):
+            free[v] = True
+        elif m < 0 and len(part_of[pt]) >= 2:
+            shared[v] = True
+
+    out: dict[int, list[frozenset]] = {}
+    for lev in sorted(set(g.levels), reverse=True):
+        # auxiliary nodes: vertices above lev (ids 0..n-1) and parts (n+j)
+        root = lg._roots(n + len(parts), itertools.chain(
+            ((u, v) for (u, v, _) in g.edges if min(g.levels[u], g.levels[v]) > lev),
+            ((n + j, legv[pt]) for j, pts in enumerate(parts) for pt in pts
+             if g.levels[legv[pt]] > lev)))
+        comps: dict[int, list[int]] = {}
+        for x in range(n + len(parts)):
+            if x >= n or g.levels[x] > lev:
+                comps.setdefault(root[x], []).append(x)
+        if first_seen:
+            walk = sorted(range(n), key=lambda v: (-g.levels[v], v))
+            comps = {r: comps[r] for r in sorted(comps, key=lambda r: min(
+                walk.index(x) if x < n else x for x in comps[r]))}
+        conds: list[frozenset] = []
+        extra: list[frozenset] = []  # kept only where they lower the rank
+        for comp in comps.values():
+            verts = [x for x in comp if x < n]
+            if any(free[v] for v in verts):
+                continue
+            cond = frozenset(
+                [("ein", ei) for ei, (u, v, _) in enumerate(g.edges)
+                 if g.levels[v] == lev and u in verts]
+                + [("leg", pt) for j in comp if j >= n for pt in parts[j - n]
+                   if g.levels[legv[pt]] == lev])
+            if cond:
+                (extra if any(shared[v] for v in verts) else conds).append(cond)
+        if extra:
+            conds += reference_rank_lowering(g, spec, lev, conds, extra)
+        if conds:
+            out[lev] = conds
+    return out
+
+
+def reference_rank_lowering(g: lg.LevelGraph, spec: StratumSpec, lev: int, conds, extra):
+    """The conditions of ``extra`` that lower the residue rank of level
+    ``lev``, each given the residue theorems of the level's vertices,
+    ``conds`` and the conditions of ``extra`` kept before it."""
+    theorems = [[tag for tag, o in reference_half_edges(g, spec, v) if o < 0]
+                for v in g.vertices_at(lev)]
+    poles = list(itertools.chain(*theorems))
+
+    def row(tags) -> list[int]:
+        return [int(tag in tags) for tag in poles]
+
+    rows = [row(tags) for tags in theorems + conds]
+    rank = _eliminate(rows)[0]
+    kept = []
+    for cond in extra:
+        if _eliminate(rows + [row(cond)])[0] > rank:
+            rows.append(row(cond))
+            rank += 1
+            kept.append(cond)
+    return kept
+
+
+def reference_level_stratum(g: lg.LevelGraph, spec: StratumSpec, lev: int,
+                            first_seen: bool = False):
     """One level stratum built on its own: the per-level construction that
     the level-strata record replaced."""
     verts = g.vertices_at(lev)
     comps, positions = [], {}
     for cj, v in enumerate(verts):
-        points = lg._half_edges(g, spec, v)
+        points = reference_half_edges(g, spec, v)
         for pj, (tag, _) in enumerate(points):
             positions[tag] = (cj, pj)
         comps.append((g.genera[v], tuple(o for _, o in points)))
     parts = tuple(ResiduePart(frozenset(positions[t] for t in cond), True)
-                  for cond in lg.induced_conditions(g, spec).get(lev, ()))
+                  for cond in reference_induced_conditions(g, spec, first_seen).get(lev, ()))
     return StratumSpec(tuple(comps), parts), positions
 
 
+def reference_level_strata(g: lg.LevelGraph, spec: StratumSpec, first_seen: bool = False):
+    return tuple(reference_level_stratum(g, spec, -i, first_seen)[0]
+                 for i in range(g.n_levels_below + 1))
+
+
+# the constrained examples whose level dimensions once failed to add up
+TWO_POLE_PARTS = [
+    StratumSpec.make([(0, (2, 2, -2, -2, -2))], [({(0, 3), (0, 4)}, True)]),
+    StratumSpec.make([(0, (2, 2, -1, -1, -2, -2))], [({(0, 4), (0, 5)}, True)]),
+    StratumSpec.make([(0, (2, -2, -2)), (0, (2, -2, -2, 0))], [({(0, 1), (1, 1)}, True)]),
+]
+# genus 3 (4) has levels below two pole-free components of two and one
+# vertices, whose conditions come in the order of their least members
 RECORD_SPECS = [StratumSpec.connected(0, (2, 1, 1, 1, -3, -4)), family_13(5),
-                StratumSpec.connected(2, (2, 2, -2)), pair_spec(), pair_spec(False)]
+                StratumSpec.connected(2, (2, 2, -2)), pair_spec(), pair_spec(False),
+                *TWO_POLE_PARTS, reversed_pair_spec(), StratumSpec.connected(3, (4,))]
 
 
 @pytest.mark.parametrize("spec", RECORD_SPECS,
-                         ids=["g0_n6", "g1_5_1_m6", "g2_2_2_m2", "pair", "pair_free"])
+                         ids=["g0_n6", "g1_5_1_m6", "g2_2_2_m2", "pair", "pair_free",
+                              "g0_2_2_m2_m2_m2", "g0_2_2_m1_m1_m2_m2", "two_components",
+                              "pair_reversed", "g3_4"])
 def test_level_strata_record_matches_the_per_level_build(spec):
+    """On every enumerated graph, and on its copy with the vertices and the
+    edges numbered in reverse, where the top levels come first."""
     for L in range(dimension(spec).projectivized + 1):
-        for g in lg.enumerate_LGL(spec, L):
+        for g in itertools.chain.from_iterable(
+                (g, reversed_graph(g)) for g in lg.enumerate_LGL(spec, L)):
             record = lg.level_strata(g, spec)
             assert len(record) == L + 1
             for i, sub in enumerate(record):
@@ -368,6 +518,45 @@ def test_level_strata_record_matches_the_per_level_build(spec):
             for lev in (1, -L - 1):
                 with pytest.raises(ValueError):
                     lg.level_stratum(g, spec, lev)
+
+
+def test_level_strata_record_matches_the_per_level_build_on_the_scan():
+    """The record equals the per-level construction on every graph of the
+    100 strata of the one-part scan that enumerate, at every L."""
+    specs = graphs = 0
+    for spec in one_part_specs():
+        try:
+            layers = [lg.enumerate_LGL(spec, L)
+                      for L in range(dimension(spec).projectivized + 1)]
+        except SpecError:
+            continue
+        specs += 1
+        for g in itertools.chain(*layers):
+            assert lg.level_strata(g, spec) == reference_level_strata(g, spec), (spec, g)
+            graphs += 1
+    assert (specs, graphs) == (100, 2505)
+
+
+def test_first_seen_component_order_breaks_the_record():
+    """Ordering a level's components by the first of their vertices met
+    from the top is not the least-member order.  Canonical graphs number
+    the lower levels first, so the two differ where two components above
+    a level both induce a condition on it: here, in genus 2 (2,2,-2), the
+    pole-free genus-1 vertices on levels 0 and -1 above the bottom vertex.
+    On the one-part genus-0 scan the two orders agree everywhere, since
+    every component above a level that induces a condition there holds a
+    pole, and so a point of the one part."""
+    spec = StratumSpec.connected(2, (2, 2, -2))
+    g = lg.LevelGraph((0, 1, 1), (-2, -1, 0), (((0, 0), 0), ((0, 1), 0), ((0, 2), 0)),
+                      ((1, 0, 1), (2, 0, 1)))
+    assert g in lg.enumerate_LGL(spec, 2)
+    record = lg.level_strata(g, spec)
+    first_seen = reference_level_strata(g, spec, first_seen=True)
+    assert record == reference_level_strata(g, spec)
+    assert [part.points for part in record[2].residue_parts] == \
+        [frozenset({(0, 3)}), frozenset({(0, 4)})]
+    assert first_seen[2].residue_parts == record[2].residue_parts[::-1]
+    assert first_seen != record
 
 
 def test_equal_level_specs_are_one_object():
