@@ -161,10 +161,22 @@ _TABLE_XI_TOP = [
 ]
 
 
-def default_registry() -> FixtureRegistry:
+def _table_registry() -> FixtureRegistry:
     reg = FixtureRegistry()
     for (g, mu), val, prov in _TABLE_XI_TOP:
         reg.register(StratumSpec.connected(g, mu), val, prov)
+    return reg
+
+
+_TABLE_ENTRIES = _table_registry()._entries
+
+
+def default_registry() -> FixtureRegistry:
+    """A new registry holding the xi-top table, registered once per
+    process; each registry has its own copy, so a later ``register`` on
+    one shows in no other."""
+    reg = FixtureRegistry()
+    reg._entries.update(_TABLE_ENTRIES)
     return reg
 
 

@@ -5,10 +5,9 @@ forms for hyperelliptic components, and cross-check ledgers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exact import Rational, binomial, rational_str
 from .strata import StratumSpec, dimension, require_valid
@@ -17,9 +16,8 @@ from . import tautring as tr
 from .evaluate import Evaluator, UnevaluatableError, default_evaluator
 
 
-@dataclass
-class EulerRow:
-    encoding: str
+class EulerRow(NamedTuple):
+    graph: lg.LevelGraph
     levels_below: int
     kappa_product: int
     top_dim_unproj: int
@@ -28,9 +26,14 @@ class EulerRow:
     contribution: Rational
     zero_rule: str | None = None
 
+    @property
+    def encoding(self) -> str:
+        """The canonical encoding of the row's graph, as text; built only
+        when read, since a chi-only caller reads none."""
+        return repr(lg.canonical_encoding(self.graph))
 
-@dataclass
-class EulerReport:
+
+class EulerReport(NamedTuple):
     spec: StratumSpec
     chi: Rational
     rows: list[EulerRow]
@@ -92,8 +95,7 @@ def euler_characteristic(spec: StratumSpec,
                     zero_rule = _vanishing_rule(sub)
             contribution = Fraction(num, den)
             total += contribution
-            rows.append(EulerRow(repr(lg.canonical_encoding(g)), L,
-                                 pd.kappa_product, ntop, pd.aut_order,
+            rows.append(EulerRow(g, L, pd.kappa_product, ntop, pd.aut_order,
                                  factors, contribution, zero_rule))
     chi = Fraction(-1) ** d * total
     return EulerReport(spec, chi, rows)
@@ -209,8 +211,7 @@ def chern_class_terms(spec: StratumSpec, degree: int) -> tr.TautClass:
     return pieces[degree] if 0 <= degree < len(pieces) else tr.TautClass.zero(spec)
 
 
-@dataclass
-class ChernReport:
+class ChernReport(NamedTuple):
     spec: StratumSpec
     classes: list[tr.TautClass]       # degree 0 .. d
     top_value: Rational               # integral of c_d
@@ -326,8 +327,7 @@ def _sym_weight(mu: Sequence[int]) -> Fraction:
     return w
 
 
-@dataclass
-class CrossCheckResult:
+class CrossCheckResult(NamedTuple):
     name: str
     lhs: Rational
     rhs: Rational

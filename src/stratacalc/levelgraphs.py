@@ -12,8 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from . import caches
 from .exact import lcm_list, orbit_count
@@ -24,8 +23,7 @@ from .strata import (DimensionData, Point, ResiduePart, SpecError, StratumSpec, 
 LegTag = tuple  # ("leg", Point) | ("ein", edge index) | ("eout", edge index)
 
 
-@dataclass(frozen=True)
-class LevelGraph:
+class LevelGraph(NamedTuple):
     """An enhanced level graph over a fixed ambient stratum.
 
     genera[v], levels[v] per vertex; legs maps each ambient marked point to
@@ -55,8 +53,7 @@ class LevelGraph:
         return self.n_levels_below == 0
 
 
-@dataclass(frozen=True)
-class ProngData:
+class ProngData(NamedTuple):
     ell_levels: tuple[int, ...]  # lcm of kappas over each level passage
     ell: int                     # product of the per-passage lcms
     kappa_product: int           # K: product of kappas over all edges

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import caches
 
@@ -22,14 +21,12 @@ class SpecError(ValueError):
     """Raised when a stratum description violates an invariant."""
 
 
-@dataclass(frozen=True)
-class ResiduePart:
+class ResiduePart(NamedTuple):
     points: frozenset[Point]
     constrained: bool = True
 
 
-@dataclass(frozen=True)
-class StratumSpec:
+class StratumSpec(NamedTuple):
     """A generalized stratum.
 
     components: tuple of (genus, orders) pairs; orders are the zero/pole
@@ -198,12 +195,11 @@ def _integer(x, where: str) -> int:
     return x
 
 
-@dataclass(frozen=True, slots=True)
-class DimensionData:
+class DimensionData(NamedTuple):
     """The residue record of a spec, from one elimination: both dimensions,
     the poles (simple poles included), the rank of the residue subspace and
-    the poles whose residue vanishes identically, in pole order.  Tuples
-    and slots keep the record small: there is one per level stratum."""
+    the poles whose residue vanishes identically, in pole order.  A tuple
+    keeps the record small: there is one per level stratum."""
 
     unprojectivized: int
     projectivized: int

@@ -212,6 +212,10 @@ def test_colliding_fixture_exits_one(tmp_path, capsys):
 # order of canonical encodings; a drift there changes these bytes.  Never
 # re-record a pin to absorb a change.
 JSON_SHA256 = {
+    ("chi", "m13_k2"):
+        "d4011585d4c63c3e223f40d58b52afc4c890f21167d3c2677e93c2bc149a6604",
+    ("chi", "pair_residue"):
+        "674a98c59c8aa3b2495e0f3d430edddc0e20df05d54a68c2ed664318e0a32f1d",
     ("divisors", "m13_k2"):
         "4b2ccac50493fec02dcbcc0d5c77fb71f7406e760522270e1bccff04edff3bf5",
     ("divisors", "h2_min"):

@@ -138,6 +138,18 @@ def test_fixture_lookup_is_order_insensitive():
     assert reg.lookup(C(2, (-3, 5))) == Fraction(-21, 20)
 
 
+def test_default_registries_do_not_share_entries():
+    one, two = default_registry(), default_registry()
+    assert len(one.items()) == 12 and one.items() == two.items()
+    extra = C(3, (7, -3))
+    one.register(extra, Fraction(1, 7), "test")
+    assert one.lookup(extra) == Fraction(1, 7)
+    assert two.lookup(extra) is None and default_registry().lookup(extra) is None
+    with pytest.raises(FixtureCollisionError):
+        two.register(C(1, (0,)), Fraction(1, 25), "conflicting")
+    assert default_registry().items() == two.items()
+
+
 def test_fail_loud_names_the_key():
     ev = Evaluator(FixtureRegistry())
     with pytest.raises(UnevaluatableError) as err:

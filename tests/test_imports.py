@@ -1,5 +1,6 @@
 """Every module-level import of the package is used, and so is every
-top-level private function.
+top-level private function; importing the package loads neither
+``dataclasses`` nor ``inspect``.
 
 No linter runs on this repository, so an import or a ``_helper`` left
 behind by a refactor would go unnoticed; this reads each module with the
@@ -9,7 +10,10 @@ import check: its imports are re-exports.
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -66,3 +70,16 @@ def test_an_unused_private_function_is_reported():
         "def _called():\n    pass\ndef _orphan():\n    pass\ndef public():\n    pass\n",
         "import m\ndef _attribute():\n    pass\nm._attribute()\n_called()\n",
     ]) == ["_orphan"]
+
+
+@pytest.mark.parametrize("module", ["stratacalc", "stratacalc.cli"])
+def test_import_loads_neither_dataclasses_nor_inspect(module):
+    """Every CLI call is a new interpreter and pays for what the package
+    imports; ``dataclasses`` alone pulls in ``inspect``, ``ast`` and ``dis``."""
+    code = (f"import sys; bare = set(sys.modules); import {module}; "
+            "print(' '.join(sorted(set(sys.modules) - bare)))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    loaded = set(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                capture_output=True, text=True).stdout.split())
+    assert module in loaded
+    assert not loaded & {"dataclasses", "inspect"}
