@@ -45,7 +45,18 @@ def _xi_key(spec: StratumSpec) -> str:
 
 
 def _psi_key(spec: StratumSpec, psi: tuple) -> str:
-    return f"psi{list(psi)} on " + spec.canonical_key()
+    """The key of a psi integrand, given as sorted (point, exponent) pairs:
+    each component's genus and multiset of (order, exponent) pairs over
+    its points, the components sorted, so that the key does not depend on
+    how the points are numbered.  Specs with residue parts keep the
+    verbatim key."""
+    if spec.residue_parts:
+        return f"psi{list(psi)} on " + spec.to_json()
+    exps = dict(psi)
+    comps = sorted((g, sorted(((m, exps.get((c, p), 0)) for p, m in enumerate(orders)),
+                              reverse=True))
+                   for c, (g, orders) in enumerate(spec.components))
+    return "psi (order, exponent) on " + json.dumps({"c": comps})
 
 
 class FixtureRegistry:
@@ -122,6 +133,9 @@ def _fixture_entry(item, where: str) -> tuple:
         if pt not in spec.points():
             raise SpecError(f'{where}: key {_show(key)} is not a marked point '
                             f'"component.point" of the spec')
+        if pt in psi:
+            raise SpecError(f"{where}: key {_show(key)} names the point "
+                            f"{pt[0]}.{pt[1]} a second time")
         if _integer(exp, f"{where}[{key!r}]") < 1:
             raise SpecError(f"{where}[{key!r}]: expected a positive exponent, got {exp}")
         psi[pt] = exp

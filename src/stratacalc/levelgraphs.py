@@ -339,22 +339,28 @@ def _constrained_part_of(spec: StratumSpec) -> dict[Point, frozenset[Point]]:
     return out
 
 
-def _half_edges(g: LevelGraph, spec: StratumSpec) -> list[list[tuple[LegTag, int]]]:
-    """The points of each vertex as (tag, order) pairs, one list per
-    vertex: its legs in point order, then the poles of its incoming edges
-    and the zeros of its outgoing edges, each in edge order.  The points of
-    a level stratum are numbered in this order, so the ``graphs`` and
-    ``divisors`` output depends on it; :func:`level_splits` maps the points
-    of a divisor of a level stratum back to these tags.  Built for all
-    vertices at once, from one pass over the legs and two over the edges."""
-    out: list[list[tuple[LegTag, int]]] = [[] for _ in g.genera]
+def _half_edges(g: LevelGraph, spec: StratumSpec, lev: int | None = None
+                ) -> list[list[tuple[LegTag, int]]]:
+    """The points of each vertex (each vertex at level ``lev``, where
+    given) as (tag, order) pairs, one list per vertex in vertex order: its
+    legs in point order, then the poles of its incoming edges and the zeros
+    of its outgoing edges, each in edge order.  The points of a level
+    stratum are numbered in this order, so the ``graphs`` and ``divisors``
+    output depends on it; :func:`level_splits` maps the points of a divisor
+    of a level stratum back to these tags.  Built for all those vertices at
+    once, from one pass over the legs and two over the edges."""
+    out: list[list[tuple[LegTag, int]] | None] = [
+        [] if lev is None or x == lev else None for x in g.levels]
     for pt, v in sorted(g.legs):
-        out[v].append((("leg", pt), spec.order(pt)))
+        if out[v] is not None:
+            out[v].append((("leg", pt), spec.order(pt)))
     for ei, (_, w, k) in enumerate(g.edges):
-        out[w].append((("ein", ei), -k - 1))
+        if out[w] is not None:
+            out[w].append((("ein", ei), -k - 1))
     for ei, (u, _, k) in enumerate(g.edges):
-        out[u].append((("eout", ei), k - 1))
-    return out
+        if out[u] is not None:
+            out[u].append((("eout", ei), k - 1))
+    return out if lev is None else [pts for pts in out if pts is not None]
 
 
 def _positions(points: Iterable[list[tuple[LegTag, int]]]) -> dict[LegTag, Point]:
@@ -501,11 +507,11 @@ def level_positions(g: LevelGraph, spec: StratumSpec, lev: int) -> dict[LegTag, 
     """positions[tag] = (component, point) in the level stratum at ``lev``
     for every tag on that level (an ambient leg, an incoming edge pole, or
     an outgoing edge zero); a tag lies on the level exactly when it is a
-    key.  Read from the ``_half_edges`` lists that the level stratum reads,
-    built on every call and not kept: only psi exponents and level splits
-    need them, and a dict per level would cost more memory than the level
-    specs."""
-    return _positions(pts for pts, x in zip(_half_edges(g, spec), g.levels) if x == lev)
+    key.  Read from the ``_half_edges`` lists of the level's vertices, which
+    the level stratum reads, built on every call and not kept: only psi
+    exponents and level splits need them, and a dict per level would cost
+    more memory than the level specs."""
+    return _positions(_half_edges(g, spec, lev))
 
 
 def level_stratum(g: LevelGraph, spec: StratumSpec, lev: int

@@ -203,29 +203,34 @@ class TautClass:
         else:
             self.terms.pop(key, None)
 
-    def _add_canonical(self, g: lg.LevelGraph, poly: Poly, scale: Rational | int) -> None:
-        """``add_term(g, d, c * scale)`` for every (d, c) of ``poly``, trusted:
-        g is its own canonical form under decorations without edge psi,
-        every d is such a decoration of degree at most the dimension, and
-        the coefficients are exact.  So neither the canonical form nor the
-        checks run.  The Chern graph sums add their terms this way."""
+    def _merge(self, items, scale: Rational | int = 1) -> None:
+        """``add_term(g, d, c * scale)`` for every ((g, d), c) of ``items``,
+        trusted: every (g, d) is its own canonical form, of degree at most
+        the dimension, and the coefficients are exact, as in the terms of
+        another class of this stratum.  So neither the canonical form nor
+        the checks run."""
         terms = self.terms
-        for d, c in poly.items():
-            key = (g, d)
+        for key, c in items:
             new = terms.get(key, 0) + c * scale
             if new:
                 terms[key] = new
             else:
                 terms.pop(key, None)
 
+    def _add_canonical(self, g: lg.LevelGraph, poly: Poly, scale: Rational | int) -> None:
+        """:meth:`_merge` of the terms (g, d) of ``poly``: g is its own
+        canonical form under decorations without edge psi, and every d is
+        such a decoration.  The Chern graph sums add their terms this way."""
+        self._merge((((g, d), c) for d, c in poly.items()), scale)
+
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other: "TautClass") -> "TautClass":
         if other.spec != self.spec:
             raise ValueError("mixed ambient strata")
-        out = TautClass(self.spec, self.terms)
-        for (g, d), c in other.terms.items():
-            out.add_term(g, d, c)
+        out = TautClass(self.spec)
+        out.terms = dict(self.terms)
+        out._merge(other.terms.items())
         return out
 
     def __sub__(self, other: "TautClass") -> "TautClass":
@@ -536,8 +541,7 @@ def multiply(a: TautClass, b: TautClass, evaluator: Evaluator | None = None) -> 
     for (g1, d1), c1 in an.terms.items():
         for (g2, d2), c2 in bn.terms.items():
             part = multiply_term_by_bounded(a.spec, g1, d1, g2, d2)
-            for (gg, dd), cc in part.terms.items():
-                out.add_term(gg, dd, cc * c1 * c2)
+            out._merge(part.terms.items(), c1 * c2)
     return out
 
 

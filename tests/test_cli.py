@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from stratacalc import invariants as inv
+from stratacalc import invariants as inv, levelgraphs as lg, tautring as tr
 from stratacalc.cli import run
 
 SPECS = os.path.join(os.path.dirname(__file__), "..", "demos", "specs")
@@ -115,6 +115,30 @@ def test_entry_point_runs():
     assert proc.stdout.strip() == "-4"
 
 
+def test_each_command_builds_only_the_output_it_prints(monkeypatch, capsys):
+    calls = []
+
+    def spy(owner, name, label):
+        real = getattr(owner, name)
+
+        def counted(*args):
+            calls.append(label)
+            return real(*args)
+        monkeypatch.setattr(owner, name, counted)
+    spy(inv.EulerReport, "to_json_obj", "chi")
+    spy(inv.ChernReport, "to_json_obj", "chern")
+    spy(tr.TautClass, "to_json_obj", "class")
+    spy(lg, "graph_report", "graph_report")
+    for cmd in ("chi", "chern", "divisors", "c1"):
+        calls.clear()
+        assert run([cmd, "--spec", spec_path("m13_k5.json")]) == 0
+        capsys.readouterr()
+        assert calls == (["class"] if cmd == "c1" else []), cmd
+    calls.clear()
+    assert run(["c1", "--spec", spec_path("m13_k5.json"), "--json"]) == 0
+    assert calls == ["class"]
+
+
 def test_residue_constrained_spec_info(capsys):
     assert run(["info", "--spec", spec_path("pair_residue.json"),
                 "--json"]) == 0
@@ -198,10 +222,12 @@ def test_rewritten_fixture_file_is_not_stale(tmp_path, capsys):
 def test_colliding_fixture_exits_one(tmp_path, capsys):
     fix = tmp_path / "fix.json"
     fix.write_text(json.dumps([{"spec": _connected(2, (2,)), "value": "1"}]))
-    assert run(["xi-top", "--spec", spec_path("h2_min.json"),
-                "--fixtures", str(fix)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: fixture collision") and err.count("\n") == 1
+    for cmd in ("xi-top", "chi", "chern"):
+        assert run([cmd, "--spec", spec_path("h2_min.json"),
+                    "--fixtures", str(fix)]) == 1, cmd
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: fixture collision"), cmd
+        assert err.count("\n") == 1, cmd
 
 
 # sha256 of the --json stdout, recorded before the canonical-form search was
@@ -256,6 +282,141 @@ def test_json_output_is_pinned(cmd, spec, capsys):
     assert run([cmd, "--spec", spec_path(spec + ".json"), "--json"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == JSON_SHA256[cmd, spec]
+
+
+# sha256 of the text stdout (no --json) of every command, recorded before
+# each handler was made to build only the output it prints.  A key is the
+# command with its options and the spec the --spec option names, if any.
+TEXT_SHA256 = {
+    ("info", "g0_111"):
+        "ec1845753506b3b30ca10101db83b115295bfc619e82584e2335ab93d81fdec3",
+    ("info", "g0_cherry"):
+        "8e6d4533347163bc94fb402248c1df4d541c87eedc8f342bd87f9a577b9c38ef",
+    ("info", "h2_min"):
+        "b01531b069769d040d64d5a21722d7c3418eb070af3acbddd85e6d5382a89e13",
+    ("info", "m13_k2"):
+        "27cf4fd046400c5cb105bed0233e1703762516cfcd299f2aabc032cbe894212f",
+    ("info", "m13_k5"):
+        "27cf4fd046400c5cb105bed0233e1703762516cfcd299f2aabc032cbe894212f",
+    ("info", "pair_residue"):
+        "c897a8b8f5786709cb8e10e491209957620149540e4dcb503bd2f79058f85b4a",
+    ("graphs", "g0_111"):
+        "85f3b57fdd8ed3c24c44fc624cb0decd0c63b446e5bbdf01d65fd2fdaf19e813",
+    ("graphs", "g0_cherry"):
+        "cf4ccbae60d1b9d2a808e0e604d37b4ae704a538efa81f8b0a13dd132432930d",
+    ("graphs", "h2_min"):
+        "761c8340c832d99b1701c1aebba1a54e2d057ce7fa9e3d6ee2f4d544a7d72c42",
+    ("graphs", "m13_k2"):
+        "781d6a295d4b9fef96a9bd45faefd20894680160a57742c7fd440436f65bc77a",
+    ("graphs", "m13_k5"):
+        "8a1626379d57fc5d018839ea680823e11fb1468ec8c2f76279dec44d0678a228",
+    ("graphs", "pair_residue"):
+        "71b9b3c1c96d5a908ae0e55481e9df42be4158e90185acf159e1c59750c64b88",
+    ("divisors", "g0_111"):
+        "28f023b9cdc237f99b0592dd8c96631722e68865c684cbf543cc10a56d92575e",
+    ("divisors", "g0_cherry"):
+        "171587ba1d94da960e8b839af9a6f83dfebd96eb794a3cacbd5b80bcbf3e24a3",
+    ("divisors", "h2_min"):
+        "b8cdd236c49786060d39012ea227dd6c969ddcabecf4b8bf3719a76e4c181ee5",
+    ("divisors", "m13_k2"):
+        "eead6086cd7b57bc7504883807dba33538a3c449b5e05fdca20449a1261525ea",
+    ("divisors", "m13_k5"):
+        "9e284cf29e51c5d9efa78d6a0dbc3f22fb8953ef35b9637c63e12bf08fa485ce",
+    ("divisors", "pair_residue"):
+        "e2f9d5628285b665559f97dc84d739478b09f3fed4b948d8e99065047da93f8a",
+    ("profiles", "g0_111"):
+        "ac5b32cc2a62172e60d185ce9e852d8e248cf67cace1c4a5206a7da0af8f01ea",
+    ("profiles", "g0_cherry"):
+        "1da1c7f1c59e09ca73241af7e996c610a4a849c31b7970c18604744d1ec8cd45",
+    ("profiles", "h2_min"):
+        "4a50f10fe649113a4a11c207a404e753a9c7e16a84be0f79d79418f117d971b2",
+    ("profiles", "m13_k2"):
+        "c1edf3a4e20587c8fe43656cb3540f8e1809b5dafdf37cc6ef811b8b56a5444e",
+    ("profiles", "m13_k5"):
+        "f775a58df65860df8b00e0e8ab7ef2aa960e9125b0f68e259b9f345a1d084173",
+    ("profiles", "pair_residue"):
+        "53906565fe3a4175ebc9049f9077d1ade6efe384f4be369ff04fc84b1eb0de3f",
+    ("chi", "g0_111"):
+        "707c670de0fb8b8f0d2fc0ad3cdee7452d349d57091933d33c982df4d04f05a4",
+    ("chi", "g0_cherry"):
+        "3a393fa900612766d5236936c1d19c2471c93c12a929a787a9af231d568ae465",
+    ("chi", "h2_min"):
+        "45dc70ca94f09082ae5f00abda6c6cf136c46ea8cbba1455de2a51f4c0ec2518",
+    ("chi", "m13_k2"):
+        "28ff45fd7207cff8c425d553bbf0089356da4863ce4fdf726e899697c02fd7bb",
+    ("chi", "m13_k5"):
+        "38e50449e88a127ed7f262bcb3836fcf54c292a0be412db335d079a8bfa5f6bd",
+    ("chi", "pair_residue"):
+        "296f066cb6fa9bf0ed6da6b5e77217ecd68a6fede77f1615dedf483dc7322e90",
+    ("xi-top", "g0_111"):
+        "8fbfec21acf8f74313698199401f9eb352920bd889b4865b272e657167808aa0",
+    ("xi-top", "g0_cherry"):
+        "6169555d9248be7e184f52250129b0d66c9932af74f4ac7bc716c20013fca362",
+    ("xi-top", "h2_min"):
+        "a868eafba834b7297f5eb59fa50a84421c4ed7e74a104e5800599943059255c2",
+    ("xi-top", "m13_k2"):
+        "d7b04a4fe1f44f6c6220e30fa319aee4ccbe24b2d621184fd9cebd6c958ba48b",
+    ("xi-top", "m13_k5"):
+        "20d2add851bf39edcc6b5e830930f962db7e19dffa2cab8610eed551eda6c302",
+    ("xi-top", "pair_residue"):
+        "ee3aa64bb94a50845d5024cd4bd20202a4567aed5cd5328c0d97e9920775fc28",
+    ("c1", "g0_111"):
+        "62e1db796b5abcd4e69fe4bfedf3c598a2d484bb48d633ca6587b0fade7f5fd2",
+    ("c1", "g0_cherry"):
+        "4d7d0cd7bad377a6530adc39b469b9efb67091fba94cd6494b61b91831459b9f",
+    ("c1", "h2_min"):
+        "751369a8c18268d729b1d942a889a7927d243f8502783905cc608bfb225e0c7f",
+    ("c1", "m13_k2"):
+        "2a9b8ba7e39dace49d95ff179ccb6b066d94e2b200b501dc2ab84a23f4f04296",
+    ("c1", "m13_k5"):
+        "01240e82a191b27adadd5fdde033e21a925c50543cb11054d22ff62ebe83fa54",
+    ("c1", "pair_residue"):
+        "065cd5665163360089086a7fc2e205b0f9480441649a112b88b0476bae6f03eb",
+    ("chern", "g0_111"):
+        "7ccb70b295fbc15f16ec0b3763e2cd25faba101830eefa0430fe7e7cb943659e",
+    ("chern", "g0_cherry"):
+        "86c6936ae1fbdb1346db2ea2ea0d28c96a52207fe31d4a818ecf4a2154a27e15",
+    ("chern", "h2_min"):
+        "2bfa29d7d301425592954429990cd07617243487cfd85a7813a86c0a69f1440f",
+    ("chern", "m13_k2"):
+        "3542c994425398d9d5d180f507668f2238807781ed90e94b216d4ace7667a255",
+    ("chern", "m13_k5"):
+        "c30fd4b975788d2cfa3085946555ab63c3972fe404052097b7beac98cb60a657",
+    ("chern", "pair_residue"):
+        "36ec51c0e165cedad50052c18ca7e1f44de149f45cbd9580089bcc0ed983441c",
+    ("chi --verbose", "g0_111"):
+        "748b93f8d5a6fd523202d049e60cc2de7c417b318c43e60c3800fbb6f16e90ae",
+    ("chi --verbose", "g0_cherry"):
+        "00d8072b78647b3b47c24924ad7b5a64122da77d7c2dee00646bb7ddd1015a4d",
+    ("chi --verbose", "h2_min"):
+        "b3ac723923efe8a1fecb67bec70885b889d944c885cd0358cf365323267fe5d3",
+    ("chi --verbose", "m13_k2"):
+        "ebc4aa30a2ae59f9fbaba811fb1397856df07575efc04cc910e1369ed8f5cf9f",
+    ("chi --verbose", "m13_k5"):
+        "69d1acfad13aa84179249a0a1c47edb327fb1b6aca7d81ff1947eb012848e8ae",
+    ("chi --verbose", "pair_residue"):
+        "ce87946387165bc01310a9b8d7b2b0eda6688ac6c1d89e90e52174ec3d3be0e8",
+    ("graphs --levels 2", "g0_cherry"):
+        "1322da41ab5e79f23568105ed1fe9da0871c75abc1ca8682a5a798dc23826c14",
+    ("graphs --levels 2", "m13_k5"):
+        "9bf133e2939a609981b147c879e8529e04921780eef2fb050ff4bcd8eabb866f",
+    ("profiles --levels 1", "g0_cherry"):
+        "7a922b8252fefff6e84435ed4da3f06d98abc4430fb656298e5160c058c78a18",
+    ("profiles --levels 1", "m13_k5"):
+        "88aed396abfd379ff5120d5db3352255acdd2a9835570e4dfc597bfdb7b4b687",
+    ("check --tables", None):
+        "14c8b3a224663d9a9108b839656c0df3b061b1f3b8b9ceebccbe2aca0676992b",
+}
+
+
+@pytest.mark.parametrize("cmd,spec", list(TEXT_SHA256),
+                         ids=[f"{c}-{s}" for c, s in TEXT_SHA256])
+def test_text_output_is_pinned(cmd, spec, capsys):
+    name, *options = cmd.split()
+    argv = [name, *(["--spec", spec_path(spec + ".json")] if spec else []), *options]
+    assert run(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == TEXT_SHA256[cmd, spec]
 
 
 def _part_spec(components, part):
@@ -333,6 +494,8 @@ BAD_FIXTURES = [
      "key '0.0.0'"),
     ([{"spec": H2, "value": "1", "integrand": {"psi": {"0.1": 1}}}],
      "key '0.1'"),
+    ([{"spec": G1, "value": "1", "integrand": {"psi": {"0.0": 2, "00.0": 2}}}],
+     "fixtures[0].integrand.psi: key '00.0' names the point 0.0 a second time"),
     ([{"spec": H2, "value": "1", "integrand": {"psi": {"0.0": "4"}}}],
      "fixtures[0].integrand.psi['0.0']: expected an integer"),
     ([{"spec": H2, "value": "1", "integrand": {"psi": {"0.0": 0}}}],
@@ -397,12 +560,14 @@ def test_unexpected_error_exits_two_with_one_line(monkeypatch, capsys):
 USAGE_ERRORS = [
     (["chi"], "error: the following arguments are required: --spec"),
     (["frobnicate"], "error: argument command: invalid choice: 'frobnicate'"),
-    (["chi", "--spec", spec_path("g0_111.json"), "--levels", "one"],
+    (["graphs", "--spec", spec_path("g0_111.json"), "--levels", "one"],
      "error: argument --levels: invalid int value: 'one'"),
     (["graphs", "--spec", spec_path("g0_111.json"), "--levels", "-1"],
      "error: argument --levels: expected a nonnegative integer, got -1"),
     (["profiles", "--spec", spec_path("g0_111.json"), "--levels", "-1"],
      "error: argument --levels: expected a nonnegative integer, got -1"),
+    (["chi", "--spec", spec_path("g0_111.json"), "--levels", "1"],
+     "error: unrecognized arguments: --levels 1"),
 ]
 
 
@@ -415,6 +580,31 @@ def test_usage_error_exits_one_with_one_line(argv, message, capsys):
     out, err = capsys.readouterr()
     assert rc == 1 and out == ""
     assert err.startswith(message) and err.count("\n") == 1, err
+
+
+# the options each command reads besides --json and --out
+READS = {
+    "info": ("--spec",), "divisors": ("--spec",), "c1": ("--spec",),
+    "graphs": ("--spec", "--levels"), "profiles": ("--spec", "--levels"),
+    "chi": ("--spec", "--fixtures", "--verbose"),
+    "xi-top": ("--spec", "--fixtures"), "chern": ("--spec", "--fixtures"),
+    "check": ("--tables",),
+}
+OPTION_ARGS = {"--spec": [spec_path("g0_111.json")], "--tables": [],
+               "--fixtures": [spec_path("g0_111.json")], "--levels": ["1"],
+               "--verbose": []}
+
+
+@pytest.mark.parametrize("cmd,option", [(cmd, option) for cmd in READS
+                                        for option in OPTION_ARGS
+                                        if option not in READS[cmd]])
+def test_an_option_the_command_does_not_read_is_refused(cmd, option, capsys):
+    argv = [cmd, *(["--spec", spec_path("g0_111.json")] if "--spec" in READS[cmd] else []),
+            option, *OPTION_ARGS[option]]
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1, err
+    assert err.startswith(f"error: unrecognized arguments: {option}"), err
 
 
 def test_help_still_exits_zero(capsys):

@@ -217,6 +217,25 @@ def test_psi_fixture_registration_and_lookup():
     assert ev.integral(spec, {(0, 0): 4}, 0) == Fraction(3, 7)
 
 
+def test_psi_fixture_key_follows_the_orders_not_the_numbering():
+    """psi_(0,0)^2 is 3/8 on genus 1 (2, 1, -3) and 1/2 on (1, 2, -3): the
+    two specs share a canonical key, but the point (0, 0) has a different
+    order on each, so neither value may answer for the other."""
+    a, b = C(1, (2, 1, -3)), C(1, (1, 2, -3))
+    values = {a: Fraction(3, 8), b: Fraction(1, 2)}
+    for spec, value in values.items():
+        assert Evaluator().psi_top(spec, {(0, 0): 2}) == value
+    for held, asked in ((a, b), (b, a)):
+        reg = default_registry()
+        reg.register(held, values[held], "test", psi={(0, 0): 2})
+        assert Evaluator(reg).psi_top(asked, {(0, 0): 2}) == values[asked]
+        reg.register(asked, values[asked], "test", psi={(0, 0): 2})  # no collision
+    # the same integral with the points renumbered is one key
+    reg = default_registry()
+    reg.register(a, values[a], "test", psi={(0, 0): 2})
+    assert reg.lookup(b, (((0, 1), 2),)) == values[a]
+
+
 def test_single_pole_recursion_sweep():
     """Closed form and generic expansion agree for single-pole rational
     strata across a systematic family of signatures."""
