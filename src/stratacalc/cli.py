@@ -31,7 +31,12 @@ def _read(path: str) -> str:
 
 
 def _load_spec(path: str) -> StratumSpec:
-    return StratumSpec.from_json(_read(path))
+    """The spec of the file, refused unless it is valid and its stratum is
+    empty or realizable: every command reading a spec but ``info`` answers
+    only for such a stratum."""
+    spec = StratumSpec.from_json(_read(path))
+    lg.enumerate_LGL(spec, 0)  # raises unless realizable; () for an empty stratum
+    return spec
 
 
 def _evaluator(args) -> Evaluator:
@@ -55,7 +60,7 @@ def _table(rows: list[list[str]]) -> list[str]:
 
 
 def cmd_info(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = StratumSpec.from_json(_read(args.spec))
     issues = validate(spec)
     if issues:
         print("invalid spec: " + "; ".join(issues), file=sys.stderr)
@@ -73,13 +78,18 @@ def cmd_info(args) -> int:
 def cmd_graphs(args) -> int:
     spec = _load_spec(args.spec)
     L = args.levels if args.levels is not None else 1
-    reports = [lg.graph_report(g, spec) for g in lg.enumerate_LGL(spec, L)]
-    _emit(args, reports if args.json else [
-        f"{len(reports)} graphs with {L} levels below zero",
-        *(f"[{i}] vertices={r['vertices']} edges={r['edges']} "
-          f"ell={r['prongs']['ell']} K={r['prongs']['kappa_product']} "
-          f"aut={r['prongs']['aut']} profile={r['profile']}"
-          for i, r in enumerate(reports))])
+    graphs = lg.enumerate_LGL(spec, L)
+    if args.json:
+        _emit(args, [lg.graph_report(g, spec) for g in graphs])
+        return 0
+    lines = [f"{len(graphs)} graphs with {L} levels below zero"]
+    for i, g in enumerate(graphs):
+        pd = lg.prong_data(g)
+        vertices = [{"genus": gv, "level": lv} for gv, lv in zip(g.genera, g.levels)]
+        lines.append(f"[{i}] vertices={vertices} edges={[list(e) for e in g.edges]} "
+                     f"ell={pd.ell} K={pd.kappa_product} aut={pd.aut_order} "
+                     f"profile={list(lg.profile(g, spec))}")
+    _emit(args, lines)
     return 0
 
 
@@ -181,7 +191,7 @@ COMMANDS = {
     "xi-top": (cmd_xi_top, ("--spec", "--fixtures")),
     "c1": (cmd_c1, ("--spec",)),
     "chern": (cmd_chern, ("--spec", "--fixtures")),
-    "check": (cmd_check, ("--tables",)),  # the tables are checked either way
+    "check": (cmd_check, ()),
 }
 
 
@@ -201,7 +211,6 @@ def _levels(value: str) -> int:
 
 _OPTIONS = {
     "--spec": dict(required=True, help="stratum JSON file"),
-    "--tables": dict(action="store_true", help="check the shipped chi tables"),
     "--fixtures": dict(nargs="*", default=[], help="extra fixture JSON files"),
     "--levels": dict(type=_levels, default=None),
     "--verbose": dict(action="store_true"), "--json": dict(action="store_true"),

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 from . import caches
 from .exact import Rational, multinomial, rational_str
 from .strata import (Point, SpecError, StratumSpec, _array, _check_keys, _integer, _show,
-                     dimension, require_valid)
+                     dimension)
 from . import levelgraphs as lg
 
 
@@ -214,13 +214,17 @@ class Evaluator:
 
     # -- public surface ----------------------------------------------------
 
+    # both refuse an invalid spec and a stratum that is not realizable
+    # (``enumerate_LGL(spec, 0)``, which an empty stratum passes); level
+    # strata are realizable by construction and go to ``integral`` unjudged
+
     def xi_top(self, spec: StratumSpec) -> Rational:
-        require_valid(spec)
+        lg.enumerate_LGL(spec, 0)
         d = dimension(spec).projectivized
         return self.integral(spec, {}, d)
 
     def psi_top(self, spec: StratumSpec, psi: PsiMap) -> Rational:
-        require_valid(spec)
+        lg.enumerate_LGL(spec, 0)
         return self.integral(spec, psi, 0)
 
     def integral(self, spec: StratumSpec, psi: PsiMap, xi: int) -> Rational:

@@ -6,7 +6,6 @@ throughout the package; no floating point is used anywhere.
 """
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from math import factorial, gcd, prod
 from typing import Sequence
@@ -136,39 +135,3 @@ def orbit_count(moduli: Sequence[int], action_rows: Sequence[Sequence[int]]) -> 
         stack.append([k if j == i else 0 for j in range(n)])
     # full rank through the diag(moduli) rows: n diagonal entries
     return prod(smith_diagonal(stack))
-
-
-def orbit_count_bfs(moduli: Sequence[int], action_rows: Sequence[Sequence[int]]) -> int:
-    """Explicit breadth-first orbit count; the permanent test oracle for
-    :func:`orbit_count`.  Exponential in the state space, use on small input.
-    """
-    n = len(moduli)
-    if n == 0:
-        return 1
-    total = 1
-    for k in moduli:
-        total *= k
-    seen: set[tuple[int, ...]] = set()
-    orbits = 0
-    for start_idx in range(total):
-        # decode mixed-radix index
-        x = []
-        t = start_idx
-        for k in moduli:
-            x.append(t % k)
-            t //= k
-        start = tuple(x)
-        if start in seen:
-            continue
-        orbits += 1
-        dq = deque([start])
-        seen.add(start)
-        while dq:
-            cur = dq.popleft()
-            for row in action_rows:
-                for sign in (1, -1):
-                    nxt = tuple((c + sign * r) % k for c, r, k in zip(cur, row, moduli))
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        dq.append(nxt)
-    return orbits

@@ -534,60 +534,6 @@ def level_dims(g: LevelGraph, spec: StratumSpec) -> list[tuple[int, int]]:
 # realizability
 # ---------------------------------------------------------------------------
 
-def _structural_issues(g: LevelGraph, spec: StratumSpec) -> list[str]:
-    issues = []
-    legv = g.leg_vertex()
-    if set(legv) != set(spec.points()):
-        issues.append("legs do not match spec points")
-    # per-vertex degree and stability
-    special = [0] * g.n_vertices
-    degsum = [0] * g.n_vertices
-    for pt, v in g.legs:
-        special[v] += 1
-        degsum[v] += spec.order(pt)
-    for (u, v, k) in g.edges:
-        if k < 1:
-            issues.append("nonpositive enhancement")
-        if g.levels[u] <= g.levels[v]:
-            issues.append("edge does not descend")
-        special[u] += 1
-        special[v] += 1
-        degsum[u] += k - 1
-        degsum[v] += -k - 1
-    for v in range(g.n_vertices):
-        if degsum[v] != 2 * g.genera[v] - 2:
-            issues.append(f"vertex {v}: degree equation fails")
-        if 2 * g.genera[v] - 2 + special[v] <= 0:
-            issues.append(f"vertex {v}: unstable")
-    L = g.n_levels_below
-    for lev in range(0, -L - 1, -1):
-        if not g.vertices_at(lev):
-            issues.append(f"level {lev} empty")
-    # connectivity and genus per ambient component
-    root = _roots(g.n_vertices, [(u, v) for (u, v, _) in g.edges])
-    comp_of_piece: dict[int, int] = {}
-    for pt, v in g.legs:
-        r = root[v]
-        if r in comp_of_piece and comp_of_piece[r] != pt[0]:
-            issues.append("a connected piece carries legs of two components")
-        comp_of_piece[r] = pt[0]
-    pieces: dict[int, list[int]] = {}
-    for v in range(g.n_vertices):
-        pieces.setdefault(root[v], []).append(v)
-    if len(pieces) != spec.n_components:
-        issues.append("piece count differs from component count")
-    for r, vs in pieces.items():
-        if r not in comp_of_piece:
-            issues.append("piece without legs")
-            continue
-        ci = comp_of_piece[r]
-        ne = sum(1 for (u, v, _) in g.edges if root[u] == r)
-        btotal = sum(g.genera[v] for v in vs) + ne - (len(vs) - 1)
-        if btotal != spec.components[ci][0]:
-            issues.append(f"piece of component {ci}: genus mismatch")
-    return issues
-
-
 def _genus0_zero_residue_ok(sub: StratumSpec, cj: int, dd: DimensionData) -> bool:
     """Existence of a differential on a genus-0 component all of whose pole
     residues vanish, read off the residue record ``dd`` of ``sub``.  Zero
@@ -610,12 +556,16 @@ def _genus0_zero_residue_ok(sub: StratumSpec, cj: int, dd: DimensionData) -> boo
     return all(a <= d - 1 for a in orders if a > 0)
 
 
-def _level_issues(g: LevelGraph, spec: StratumSpec) -> list[str]:
-    """The level part of the realizability predicate, for a structurally
-    sound graph: nonnegative level dimensions, no simple pole with
-    identically vanishing residue, and the genus-0 zero-residue
-    obstruction.  Raises ``EnumerationError`` when the level dimensions of
-    a realizable graph do not add up to the stratum's."""
+def realizability_issues(g: LevelGraph, spec: StratumSpec) -> list[str]:
+    """The realizability predicate of a graph that meets the degree
+    equations, stability, descent and connectivity, as every graph that
+    enumeration builds does: nonnegative level dimensions, no simple pole
+    with identically vanishing residue, and the genus-0 zero-residue
+    obstruction.  Only the trivial graph and the two-level graphs of a
+    stratum are judged in enumeration; deeper graphs are glued from the
+    judged two-level graphs of level strata (:func:`level_splits`).
+    Raises ``EnumerationError`` when the level dimensions of a realizable
+    graph do not add up to the stratum's."""
     issues: list[str] = []
     nsum = 0
     for i, sub in enumerate(level_strata(g, spec)):
@@ -637,16 +587,6 @@ def _level_issues(g: LevelGraph, spec: StratumSpec) -> list[str]:
             raise EnumerationError(
                 f"level dimension sum {nsum} != stratum dimension {total}")
     return issues
-
-
-def realizability_issues(g: LevelGraph, spec: StratumSpec) -> list[str]:
-    """Full realizability predicate: structural invariants, then the level
-    part (nonnegative level dimensions, no simple pole with identically
-    vanishing residue, and the genus-0 zero-residue obstruction).  Only
-    the trivial graph and the two-level graphs of a stratum are judged in
-    enumeration; deeper graphs are glued from the judged two-level graphs
-    of level strata (:func:`level_splits`)."""
-    return _structural_issues(g, spec) or _level_issues(g, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -951,8 +891,12 @@ def enumerate_LGL(spec: StratumSpec, L: int) -> tuple[LevelGraph, ...]:
         _ENUM_CACHE[key] = ()
         return ()
     if L == 0:
+        # validate covers all of the trivial graph's soundness but the
+        # stability of a component of a disconnected spec
         triv = canonicalize(trivial_graph(spec))
-        issues = realizability_issues(triv, spec)
+        special = Counter(v for _, v in triv.legs)
+        issues = [f"vertex {v}: unstable" for v, genus in enumerate(triv.genera)
+                  if 2 * genus - 2 + special[v] <= 0] or realizability_issues(triv, spec)
         if issues:
             raise SpecError("ambient stratum not realizable: " + "; ".join(issues))
         _ENUM_CACHE[key] = (triv,)

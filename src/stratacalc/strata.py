@@ -314,10 +314,3 @@ def dimension(spec: StratumSpec) -> DimensionData:
         n_unproj, n_unproj - 1, len(poles) - rank, tuple(poles),
         tuple(pt for i, pt in enumerate(poles) if i in unit))
     return hit
-
-
-def forced_zero_residues(spec: StratumSpec) -> frozenset[Point]:
-    """Poles whose residue vanishes identically on the stratum: those p
-    with e_p in the span of the residue constraint rows.  A view of the
-    record of :func:`dimension`."""
-    return frozenset(dimension(spec).forced_zero)

@@ -374,18 +374,6 @@ def integrate(cls: TautClass, evaluator: Evaluator | None = None,
     return total
 
 
-def evaluate_generator(spec: StratumSpec, g: lg.LevelGraph,
-                       psi_exponents: Mapping[Symbol, int],
-                       evaluator: Evaluator | None = None) -> Rational:
-    """Integral of an additive generator: a graph decorated with per-level
-    psi-monomials (keys are point tags as in the decoration symbols)."""
-    decor = _decor({("psi", tag): e for tag, e in psi_exponents.items()})
-    deg = g.n_levels_below + decor_degree(decor)
-    if deg != dimension(spec).projectivized:
-        raise ValueError("generator degree differs from ambient dimension")
-    return integrate_term(spec, g, decor, evaluator)
-
-
 # ---------------------------------------------------------------------------
 # products
 # ---------------------------------------------------------------------------

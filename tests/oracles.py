@@ -1,0 +1,136 @@
+"""Reference implementations that only the tests use: each is checked
+against the library routine it shadows, or checks what the library builds.
+
+- ``structural_issues``: the structural half of the realizability
+  predicate (legs, degree equations, stability, descent, nonempty levels,
+  connectivity and genus per ambient component).  Enumeration builds
+  every graph it judges with all of these by construction, so the library
+  judges only the level part (``levelgraphs.realizability_issues``); this
+  oracle checks every graph that enumeration returns and screens the
+  candidates of the reference split searches, which are not sound by
+  construction.
+- ``orbit_count_bfs``: the breadth-first orbit count behind
+  ``exact.orbit_count``.
+- ``evaluate_generator``: the integral of a graph decorated with psi
+  exponents, through ``tautring.integrate_term``.
+"""
+from __future__ import annotations
+
+from collections import deque
+from typing import Mapping, Sequence
+
+from stratacalc import levelgraphs as lg
+from stratacalc import tautring as tr
+from stratacalc.evaluate import Evaluator
+from stratacalc.exact import Rational
+from stratacalc.levelgraphs import LevelGraph, _roots
+from stratacalc.strata import StratumSpec, dimension
+
+
+def structural_issues(g: LevelGraph, spec: StratumSpec) -> list[str]:
+    issues = []
+    legv = g.leg_vertex()
+    if set(legv) != set(spec.points()):
+        issues.append("legs do not match spec points")
+    # per-vertex degree and stability
+    special = [0] * g.n_vertices
+    degsum = [0] * g.n_vertices
+    for pt, v in g.legs:
+        special[v] += 1
+        degsum[v] += spec.order(pt)
+    for (u, v, k) in g.edges:
+        if k < 1:
+            issues.append("nonpositive enhancement")
+        if g.levels[u] <= g.levels[v]:
+            issues.append("edge does not descend")
+        special[u] += 1
+        special[v] += 1
+        degsum[u] += k - 1
+        degsum[v] += -k - 1
+    for v in range(g.n_vertices):
+        if degsum[v] != 2 * g.genera[v] - 2:
+            issues.append(f"vertex {v}: degree equation fails")
+        if 2 * g.genera[v] - 2 + special[v] <= 0:
+            issues.append(f"vertex {v}: unstable")
+    L = g.n_levels_below
+    for lev in range(0, -L - 1, -1):
+        if not g.vertices_at(lev):
+            issues.append(f"level {lev} empty")
+    # connectivity and genus per ambient component
+    root = _roots(g.n_vertices, [(u, v) for (u, v, _) in g.edges])
+    comp_of_piece: dict[int, int] = {}
+    for pt, v in g.legs:
+        r = root[v]
+        if r in comp_of_piece and comp_of_piece[r] != pt[0]:
+            issues.append("a connected piece carries legs of two components")
+        comp_of_piece[r] = pt[0]
+    pieces: dict[int, list[int]] = {}
+    for v in range(g.n_vertices):
+        pieces.setdefault(root[v], []).append(v)
+    if len(pieces) != spec.n_components:
+        issues.append("piece count differs from component count")
+    for r, vs in pieces.items():
+        if r not in comp_of_piece:
+            issues.append("piece without legs")
+            continue
+        ci = comp_of_piece[r]
+        ne = sum(1 for (u, v, _) in g.edges if root[u] == r)
+        btotal = sum(g.genera[v] for v in vs) + ne - (len(vs) - 1)
+        if btotal != spec.components[ci][0]:
+            issues.append(f"piece of component {ci}: genus mismatch")
+    return issues
+
+
+def realizability_verdict(g: LevelGraph, spec: StratumSpec) -> list[str]:
+    """The verdict on any labelled graph, sound or not: the structural
+    oracle, then the library's level part, which is defined only on
+    structurally sound graphs."""
+    return structural_issues(g, spec) or lg.realizability_issues(g, spec)
+
+
+def orbit_count_bfs(moduli: Sequence[int], action_rows: Sequence[Sequence[int]]) -> int:
+    """Explicit breadth-first orbit count; the permanent test oracle for
+    :func:`orbit_count`.  Exponential in the state space, use on small input.
+    """
+    n = len(moduli)
+    if n == 0:
+        return 1
+    total = 1
+    for k in moduli:
+        total *= k
+    seen: set[tuple[int, ...]] = set()
+    orbits = 0
+    for start_idx in range(total):
+        # decode mixed-radix index
+        x = []
+        t = start_idx
+        for k in moduli:
+            x.append(t % k)
+            t //= k
+        start = tuple(x)
+        if start in seen:
+            continue
+        orbits += 1
+        dq = deque([start])
+        seen.add(start)
+        while dq:
+            cur = dq.popleft()
+            for row in action_rows:
+                for sign in (1, -1):
+                    nxt = tuple((c + sign * r) % k for c, r, k in zip(cur, row, moduli))
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        dq.append(nxt)
+    return orbits
+
+
+def evaluate_generator(spec: StratumSpec, g: LevelGraph,
+                       psi_exponents: Mapping[tr.Symbol, int],
+                       evaluator: Evaluator | None = None) -> Rational:
+    """Integral of an additive generator: a graph decorated with per-level
+    psi-monomials (keys are point tags as in the decoration symbols)."""
+    decor = tr._decor({("psi", tag): e for tag, e in psi_exponents.items()})
+    deg = g.n_levels_below + tr.decor_degree(decor)
+    if deg != dimension(spec).projectivized:
+        raise ValueError("generator degree differs from ambient dimension")
+    return tr.integrate_term(spec, g, decor, evaluator)

@@ -16,12 +16,12 @@ from math import factorial
 
 import pytest
 
-from stratacalc.exact import orbit_count_bfs
 from stratacalc.strata import StratumSpec, dimension
 from stratacalc.evaluate import Evaluator, FixtureRegistry
 from stratacalc import invariants as inv
 from stratacalc import levelgraphs as lg
 from stratacalc import tautring as tr
+from oracles import orbit_count_bfs
 
 
 def C(g, mu):

@@ -2,11 +2,10 @@
 ``stratacalc.levelgraphs``: relabelling the vertices and shuffling the
 edges of a level graph leaves its canonical encoding, its automorphism
 order and its decorated canonical form unchanged, and its isomorphisms
-onto the relabelled copy number |Aut|.  The level part of the
-realizability verdict is a class invariant too, and so are the classes of
-a level's splits.  Enumeration leaves each class
-it stores with the canonical form a fresh search gives.  Skipped where
-hypothesis is not installed."""
+onto the relabelled copy number |Aut|.  The realizability verdict is
+a class invariant too, and so are the classes of a level's splits.
+Enumeration leaves each class it stores with the canonical form a fresh
+search gives.  Skipped where hypothesis is not installed."""
 from __future__ import annotations
 
 import functools
@@ -26,6 +25,7 @@ from stratacalc import levelgraphs as lg  # noqa: E402
 from stratacalc import tautring as tr  # noqa: E402
 from stratacalc.strata import ResiduePart, StratumSpec, dimension  # noqa: E402
 from test_levelgraphs import reference_split_candidates  # noqa: E402
+from oracles import structural_issues  # noqa: E402
 
 # (genus, orders, deepest level): genus 2 and 3 bring vertex automorphisms
 # and parallel edges, genus 0 many legs and no symmetry
@@ -146,7 +146,7 @@ def test_enumerated_graphs_carry_their_own_canonical_form():
 
 def test_realizability_verdict_is_a_class_invariant():
     """Every labelled candidate of the reference every-level split search
-    that is structurally sound, realizable or not, gets the same level
+    that the structural oracle passes, realizable or not, gets the same
     verdict as a relabelled copy of it."""
     caches.clear()
     rng = random.Random(6)
@@ -157,13 +157,13 @@ def test_realizability_verdict_is_a_class_invariant():
             for g in lg.enumerate_LGL(spec, L):
                 for lev in range(0, -g.n_levels_below - 1, -1):
                     for cand, _ in reference_split_candidates(g, spec, lev):
-                        if lg._structural_issues(cand, spec):
+                        if structural_issues(cand, spec):
                             continue
-                        verdict = lg._level_issues(cand, spec)
+                        verdict = lg.realizability_issues(cand, spec)
                         verdicts[bool(verdict)] += 1
                         h = relabel(cand, rng.sample(range(cand.n_vertices), cand.n_vertices),
                                     rng.sample(range(len(cand.edges)), len(cand.edges)))
-                        assert lg._level_issues(h, spec) == verdict
+                        assert structural_issues(h, spec) == []
                         assert lg.realizability_issues(h, spec) == verdict
     assert verdicts[True] and verdicts[False]
 

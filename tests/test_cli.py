@@ -10,6 +10,8 @@ import pytest
 
 from stratacalc import invariants as inv, levelgraphs as lg, tautring as tr
 from stratacalc.cli import run
+from stratacalc.strata import StratumSpec, dimension
+from test_levelgraphs import one_part_specs
 
 SPECS = os.path.join(os.path.dirname(__file__), "..", "demos", "specs")
 
@@ -60,7 +62,7 @@ def test_c1_and_chern(capsys):
 
 
 def test_check_command(capsys):
-    assert run(["check", "--tables"]) == 0
+    assert run(["check"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 2
 
@@ -129,7 +131,7 @@ def test_each_command_builds_only_the_output_it_prints(monkeypatch, capsys):
     spy(inv.ChernReport, "to_json_obj", "chern")
     spy(tr.TautClass, "to_json_obj", "class")
     spy(lg, "graph_report", "graph_report")
-    for cmd in ("chi", "chern", "divisors", "c1"):
+    for cmd in ("chi", "chern", "graphs", "divisors", "c1"):
         calls.clear()
         assert run([cmd, "--spec", spec_path("m13_k5.json")]) == 0
         capsys.readouterr()
@@ -167,7 +169,7 @@ WARM_REQUESTS = [
     ["chi", "--spec", "h2_min", "--verbose"],
     ["chern", "--spec", "h2_min"],
     ["info", "--spec", "pair_residue"],
-    ["check", "--tables"],
+    ["check"],
     *[[cmd, "--spec", "g1_2_0_m2", "--json"] for cmd in ("chi", "xi-top", "chern")],
     *[[cmd, "--spec", "g1_1_m1", "--json"] for cmd in ("divisors", "profiles", "chi", "c1")],
     ["info", "--spec", "float_orders"],
@@ -404,7 +406,7 @@ TEXT_SHA256 = {
         "7a922b8252fefff6e84435ed4da3f06d98abc4430fb656298e5160c058c78a18",
     ("profiles --levels 1", "m13_k5"):
         "88aed396abfd379ff5120d5db3352255acdd2a9835570e4dfc597bfdb7b4b687",
-    ("check --tables", None):
+    ("check", None):
         "14c8b3a224663d9a9108b839656c0df3b061b1f3b8b9ceebccbe2aca0676992b",
 }
 
@@ -588,8 +590,9 @@ READS = {
     "graphs": ("--spec", "--levels"), "profiles": ("--spec", "--levels"),
     "chi": ("--spec", "--fixtures", "--verbose"),
     "xi-top": ("--spec", "--fixtures"), "chern": ("--spec", "--fixtures"),
-    "check": ("--tables",),
+    "check": (),
 }
+# arguments for each option; --tables is an option of no command, check included
 OPTION_ARGS = {"--spec": [spec_path("g0_111.json")], "--tables": [],
                "--fixtures": [spec_path("g0_111.json")], "--levels": ["1"],
                "--verbose": []}
@@ -629,3 +632,34 @@ def test_empty_stratum_answers_every_command(tmp_path, capsys):
     assert json.loads(out) == {"spec": _connected(0, (1, -3)), "classes": [],
                                "top_value": "0", "chi": "0",
                                "duality_holds": True}
+
+
+# disconnected specs with an unstable genus-0 component of two points, of
+# dimension 1 and 0
+UNSTABLE_COMPONENT_SPECS = [
+    StratumSpec.make([(0, (0, -2)), (1, (0,))]),
+    StratumSpec.make([(0, (1, -3)), (0, (0, 0, -2))]),
+]
+
+
+def test_a_stratum_that_is_not_realizable_is_refused_by_every_command(tmp_path, capsys):
+    """Every command that reads a spec, but ``info``, gives the one verdict
+    of ``enumerate_LGL(spec, 0)`` on the ambient stratum: the fourteen
+    strata of the one-part scan with a simple pole whose residue is forced
+    to zero, six of them of dimension 0, and the strata with an unstable
+    component exit 1 with one stderr line, whether or not the command
+    enumerates a graph below the top level."""
+    refused = [spec for spec in one_part_specs()
+               if any(spec.order(pt) == -1 for pt in dimension(spec).forced_zero)]
+    assert len(refused) == 14
+    assert sum(dimension(spec).projectivized == 0 for spec in refused) == 6
+    path = tmp_path / "spec.json"
+    for spec in refused + UNSTABLE_COMPONENT_SPECS:
+        path.write_text(spec.to_json())
+        assert run(["info", "--spec", str(path)]) == 0
+        capsys.readouterr()
+        for cmd in SPEC_COMMANDS[1:]:
+            assert run([cmd, "--spec", str(path)]) == 1, (cmd, spec)
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1, (cmd, spec, err)
+            assert err.startswith("error: ambient stratum not realizable: "), (cmd, spec, err)

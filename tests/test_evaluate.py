@@ -29,6 +29,19 @@ def test_genus0_single_pole_closed_form():
     assert EV.xi_top(C(0, (2, 3, 1, 1, -9))) == (-8) ** 2
 
 
+def test_xi_top_and_psi_top_answer_only_for_a_realizable_stratum():
+    """The public surface judges the ambient stratum: genus 0 (4,-1,-2,-3)
+    with {2,3} constrained forces the simple pole's residue to zero, so it
+    is empty although its dimension is 0; an empty stratum of dimension
+    -1 answers 0."""
+    spec = StratumSpec.make([(0, (4, -1, -2, -3))], [({(0, 2), (0, 3)}, True)])
+    assert dimension(spec).projectivized == 0
+    for ask in (lambda ev: ev.xi_top(spec), lambda ev: ev.psi_top(spec, {})):
+        with pytest.raises(SpecError, match="^ambient stratum not realizable: "):
+            ask(Evaluator())
+    assert Evaluator().xi_top(C(0, (1, -3))) == 0
+
+
 def test_genus1_closed_forms_match_fixture_table():
     reg = default_registry()
     assert EV.xi_top(C(1, (2, -2))) == Fraction(-1, 8)

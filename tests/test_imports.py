@@ -1,11 +1,13 @@
 """Every module-level import of the package is used, and so is every
-top-level private function; importing the package loads neither
+top-level function: a private one by the package, a public one by the
+package, the demos or the benchmark; importing the package loads neither
 ``dataclasses`` nor ``inspect``.
 
-No linter runs on this repository, so an import or a ``_helper`` left
-behind by a refactor would go unnoticed; this reads each module with the
-standard ``ast`` module instead.  ``__init__.py`` is exempt from the
-import check: its imports are re-exports.
+No linter runs on this repository, so an import, a ``_helper`` or a
+function that only the tests call, left behind by a refactor, would go
+unnoticed; this reads each module with the standard ``ast`` module
+instead.  ``__init__.py`` is exempt from the import check: its imports
+are re-exports, and they count as uses of what they name.
 """
 from __future__ import annotations
 
@@ -17,8 +19,14 @@ import sys
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "stratacalc"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "stratacalc"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# public functions that nothing in the repository calls yet, with the reason
+UNCALLED_PUBLIC = {
+    "stats": "caches.stats: the per-memo entry counts that library-native "
+             "counters are to build on",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -47,29 +55,57 @@ def test_an_unused_import_is_reported():
     assert unused_imports("import os\nimport sys\nfrom a import b as c\nsys.exit(c)\n") == ["os"]
 
 
-def unused_private_functions(sources: list[str]) -> list[str]:
-    """Top-level ``def _name`` of any source that no source references as
-    a name or an attribute."""
+def unused_functions(sources: list[str], users: tuple[str, ...] | list[str] = (),
+                     private: bool = True) -> list[str]:
+    """Top-level functions of ``sources``, the private ``def _name`` ones
+    or else the public ones, that no source and no user references as a
+    name, an attribute or an imported name."""
     trees = [ast.parse(source) for source in sources]
     defined = [node.name for tree in trees for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-               and node.name.startswith("_")]
-    used = {n.id if isinstance(n, ast.Name) else n.attr
-            for tree in trees for n in ast.walk(tree)
-            if isinstance(n, (ast.Name, ast.Attribute))}
+               and node.name.startswith("_") == private]
+    used = set()
+    for tree in [*trees, *map(ast.parse, users)]:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                used.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                used.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                used.update(alias.name for alias in n.names)
     return [name for name in defined if name not in used]
 
 
+def _sources(*paths: pathlib.Path) -> list[str]:
+    return [p.read_text(encoding="utf-8") for p in paths]
+
+
 def test_no_unused_private_function():
-    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
-    assert unused_private_functions(sources) == []
+    assert unused_functions(_sources(*sorted(PACKAGE.glob("*.py")))) == []
 
 
 def test_an_unused_private_function_is_reported():
-    assert unused_private_functions([
+    assert unused_functions([
         "def _called():\n    pass\ndef _orphan():\n    pass\ndef public():\n    pass\n",
         "import m\ndef _attribute():\n    pass\nm._attribute()\n_called()\n",
     ]) == ["_orphan"]
+
+
+def test_no_public_function_is_used_by_the_tests_alone():
+    """A function that only the tests call belongs with them (as the
+    oracles in ``tests/oracles.py`` do)."""
+    users = _sources(*sorted(ROOT.glob("demos/*.py")), *sorted(ROOT.glob("perfbench/*.py")))
+    assert len(users) >= 10
+    unused = unused_functions(_sources(*sorted(PACKAGE.glob("*.py"))), users, private=False)
+    assert sorted(unused) == sorted(UNCALLED_PUBLIC)
+
+
+def test_an_unused_public_function_is_reported():
+    assert unused_functions([
+        "def called():\n    pass\ndef exported():\n    pass\ndef orphan():\n    pass\n"
+        "def _private():\n    pass\n",
+        "from .m import exported\n",
+    ], ["import m\nm.called()\n"], private=False) == ["orphan"]
 
 
 @pytest.mark.parametrize("module", ["stratacalc", "stratacalc.cli"])

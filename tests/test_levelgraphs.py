@@ -9,6 +9,7 @@ import pytest
 from stratacalc.strata import ResiduePart, SpecError, StratumSpec, _eliminate, dimension, validate
 from stratacalc import caches, cli
 from stratacalc import levelgraphs as lg
+from oracles import realizability_verdict, structural_issues
 
 
 H2 = StratumSpec.connected(2, (2,))
@@ -210,7 +211,7 @@ def every_level_enumeration(spec: StratumSpec) -> list[list[tuple]]:
             for lev in range(0, -g.n_levels_below - 1, -1):
                 for cand, _ in reference_split_candidates(g, spec, lev):
                     enc = lg.canonical_encoding(cand)
-                    if enc not in found and not lg.realizability_issues(cand, spec):
+                    if enc not in found and not realizability_verdict(cand, spec):
                         found[enc] = lg.canonicalize(cand)
         layers.append([found[k] for k in sorted(found)])
     return [[lg.canonical_encoding(g) for g in layer] for layer in layers]
@@ -304,12 +305,27 @@ def test_level_splits_are_the_labelled_splittings_each_once(spec):
             for lev in range(0, -L - 1, -1):
                 want = {labelled_key(cand, emap)
                         for cand, emap in reference_split_candidates(g, spec, lev)
-                        if not lg.realizability_issues(cand, spec)}
+                        if not realizability_verdict(cand, spec)}
                 splits = lg.level_splits(g, spec, lev)
                 got = [labelled_key(cand, emap) for cand, emap in splits]
                 assert len(set(got)) == len(got), (g, lev)
                 assert set(got) == want, (g, lev)
                 assert not any(lg.realizability_issues(cand, spec) for cand, _ in splits)
+
+
+@pytest.mark.parametrize("spec", SPLIT_SPECS, ids=lambda spec: str(spec.components))
+def test_enumeration_builds_structurally_sound_graphs(spec):
+    """The library judges only the level part of realizability, since
+    enumeration builds the degree equations, stability, descent, nonempty
+    levels and connectivity into every graph: the structural oracle finds
+    nothing on any graph that ``enumerate_LGL`` returns at any L, nor on
+    any split that ``level_splits`` gives of any of its levels."""
+    for L in range(dimension(spec).projectivized + 1):
+        for g in lg.enumerate_LGL(spec, L):
+            assert structural_issues(g, spec) == [], g
+            for lev in range(0, -L - 1, -1):
+                for cand, _ in lg.level_splits(g, spec, lev):
+                    assert structural_issues(cand, spec) == [], (g, lev, cand)
 
 
 @pytest.mark.parametrize("spec", [
@@ -328,7 +344,7 @@ def test_trivial_graph_splits_enumerate_the_stratum_once(spec):
     splits = lg.level_splits(triv, spec, 0)
     assert [key for key in lg._ENUM_CACHE if key[1] == 1] == [(spec, 1)]
     want = {labelled_key(cand, emap) for cand, emap in reference_split_candidates(triv, spec, 0)
-            if not lg.realizability_issues(cand, spec)}
+            if not realizability_verdict(cand, spec)}
     got = [labelled_key(cand, emap) for cand, emap in splits]
     assert len(set(got)) == len(got) and set(got) == want
 
@@ -347,9 +363,24 @@ def one_part_specs():
                     yield StratumSpec.make([(0, orders)], [({(0, i) for i in part}, True)])
 
 
+@pytest.mark.parametrize("components,vertex", [
+    ([(0, (0, -2)), (1, (0,))], 0), ([(1, (0,)), (0, (0, -2))], 0),
+    ([(0, (1, -3)), (0, (0, 0, -2))], 0), ([(0, (0, 0, -2)), (0, (1, -3))], 1)])
+def test_an_unstable_component_is_not_realizable(components, vertex):
+    """``validate`` accepts a disconnected spec with an unstable genus-0
+    component of two points when the other components give it a dimension
+    of at least 0; enumeration refuses it, naming the vertex of the
+    canonical trivial graph."""
+    spec = StratumSpec.make(components)
+    assert not validate(spec) and dimension(spec).projectivized >= 0
+    with pytest.raises(SpecError) as exc:
+        lg.enumerate_LGL(spec, 0)
+    assert str(exc.value) == f"ambient stratum not realizable: vertex {vertex}: unstable"
+
+
 def test_one_constrained_part_enumerates_at_every_L():
     """Every realizable stratum of the scan enumerates at every L, so that
-    its level dimensions add up (``_level_issues`` raises otherwise).  A
+    its level dimensions add up (``realizability_issues`` raises otherwise).  A
     component above a level whose poles lie in constrained parts of two or
     more points induces a condition where it lowers the level's residue
     rank; twelve of these strata failed without that condition, among them
@@ -873,7 +904,8 @@ def brute_force_LG1(spec: StratumSpec) -> dict[tuple, int]:
     sharing no code with the split search: every choice of vertex genera,
     top count, multiset of (top, bottom, kappa) edges and vertex for each
     leg, kept when every vertex meets its degree equation and is stable,
-    and then passes ``realizability_issues``.  Returns {canonical encoding:
+    and then passes the structural oracle (connectivity among them) and
+    ``realizability_issues``.  Returns {canonical encoding:
     |Aut|}, where |Aut| is t! b! over the number of vertex numberings that
     give the class, times m! for m parallel edges of equal enhancement."""
     genus, orders = spec.components[0]
@@ -905,7 +937,7 @@ def brute_force_LG1(spec: StratumSpec) -> dict[tuple, int]:
                         if any(sums) or any(2 * gv - 2 + c <= 0 for gv, c in zip(genera, count)):
                             continue
                         g = lg.LevelGraph(genera, levels, tuple(zip(points, assign)), edges)
-                        if not lg.realizability_issues(g, spec):
+                        if not realizability_verdict(g, spec):
                             found.setdefault(lg.canonical_encoding(g), [0, g])[0] += 1
     out = {}
     for enc, (numberings, g) in found.items():

@@ -1,8 +1,7 @@
 from __future__ import annotations
 
 from stratacalc.strata import (StratumSpec, classify, dimension,
-                               forced_zero_residues, residue_subspace_rank,
-                               validate)
+                               residue_subspace_rank, validate)
 
 
 def two_component_example() -> StratumSpec:
@@ -72,18 +71,18 @@ def test_residue_rank_trivial_cases():
 
 def test_forced_zero_residues():
     spec = StratumSpec.connected(0, (1, 1, -4))
-    assert forced_zero_residues(spec) == {(0, 2)}
+    assert dimension(spec).forced_zero == ((0, 2),)
     spec = StratumSpec.make([(0, (1, 1, -2, -2))])
-    assert forced_zero_residues(spec) == set()
+    assert dimension(spec).forced_zero == ()
     spec = StratumSpec.make([(0, (1, 1, -2, -2))], [({(0, 2)}, True)])
-    assert forced_zero_residues(spec) == {(0, 2), (0, 3)}
+    assert dimension(spec).forced_zero == ((0, 2), (0, 3))
 
 
 def test_unconstrained_parts_are_inert():
     free = StratumSpec.make([(0, (1, 1, -2, -2))], [({(0, 2), (0, 3)}, False)])
     assert dimension(free).projectivized == \
         dimension(free.without_parts()).projectivized
-    assert forced_zero_residues(free) == set()
+    assert dimension(free).forced_zero == ()
 
 
 def test_json_roundtrip():
