@@ -283,7 +283,7 @@ class Evaluator:
         genus, orders = spec.components[0]
         if spec.is_holomorphic() and not psi:
             if len(orders) == 1:
-                return self._fixture(spec, psi)
+                return self._fixture(spec)
             return Fraction(0)
         if genus == 0:
             if xi == 0:
@@ -302,7 +302,7 @@ class Evaluator:
         closed = self._genus1_closed(genus, orders, d)
         if closed is not None:
             return closed
-        return self._fixture(spec, psi)
+        return self._fixture(spec)
 
     @staticmethod
     def _genus1_closed(genus: int, orders: tuple[int, ...], d: int) -> Rational | None:
@@ -317,11 +317,10 @@ class Evaluator:
             return Fraction(k ** 4 - 1, 24)
         return None
 
-    def _fixture(self, spec: StratumSpec, psi: dict[Point, int]) -> Rational:
-        val = self.registry.lookup(spec, _psi_tuple(psi))
+    def _fixture(self, spec: StratumSpec) -> Rational:
+        val = self.registry.lookup(spec)
         if val is None:
-            key = _xi_key(spec) if not psi else _psi_key(spec, _psi_tuple(psi))
-            raise UnevaluatableError(key)
+            raise UnevaluatableError(_xi_key(spec))
         return val
 
     # -- recursion moves -----------------------------------------------------
@@ -338,13 +337,8 @@ class Evaluator:
         m = spec.order(p)
         bumped = dict(psi)
         bumped[p] = bumped.get(p, 0) + 1
-        total = (m + 1) * self.integral(spec, bumped, xi - 1)
-        legs = _leg_tags(psi)
-        for graph, ell in divisors_with_point_low(spec, p):
-            term = self.boundary_integral(spec, graph, legs, {0: xi - 1})
-            if term:
-                total -= ell * term
-        return total
+        return ((m + 1) * self.integral(spec, bumped, xi - 1)
+                - self._boundary_sum(spec, divisors_with_point_low(spec, p), psi, xi - 1))
 
     def _reverse_psi(self, spec: StratumSpec, psi: dict[Point, int], xi: int) -> Rational:
         """Trade one psi for a xi, on positive-genus strata."""
@@ -354,13 +348,9 @@ class Evaluator:
         reduced[p] -= 1
         if not reduced[p]:
             del reduced[p]
-        total = self.integral(spec, reduced, xi + 1)
-        legs = _leg_tags(reduced)
-        for graph, ell in divisors_with_point_low(spec, p):
-            term = self.boundary_integral(spec, graph, legs, {0: xi})
-            if term:
-                total += ell * term
-        return total / (m + 1)
+        return (self.integral(spec, reduced, xi + 1)
+                + self._boundary_sum(spec, divisors_with_point_low(spec, p), reduced, xi)
+                ) / (m + 1)
 
     # -- residue condition removal -------------------------------------------
 
@@ -369,18 +359,17 @@ class Evaluator:
         spec0 = spec.drop_part(part)
         if dimension(spec0).projectivized == dimension(spec).projectivized:
             return self.integral(spec0, psi, xi)
-        total = -self.integral(spec0, psi, xi + 1)
-        legs = _leg_tags(psi)
-        for graph in removal_divisors(spec0, part):
-            ell = lg.prong_data(graph).ell
-            term = self.boundary_integral(spec0, graph, legs, {0: xi})
-            if term:
-                total -= ell * term
-        return total
+        return (-self.integral(spec0, psi, xi + 1)
+                - self._boundary_sum(spec0, removal_divisors(spec0, part), psi, xi))
 
-
-def _leg_tags(psi: PsiMap) -> dict[lg.LegTag, int]:
-    return {("leg", p): e for p, e in psi.items()}
+    def _boundary_sum(self, spec: StratumSpec, divisors: list[tuple[lg.LevelGraph, int]],
+                      psi: dict[Point, int], xi: int) -> Rational:
+        """Sum over the (Gamma, ell_Gamma) pairs of ``divisors`` of ell_Gamma
+        times the boundary integral over D_Gamma of the psi exponents at
+        the legs and the power ``xi`` of xi on the top level."""
+        legs = {("leg", p): e for p, e in psi.items()}
+        return sum((ell * self.boundary_integral(spec, graph, legs, {0: xi})
+                    for graph, ell in divisors), Fraction(0))
 
 
 def divisors_with_point_low(spec: StratumSpec, p: Point) -> list[tuple[lg.LevelGraph, int]]:
@@ -390,22 +379,19 @@ def divisors_with_point_low(spec: StratumSpec, p: Point) -> list[tuple[lg.LevelG
             if g.levels[g.leg_vertex()[p]] == -1]
 
 
-def removal_divisors(spec0: StratumSpec, part) -> list[lg.LevelGraph]:
-    """Boundary divisors entering the residue-removal relation: graphs
-    where every leg of the part sits on the lower level, plus graphs where
-    the condition induced on the top level is no extra condition."""
+def removal_divisors(spec0: StratumSpec, part) -> list[tuple[lg.LevelGraph, int]]:
+    """(Gamma, ell_Gamma) for the boundary divisors entering the
+    residue-removal relation: graphs where every leg of the part sits on
+    the lower level, plus graphs where the condition induced on the top
+    level is no extra condition."""
     spec_with = StratumSpec(spec0.components, spec0.residue_parts + (part,))
     out = []
     for graph in lg.enumerate_LG1(spec0):
         legv = graph.leg_vertex()
-        all_low = all(graph.levels[legv[pt]] == -1 for pt in part.points)
-        if all_low:
-            out.append(graph)
-            continue
-        top_with = lg.level_strata(graph, spec_with)[0]
-        top_without = lg.level_strata(graph, spec0)[0]
-        if dimension(top_with).residue_rank == dimension(top_without).residue_rank:
-            out.append(graph)
+        if (all(graph.levels[legv[pt]] == -1 for pt in part.points)
+                or dimension(lg.level_strata(graph, spec_with)[0]).residue_rank
+                == dimension(lg.level_strata(graph, spec0)[0]).residue_rank):
+            out.append((graph, lg.prong_data(graph).ell))
     return out
 
 

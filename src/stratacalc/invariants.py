@@ -10,7 +10,7 @@ from math import factorial, prod
 from typing import NamedTuple, Sequence
 
 from .exact import Rational, binomial, rational_str
-from .strata import StratumSpec, dimension, require_valid
+from .strata import StratumSpec, dimension
 from . import levelgraphs as lg
 from . import tautring as tr
 from .evaluate import Evaluator, UnevaluatableError, default_evaluator
@@ -67,7 +67,6 @@ def euler_characteristic(spec: StratumSpec,
     top xi-power integrals of the level strata.  Each row multiplies
     K * N_top, |Aut| and the numerators and denominators of its level
     factors as integers and reduces them to one fraction."""
-    require_valid(spec)
     integral = (evaluator or default_evaluator()).integral
     d = dimension(spec).projectivized
     rows: list[EulerRow] = []
@@ -107,11 +106,7 @@ def euler_characteristic(spec: StratumSpec,
 
 def c1_log_cotangent(spec: StratumSpec) -> tr.TautClass:
     """N xi + sum over divisors of (N - N_top) ell [D]."""
-    require_valid(spec)
-    dims = dimension(spec)
-    if dims.projectivized == 0:
-        return tr.TautClass.zero(spec)
-    n_unproj = dims.unprojectivized
+    n_unproj = dimension(spec).unprojectivized
     out = tr.TautClass.xi(spec).scale(n_unproj)
     for g in lg.enumerate_LG1(spec):
         ntop = dimension(lg.level_strata(g, spec)[0]).unprojectivized
@@ -187,7 +182,6 @@ def _chern_pieces(spec: StratumSpec, low: int, high: int) -> list[tr.TautClass]:
     computed, and every coefficient is an integer.  The enumerated graphs
     are canonical, so the terms skip the canonical form.
     """
-    require_valid(spec)
     n_unproj = dimension(spec).unprojectivized
     high = min(high, n_unproj - 1)
     pieces = [tr.TautClass.zero(spec) for _ in range(high + 1)]
@@ -255,7 +249,7 @@ def chern_character(spec: StratumSpec, max_degree: int) -> list[tr.TautClass]:
     The factor after r_L depends only on L: it is the sum over
     (k_0, ..., k_L) of the :class:`_NuTable` entries over k_0! k_1! ... k_L!,
     read from the same per-pass table as the Chern polynomial's pass."""
-    require_valid(spec)
+    lg.enumerate_LGL(spec, 0)  # the stratum's verdict, which no pass below gives when high is 0
     n_unproj = dimension(spec).unprojectivized
     pieces = [tr.TautClass.zero(spec) for _ in range(max_degree + 1)]
     for j, piece in enumerate(pieces):  # the trivial graph: N e^xi - 1

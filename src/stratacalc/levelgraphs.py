@@ -15,9 +15,9 @@ from collections import Counter
 from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from . import caches
-from .exact import lcm_list, orbit_count
+from .exact import orbit_count
 from .strata import (DimensionData, Point, ResiduePart, SpecError, StratumSpec, _eliminate,
-                     dimension, require_valid)
+                     dimension)
 
 # point tags inside a level stratum
 LegTag = tuple  # ("leg", Point) | ("ein", edge index) | ("eout", edge index)
@@ -227,23 +227,17 @@ def prong_data(g: LevelGraph) -> ProngData:
     hit = _PRONG_CACHE.get(g)
     if hit is not None:
         return hit
-    L = g.n_levels_below
     kappas = [k for (_, _, k) in g.edges]
     if any(k < 1 for k in kappas):
         raise SpecError("horizontal edges have no prong data")
     rows = _crossing_matrix(g)
-    ells = tuple(lcm_list([k for k, flag in zip(kappas, row) if flag]) if any(row) else 1
-                 for row in rows)
-    ell = 1
-    for x in ells:
-        ell *= x
-    bigk = 1
-    for k in kappas:
-        bigk *= k
-    orbits = orbit_count(kappas, rows) if kappas else 1
+    ells = tuple(math.lcm(*(k for k, flag in zip(kappas, row) if flag)) for row in rows)
+    ell = math.prod(ells)
+    bigk = math.prod(kappas)
+    orbits = orbit_count(kappas, rows)
     # e = [Tw : Tw^s] = [R : Tw^s] / [R : Tw] = prod(ell_i) * orbits / K
-    twist = ell * orbits // bigk if bigk else 1
-    assert L == 0 or ell * orbits % bigk == 0
+    twist = ell * orbits // bigk
+    assert ell * orbits % bigk == 0
     out = ProngData(ells, ell, bigk, orbits, twist, automorphism_order(g))
     _PRONG_CACHE[g] = out
     return out
@@ -883,11 +877,12 @@ def enumerate_LGL(spec: StratumSpec, L: int) -> tuple[LevelGraph, ...]:
     key = (spec, L)
     if key in _ENUM_CACHE:
         return _ENUM_CACHE[key]
-    require_valid(spec)  # an invalid spec is never cached, so it raises on every call
+    d = dimension(spec).projectivized  # an invalid spec is never cached: it raises on every call
     if L < 0:
         raise ValueError("negative number of levels")
-    d = dimension(spec).projectivized
     if L > d:
+        if d >= 0:  # the stratum's verdict first; an empty stratum has none
+            enumerate_LGL(spec, 0)
         _ENUM_CACHE[key] = ()
         return ()
     if L == 0:

@@ -86,16 +86,10 @@ def decor_degree(d: Decor) -> int:
 
 def nu_poly(g: lg.LevelGraph, passage: int) -> Poly:
     """First Chern class nu_i of the normal bundle of D_Gamma inside the
-    stratum where the given level passage i is undone.  Only the factor
-    1/ell_i depends on Gamma: ell_i nu_i is :func:`scaled_nu_power`
-    (passage, 1), which the Chern graph sums use instead."""
-    ell_i = lg.prong_data(g).ell_levels[passage - 1]
-    top, bot = -passage + 1, -passage
-    return {
-        _decor({("xi", top): 1}): Fraction(-1, ell_i),
-        _decor({("lam", top): 1}): Fraction(-1, ell_i),
-        _decor({("xi", bot): 1}): Fraction(1, ell_i),
-    }
+    stratum where the given level passage i is undone: :func:`scaled_nu_power`
+    (passage, 1) over ell_i, the one factor that depends on Gamma."""
+    return poly_scale(scaled_nu_power(passage, 1),
+                      Fraction(1, lg.prong_data(g).ell_levels[passage - 1]))
 
 
 def scaled_nu_power(passage: int, k: int) -> Poly:
@@ -360,15 +354,14 @@ def integrate_term(spec: StratumSpec, g: lg.LevelGraph, decor: Decor,
     return ev.boundary_integral(spec, g, psi, xi)
 
 
-def integrate(cls: TautClass, evaluator: Evaluator | None = None,
-              top_only: bool = True) -> Rational:
-    """Sum of the integrals of all (top-degree) terms; terms of lower
-    degree integrate to zero by convention."""
+def integrate(cls: TautClass, evaluator: Evaluator | None = None) -> Rational:
+    """Sum of the integrals of the top-degree terms; terms of lower degree
+    integrate to zero by convention."""
     ev = evaluator or default_evaluator()
     d = dimension(cls.spec).projectivized
     total = Fraction(0)
     for (g, dec), c in cls.terms.items():
-        if top_only and g.n_levels_below + decor_degree(dec) != d:
+        if g.n_levels_below + decor_degree(dec) != d:
             continue
         total += c * integrate_term(cls.spec, g, dec, ev)
     return total
@@ -540,7 +533,6 @@ def multiply(a: TautClass, b: TautClass, evaluator: Evaluator | None = None) -> 
 def xi_as_psi(spec: StratumSpec, point: Point) -> TautClass:
     """xi = (m+1) psi_p  -  sum over divisors with p on the lower level of
     ell_Gamma [D_Gamma]."""
-    require_valid(spec)
     out = TautClass.psi(spec, point).scale(spec.order(point) + 1)
     for g, ell in divisors_with_point_low(spec, point):
         out.add_term(g, (), -ell)
@@ -601,6 +593,6 @@ def remove_residue_condition(spec: StratumSpec, part: ResiduePart) -> TautClass:
     if dimension(spec0).projectivized == dimension(spec).projectivized:
         return TautClass.one(spec0)
     out = TautClass.xi(spec0).scale(-1)
-    for g in removal_divisors(spec0, part):
-        out.add_term(g, (), -lg.prong_data(g).ell)
+    for g, ell in removal_divisors(spec0, part):
+        out.add_term(g, (), -ell)
     return out

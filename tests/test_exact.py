@@ -1,28 +1,12 @@
 from __future__ import annotations
 
 import itertools
-import math
 import random
 
 import pytest
 
-from stratacalc.exact import (binomial, lcm_list, multinomial, orbit_count,
-                              rational_str, smith_diagonal)
+from stratacalc.exact import binomial, multinomial, orbit_count, rational_str
 from oracles import orbit_count_bfs
-
-
-def test_lcm_basic():
-    assert lcm_list([2, 4, 6]) == 12
-    assert lcm_list([1]) == 1
-    # cherry enhancements a = (1,1,2,2): lcm(a1+a2+1, a3+a4+1)
-    assert lcm_list([1 + 1 + 1, 2 + 2 + 1]) == 15
-
-
-def test_lcm_errors():
-    with pytest.raises(ValueError):
-        lcm_list([])
-    with pytest.raises(ValueError):
-        lcm_list([2, 0, 3])
 
 
 def test_multinomial():
@@ -48,27 +32,28 @@ def test_binomial_conventions():
     assert binomial(2, 5) == 0
 
 
-def test_smith_diag_product_is_the_index_of_a_full_rank_span():
-    assert math.prod(smith_diagonal([[5]])) == 5
-    assert math.prod(smith_diagonal([[0, 3], [5, -5]])) == 15
-    assert math.prod(smith_diagonal([[0, 2], [3, -3]])) == 6
+def test_orbit_count_is_the_index_of_a_full_rank_span():
+    """With every modulus a multiple of |det A|, the rows k e_i lie in the
+    span of the rows of A (adj(A) A = det(A) I), so the count is the index
+    of that span, |det A|."""
+    assert orbit_count([5], [[5]]) == 5
+    assert orbit_count([15, 15], [[0, 3], [5, -5]]) == 15
+    assert orbit_count([6, 12], [[0, 2], [3, -3]]) == 6
 
 
-def test_smith_diag_matches_det():
+def test_orbit_count_matches_det():
     rng = random.Random(5)
+    nonsingular = 0
     for _ in range(25):
         m = [[rng.randrange(-4, 5) for _ in range(3)] for _ in range(3)]
         det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-        diag = smith_diagonal(m)
         if det:
-            prod = 1
-            for x in diag:
-                prod *= x
-            assert prod == abs(det)
-        else:
-            assert len(diag) < 3
+            nonsingular += 1
+            assert orbit_count([abs(det)] * 3, m) == abs(det), m
+            assert orbit_count([2 * abs(det), abs(det), 3 * abs(det)], m) == abs(det), m
+    assert nonsingular >= 20
 
 
 def test_orbit_count_examples():
@@ -95,6 +80,32 @@ def test_orbit_count_exhaustive_oracle():
         moduli = [rng.randrange(1, 7) for _ in range(n)]
         rows = [[rng.randrange(2) for _ in range(n)] for _ in range(2)]
         assert orbit_count(moduli, rows) == orbit_count_bfs(moduli, rows)
+
+
+def crossing_rows(runs: list[tuple[int, int]], L: int) -> list[list[int]]:
+    """The rows ``levelgraphs.prong_data`` feeds ``orbit_count``: an edge
+    from level -top down to level -bottom crosses passages top+1..bottom."""
+    return [[1 if top < i <= bottom else 0 for top, bottom in runs] for i in range(1, L + 1)]
+
+
+def test_orbit_count_on_crossing_rows_against_bfs():
+    """Multi-row crossing rows: each of E <= 5 edges crosses a contiguous
+    run of the L <= 4 passages, every passage crossed, with kappa <= 6."""
+    rng = random.Random(17)
+    checked = 0
+    while checked < 300:
+        L = rng.randint(1, 4)
+        E = rng.randint(1, 5)
+        runs = []
+        for _ in range(E):
+            top = rng.randrange(L)
+            runs.append((top, rng.randint(top + 1, L)))
+        rows = crossing_rows(runs, L)
+        if not all(any(row) for row in rows):
+            continue
+        moduli = [rng.randint(1, 6) for _ in range(E)]
+        assert orbit_count(moduli, rows) == orbit_count_bfs(moduli, rows), (moduli, rows)
+        checked += 1
 
 
 def test_rational_str():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from stratacalc.strata import StratumSpec, dimension
+from stratacalc.strata import SpecError, StratumSpec, dimension
 from stratacalc.evaluate import Evaluator
 from stratacalc import invariants as inv
 from stratacalc import levelgraphs as lg
@@ -278,3 +278,23 @@ def test_chi_fail_loud_with_dependency_chain():
         inv.euler_characteristic(StratumSpec.connected(2, (4, -2)), EV)
     assert "xi^d" in err.value.chain[0]
     assert any("boundary graph" in frame for frame in err.value.chain)
+
+
+def test_one_verdict_for_a_stratum_of_dimension_0():
+    """Genus 0 (4,-1,-2,-3) with {2,3} constrained forces the simple
+    pole's residue to zero, so it is empty although its dimension is 0.
+    Every entry point that enumerates no graph at L = 0 refuses it as
+    ``euler_characteristic`` does; the empty stratum of dimension -1,
+    genus 0 (1,-3), is answered with nothing."""
+    spec = StratumSpec.make([(0, (4, -1, -2, -3))], [({(0, 2), (0, 3)}, True)])
+    assert dimension(spec).projectivized == 0
+    for ask in (lg.enumerate_LG1, inv.c1_log_cotangent,
+                lambda s: inv.chern_character(s, 2), lambda s: tr.xi_as_psi(s, (0, 0)),
+                inv.euler_characteristic, inv.chern_polynomial):
+        with pytest.raises(SpecError, match="^ambient stratum not realizable: "):
+            ask(spec)
+    empty = StratumSpec.connected(0, (1, -3))
+    assert lg.enumerate_LG1(empty) == () and lg.enumerate_LGL(empty, 0) == ()
+    assert inv.c1_log_cotangent(empty).is_zero()
+    assert all(c.is_zero() for c in inv.chern_character(empty, 2))
+    assert tr.xi_as_psi(empty, (0, 0)).is_zero()

@@ -666,6 +666,14 @@ def test_divisor_prong_examples():
     assert (pd.kappa_product, pd.ell, pd.orbits, pd.twist_index) == (5, 5, 1, 1)
 
 
+def test_prong_data_refuses_a_horizontal_edge():
+    """An edge of enhancement 0 has no prongs: ``prong_data`` refuses it
+    instead of counting orbits of Z/0."""
+    g = lg.LevelGraph((0, 0), (0, -1), (((0, 0), 1),), ((0, 1, 2), (0, 1, 0)))
+    with pytest.raises(SpecError, match="^horizontal edges have no prong data$"):
+        lg.prong_data(g)
+
+
 def test_automorphism_examples():
     assert lg.automorphism_order(triangle(2, 3, 4)) == 1
     banana = lg.LevelGraph((0, 1), (-1, 0), (((0, 0), 0),),
