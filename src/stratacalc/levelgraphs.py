@@ -534,7 +534,11 @@ def _genus0_zero_residue_ok(sub: StratumSpec, cj: int, dd: DimensionData) -> boo
     residues on a rational curve force an exact differential; with poles
     of orders p_i the antiderivative has degree d = sum(p_i - 1), and a
     marked zero of order a needs a <= d - 1 when there are at least two
-    poles.  Exact for <= 2 poles, a necessary condition only for more.
+    poles.  Proven exact for at most two poles.  For three or more it is
+    checked, not proven, to be exact: the genus-0 closed form
+    chi = (-1)^(n-3) (n-3)! holds on every stratum with at least three
+    poles of order >= -6 and zero orders summing to <= 6, for n <= 5 in
+    the tests and n = 6, 7 in a one-off scan.
     """
     genus, orders = sub.components[cj]
     if genus != 0:

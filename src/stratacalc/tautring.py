@@ -10,13 +10,17 @@ product of the per-level pieces; its integral is
 K/(|Aut| ell) times the product of the level integrals
 (``Evaluator.boundary_integral``).
 
-Products are computed by the excess-intersection formula: common divisors
-contribute normal-bundle factors
+Products are computed by the excess-intersection formula, after every
+lam-class is expanded recursively into deeper strata.  One walk of the
+level splittings of the first term gives its degenerations k splits deep;
+each meets the second term, of L2 levels below, through c = L2 - k of
+the first term's passages in common, chosen among them directly, and
+every common passage contributes a normal-bundle factor
 
-    nu_i = (-xi^{[-i+1]} - lam^{[-i+1]} + xi^{[-i]}) / ell_i,
+    nu_i = (-xi^{[-i+1]} - lam^{[-i+1]} + xi^{[-i]}) / ell_i.
 
-new passages come from explicit level splittings, and lam-classes expand
-recursively into deeper strata until only evaluable generators remain.
+A trivial second term is the case c = 0, with nothing in common and one
+isomorphism: its xi lands on the top level and its psi stays where it is.
 """
 from __future__ import annotations
 
@@ -264,36 +268,34 @@ class TautClass:
 
 def _transfer_under_split(decor: Decor, lev: int, edge_map: dict[int, int]) -> Poly:
     """Rewrite a decoration on Gamma as a polynomial on a one-step
-    degeneration that splits the given level (levels below shift down)."""
-    out = poly_one()
+    degeneration that splits the given level (levels below shift down).
+    Everything but lam at the split level moves as one monomial, so a
+    lam-free decoration gives one term with coefficient 1."""
+    moved: dict[Symbol, int] = {}
+    split_lam = 0
     for s, e in decor:
-        if s[0] == "psi":
-            tag = s[1]
-            if tag[0] == "leg":
-                sym = s
-            else:
-                sym = ("psi", (tag[0], edge_map[tag[1]]))
-            out = poly_mul(out, {_decor({sym: e}): 1})
-        elif s[0] == "xi":
-            x = s[1]
-            nx = x if x >= lev else x - 1
-            out = poly_mul(out, {_decor({("xi", nx): e}): 1})
-        elif s[0] == "lam":
-            x = s[1]
-            if x > lev:
-                out = poly_mul(out, {_decor({("lam", x): e}): 1})
-            elif x < lev:
-                out = poly_mul(out, {_decor({("lam", x - 1): e}): 1})
-            else:
-                # restriction of the level class to a splitting of the level
-                sub = {
-                    _decor({("lam", lev - 1): 1}): 1,
-                    _decor({("xi", lev - 1): 1}): 1,
-                    _decor({("xi", lev): 1}): -1,
-                }
-                out = poly_mul(out, poly_pow(sub, e))
+        kind, x = s
+        if kind == "psi":
+            if x[0] != "leg":
+                s = ("psi", (x[0], edge_map[x[1]]))
+        elif kind == "lam" and x == lev:
+            split_lam = e
+            continue
+        elif kind in ("xi", "lam"):
+            if x < lev:
+                s = (kind, x - 1)
         else:
             raise ValueError(f"unknown symbol {s}")
+        moved[s] = e
+    out = {_decor(moved): 1}
+    if split_lam:
+        # restriction of the level class to a splitting of the level
+        sub = {
+            _decor({("lam", lev - 1): 1}): 1,
+            _decor({("xi", lev - 1): 1}): 1,
+            _decor({("xi", lev): 1}): -1,
+        }
+        out = poly_mul(out, poly_pow(sub, split_lam))
     return out
 
 
@@ -385,23 +387,13 @@ def _lam_normalize(cls: TautClass) -> TautClass:
     return out
 
 
-def _block_xi_level(part_levels: list[int], xi_level: int) -> int:
-    """Top fine level of the block of merged levels indexed by a coarse
-    xi-level: part_levels[i] is the coarse level of fine level -i."""
-    for fine, coarse in enumerate(part_levels):
-        if coarse == xi_level:
-            return -fine
-    raise ValueError("coarse level not found")
-
-
-def _transfer_from_undegeneration(decor: Decor, fine: lg.LevelGraph,
-                                  coarse_levels: list[int],
+def _transfer_from_undegeneration(decor: Decor, passages: tuple[int, ...],
                                   edge_corr: dict[int, int]) -> Decor:
-    """Rewrite a lam-free decoration living on a coarse undegeneration of
-    ``fine`` as a decoration on ``fine``.
+    """Rewrite a lam-free decoration living on the undegeneration of a fine
+    graph to the sorted ``passages`` as a decoration on the fine graph.
 
-    coarse_levels[j] is the coarse level of fine level -j; edge_corr maps
-    coarse edge indices to fine edge indices.
+    Coarse level -m begins at fine level -passages[m-1] (the top at 0), so
+    its xi moves there; edge_corr maps coarse edge indices to fine ones.
     """
     nd: dict[Symbol, int] = {}
     for s, e in decor:
@@ -412,7 +404,7 @@ def _transfer_from_undegeneration(decor: Decor, fine: lg.LevelGraph,
             else:
                 sym = ("psi", (tag[0], edge_corr[tag[1]]))
         elif s[0] == "xi":
-            sym = ("xi", _block_xi_level(coarse_levels, s[1]))
+            sym = ("xi", -passages[-s[1] - 1] if s[1] else 0)
         else:
             raise ValueError("lam in transfer; normalize first")
         nd[sym] = nd.get(sym, 0) + e
@@ -420,96 +412,67 @@ def _transfer_from_undegeneration(decor: Decor, fine: lg.LevelGraph,
 
 
 def _undegeneration_structures(fine: lg.LevelGraph, passages: tuple[int, ...],
-                               coarse: lg.LevelGraph):
-    """All ways delta_I(fine) is isomorphic to ``coarse``: yields
-    (coarse_levels, edge correspondence coarse index -> fine index)."""
+                               coarse: lg.LevelGraph) -> list[dict[int, int]]:
+    """All ways delta_I(fine) is isomorphic to ``coarse``, one edge
+    correspondence (coarse index -> fine index) each."""
     contracted, emap = lg.undegenerate_with_edgemap(fine, passages)
-    inv = {}
-    for old, new in emap.items():
-        inv[new] = old
-    out = []
-    for vmap, iso_emap in lg.graph_isomorphisms(coarse, contracted):
-        edge_corr = {ce: inv[iso_emap[ce]] for ce in range(len(coarse.edges))}
-        keep = sorted(set(passages))
-        levels = [-sum(1 for i in keep if -j <= -i)
-                  for j in range(fine.n_levels_below + 1)]
-        out.append((levels, edge_corr))
-    return out
+    inv = {new: old for old, new in emap.items()}
+    return [{ce: inv[iso_emap[ce]] for ce in range(len(coarse.edges))}
+            for _, iso_emap in lg.graph_isomorphisms(coarse, contracted)]
 
 
 def multiply_term_by_bounded(spec: StratumSpec, g1: lg.LevelGraph, d1: Decor,
                              g2: lg.LevelGraph, d2: Decor) -> TautClass:
-    """Product of a decorated term with a lam-free generator, by the excess
-    intersection formula."""
+    """Product of a lam-free decorated term with a lam-free generator, by
+    the excess intersection formula.  A fine graph k splits below g1 meets
+    g2 through its k new passages and c = L2 - k old ones in common, once
+    per isomorphism of that undegeneration with g2, each weighing
+    1/#isomorphisms."""
     out = TautClass(spec)
     L1, L2 = g1.n_levels_below, g2.n_levels_below
-    if L2 == 0:
-        nd = dict(d1)
-        for s, e in d2:
-            if s[0] == "psi":
-                sym = s
-            elif s[0] == "xi":
-                sym = ("xi", 0)
-            else:
-                raise ValueError("lam in product operand")
-            nd[sym] = nd.get(sym, 0) + e
-        out.add_term(g1, _decor(nd), 1)
-        return out
-    d_amb = dimension(spec).projectivized
-    for c in range(0, min(L1, L2) + 1):
-        L = L1 + L2 - c
-        if L > d_amb:
-            continue
-        candidates = _degenerations_of(spec, g1, d1, L - L1)
-        for fine, fine_decor, i1 in candidates:
-            passage_sets = [s for s in itertools.combinations(range(1, L + 1), L2)
-                            if set(s) | set(i1) == set(range(1, L + 1))
-                            and len(set(s) & set(i1)) == c]
-            for i2 in passage_sets:
-                structs = _undegeneration_structures(fine, i2, g2)
-                if not structs:
+    extra = min(L2, dimension(spec).projectivized - L1)
+    layers = _degenerations_of(spec, g1, d1, extra)
+    for c in range(L2 - extra, min(L1, L2) + 1):
+        for fine, fine_decor, i1 in layers[L2 - c]:
+            new = tuple(p for p in range(1, fine.n_levels_below + 1) if p not in i1)
+            for common in itertools.combinations(i1, c):
+                i2 = tuple(sorted(new + common))
+                ecorrs = _undegeneration_structures(fine, i2, g2)
+                if not ecorrs:
                     continue
-                weight = Fraction(1, len(structs))
-                for levels, ecorr in structs:
-                    td = _transfer_from_undegeneration(d2, fine, levels, ecorr)
-                    nu = poly_one()
-                    for k in set(i1) & set(i2):
-                        nu = poly_mul(nu, nu_poly(fine, k))
-                    for dd, cc in poly_mul(
-                            {_dmul(fine_decor, td): 1}, nu).items():
+                weight = Fraction(1, len(ecorrs)) if len(ecorrs) > 1 else 1
+                nu = poly_one()
+                for p in common:
+                    nu = poly_mul(nu, nu_poly(fine, p))
+                for ecorr in ecorrs:
+                    td = _transfer_from_undegeneration(d2, i2, ecorr)
+                    for dd, cc in poly_mul({_dmul(fine_decor, td): 1}, nu).items():
                         out.add_term(fine, dd, cc * weight)
     return out
 
 
 def _degenerations_of(spec: StratumSpec, g: lg.LevelGraph, decor: Decor,
-                      extra: int):
-    """Iterated one-step splits of g with transferred decoration; returns
-    (graph, decoration, original passage positions) triples, deduplicated
-    by decorated isomorphism class.
-
-    The original passages of g are tracked through the splits so the caller
-    can distinguish old from new level passages.
+                      extra: int) -> list[list[tuple]]:
+    """Iterated one-step splits of g with its lam-free decoration
+    transferred, from one walk: layer k lists the (graph, decoration,
+    positions of g's passages) triples k splits deep, deduplicated by
+    decorated isomorphism class and passages.  Layer 0 is g itself.
     """
-    start_passages = tuple(range(1, g.n_levels_below + 1))
-    current = {canonical_decorated(g, decor): (g, decor, start_passages)}
+    if _has_lam(decor):
+        raise ValueError("lam in degeneration search; normalize first")
+    layers =[[(g, decor, tuple(range(1, g.n_levels_below + 1)))]]
     for _ in range(extra):
         nxt: dict = {}
-        for graph, dec, passages in current.values():
-            if _has_lam(dec):
-                raise ValueError("lam in degeneration search; normalize first")
+        for graph, dec, passages in layers[-1]:
             for lev in range(0, -graph.n_levels_below - 1, -1):
+                new_passages = tuple(p if -p + 1 > lev else p + 1 for p in passages)
                 for cand, emap in lg.level_splits(graph, spec, lev):
-                    poly = _transfer_under_split(dec, lev, emap)
-                    new_passages = tuple(p if -p + 1 > lev else p + 1
-                                         for p in passages)
-                    for dd, cc in poly.items():
-                        if cc != 1:
-                            raise ValueError("unexpected transfer coefficient")
-                        key = (canonical_decorated(cand, dd), new_passages)
-                        if key not in nxt:
-                            nxt[key] = (cand, dd, new_passages)
-        current = nxt
-    return list(current.values())
+                    [dd] = _transfer_under_split(dec, lev, emap)
+                    key = (canonical_decorated(cand, dd), new_passages)
+                    if key not in nxt:
+                        nxt[key] = (cand, dd, new_passages)
+        layers.append(list(nxt.values()))
+    return layers
 
 
 def multiply(a: TautClass, b: TautClass, evaluator: Evaluator | None = None) -> TautClass:

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
 from stratacalc.strata import SpecError, StratumSpec, dimension
-from stratacalc.evaluate import Evaluator
+from stratacalc.evaluate import Evaluator, UnevaluatableError
 from stratacalc import invariants as inv
 from stratacalc import levelgraphs as lg
 from stratacalc import tautring as tr
@@ -42,6 +44,29 @@ def test_chi_genus0_oracle_small():
         assert rep.chi == -1, mu
     rep = inv.euler_characteristic(C(0, (1, 1, 2, 2, -8)), EV)
     assert rep.chi == 2
+
+
+def genus0_three_pole_strata():
+    """Genus-0 strata of at most five points with at least three poles, all
+    of order >= -6, and zero orders (0 allowed) summing to at most 6."""
+    for n in range(3, 6):
+        for orders in itertools.combinations_with_replacement(range(6, -7, -1), n):
+            if (sum(orders) == -2 and sum(o < 0 for o in orders) >= 3
+                    and sum(o for o in orders if o >= 0) <= 6):
+                yield orders
+
+
+def test_chi_genus0_closed_form_with_three_or_more_poles():
+    """chi = (-1)^(n-3) (n-3)! on every stratum of the slice.  Its levels
+    meet the genus-0 zero-residue check of ``realizability_issues`` where
+    that check is not proven exact, with three or more poles: a wrong
+    verdict there would move chi off the closed form."""
+    strata = list(genus0_three_pole_strata())
+    assert len(strata) == 76
+    for mu in strata:
+        n = len(mu)
+        assert inv.euler_characteristic(C(0, mu), EV).chi \
+            == (-1) ** (n - 3) * math.factorial(n - 3), mu
 
 
 def test_chi_sort_invariance():
@@ -270,10 +295,31 @@ def test_constrained_two_component_chi():
     assert inv.chern_polynomial(pair, EV).duality_holds
 
 
+CHI_TABLE = sorted([((sum(mu) + 2) // 2, mu, chi) for mu, chi in inv.CHI_HOLOMORPHIC.items()]
+                   + [(2, mu, chi) for mu, chi in inv.CHI_MEROMORPHIC.items()])
+CHI_COMPUTED = {(1, (0,)), (2, (2,)), (2, (1, 1))}
+
+
+@pytest.mark.parametrize("genus,mu,chi", CHI_TABLE,
+                         ids=[f"g{g}:{','.join(map(str, mu))}" for g, mu, _ in CHI_TABLE])
+def test_chi_table_is_matched_or_unevaluatable(genus, mu, chi):
+    """The shipped chi tables bind: every tabled stratum either computes
+    the table's value or raises ``UnevaluatableError``, never another
+    value.  The strata computed without fixtures stay computed."""
+    spec = StratumSpec.connected(genus, mu)
+    if (genus, mu) in CHI_COMPUTED:
+        assert inv.euler_characteristic(spec, Evaluator()).chi == chi
+        return
+    try:
+        got = inv.euler_characteristic(spec, Evaluator()).chi
+    except UnevaluatableError:
+        return
+    assert got == chi
+
+
 def test_chi_fail_loud_with_dependency_chain():
     """Strata whose levels need fixtures beyond the shipped table surface
     the exact missing key and the assembly frame."""
-    from stratacalc.evaluate import UnevaluatableError
     with pytest.raises(UnevaluatableError) as err:
         inv.euler_characteristic(StratumSpec.connected(2, (4, -2)), EV)
     assert "xi^d" in err.value.chain[0]

@@ -308,7 +308,8 @@ def test_normal_bundle_pullback_index_shifts():
 
 def test_xi_restricts_to_top_level():
     """Multiplying a boundary class by the ambient xi decorates the graph
-    with the top-level tautological class."""
+    with the top-level tautological class, and by psi at a marked point
+    with that psi."""
     spec = C(2, (2,))
     for g in lg.enumerate_LG1(spec):
         prod = tr.multiply(tr.TautClass.boundary(spec, g),
@@ -317,6 +318,32 @@ def test_xi_restricts_to_top_level():
         (gg, dec), coeff = next(iter(prod.terms.items()))
         assert gg.n_levels_below == 1 and coeff == 1
         assert dec == ((("xi", 0), 1),)
+        psi = tr._decor({("psi", ("leg", (0, 0))): 1})
+        prod = tr.multiply(tr.TautClass.boundary(spec, g),
+                           tr.TautClass.psi(spec, (0, 0)), EV)
+        assert prod.terms == {tr.canonical_decorated(g, psi): 1}
+
+
+@pytest.mark.parametrize("genus,orders,n_pairs", [
+    (0, (1, 1, 1, 1, -3, -3), 28), (0, (2, 1, 1, 1, -1, -6), 32), (2, (2,), 6)])
+def test_edge_route_normal_bundle_multiplies_from_either_side(genus, orders, n_pairs):
+    """A divisor times an edge-route normal bundle (edge psi in the
+    decoration) integrates alike with the normal bundle as either operand,
+    for the first four divisors, every edge and the first four divisors
+    again.  On genus 2 (2) the banana divisor has two isomorphisms with its
+    fine graphs, so the second operand's edge psi is averaged over them."""
+    spec = C(genus, orders)
+    divs = lg.enumerate_LG1(spec)[:4]
+    values = []
+    for g in divs:
+        for ei in range(len(g.edges)):
+            nb = tr.normal_bundle_via_edge(spec, g, ei)
+            for h in divs:
+                D = tr.TautClass.boundary(spec, h)
+                value = tr.integrate(tr.multiply(D, nb, EV), EV)
+                assert value == tr.integrate(tr.multiply(nb, D, EV), EV), (g, ei, h)
+                values.append(value)
+    assert len(values) == n_pairs and any(values)
 
 
 def test_deep_product_grouping_independence():
