@@ -10,12 +10,13 @@ product of the per-level pieces; its integral is
 K/(|Aut| ell) times the product of the level integrals
 (``Evaluator.boundary_integral``).
 
-Products are computed by the excess-intersection formula, after every
-lam-class is expanded recursively into deeper strata.  One walk of the
-level splittings of the first term gives its degenerations k splits deep;
-each meets the second term, of L2 levels below, through c = L2 - k of
-the first term's passages in common, chosen among them directly, and
-every common passage contributes a normal-bundle factor
+Integrals and products first expand every lam-class, depth first, into
+deeper strata.  Products are then computed by the excess-intersection
+formula.  One walk of the level splittings of a first term gives its
+degenerations k splits deep for every second term; each meets a second
+term, of L2 levels below, through c = L2 - k of the first term's passages
+in common, chosen among them directly, and every common passage
+contributes a normal-bundle factor
 
     nu_i = (-xi^{[-i+1]} - lam^{[-i+1]} + xi^{[-i]}) / ell_i.
 
@@ -323,49 +324,40 @@ def _splits_deduped(g: lg.LevelGraph, spec: StratumSpec, lev: int,
 # integration
 # ---------------------------------------------------------------------------
 
-def _lam_expand(spec: StratumSpec, g: lg.LevelGraph, decor: Decor):
-    """Expand one lam-class of a decoration: lam^{[lev]} is the sum of
-    ell_new [D] over the one-step splits of the level.  Yields
-    (split graph, transferred decoration, coefficient)."""
-    lev = next(s[1] for s, _ in decor if s[0] == "lam")
+def _lam_free_terms(spec: StratumSpec, g: lg.LevelGraph, decor: Decor,
+                    coeff: Rational | int):
+    """The lam-free terms (graph, decoration, coefficient) of coeff times one
+    decorated term, depth first: its first lam-class lam^{[lev]} is the sum
+    of ell_new [D] over the one-step splits of the level, and each split
+    with the rest of the decoration transferred is expanded in turn."""
+    lev = next((s[1] for s, _ in decor if s[0] == "lam"), None)
+    if lev is None:
+        yield g, decor, coeff
+        return
     reduced = dict(decor)
     reduced[("lam", lev)] -= 1
     base = _decor(reduced)
     for cand, emap in _splits_deduped(g, spec, lev, base):
         ell_new = lg.prong_data(cand).ell_levels[-lev]
         for d2, c2 in _transfer_under_split(base, lev, emap).items():
-            yield cand, d2, ell_new * c2
-
-
-def _has_lam(decor: Decor) -> bool:
-    return any(s[0] == "lam" for s, _ in decor)
-
-
-def integrate_term(spec: StratumSpec, g: lg.LevelGraph, decor: Decor,
-                   evaluator: Evaluator | None = None) -> Rational:
-    """Integral over the ambient stratum of one decorated term: its
-    lam-classes are expanded into deeper strata, and a lam-free term is
-    ``Evaluator.boundary_integral`` of its psi exponents (keyed by tag) and
-    xi exponents (keyed by level)."""
-    ev = evaluator or default_evaluator()
-    if _has_lam(decor):
-        return sum((c * integrate_term(spec, cand, d2, ev)
-                    for cand, d2, c in _lam_expand(spec, g, decor)), Fraction(0))
-    psi = {s[1]: e for s, e in decor if s[0] == "psi"}
-    xi = {s[1]: e for s, e in decor if s[0] == "xi"}
-    return ev.boundary_integral(spec, g, psi, xi)
+            yield from _lam_free_terms(spec, cand, d2, coeff * ell_new * c2)
 
 
 def integrate(cls: TautClass, evaluator: Evaluator | None = None) -> Rational:
     """Sum of the integrals of the top-degree terms; terms of lower degree
-    integrate to zero by convention."""
+    integrate to zero by convention.  A term's lam-classes are expanded into
+    deeper strata, and a lam-free term is ``Evaluator.boundary_integral`` of
+    its psi exponents (keyed by tag) and xi exponents (keyed by level)."""
     ev = evaluator or default_evaluator()
     d = dimension(cls.spec).projectivized
     total = Fraction(0)
     for (g, dec), c in cls.terms.items():
         if g.n_levels_below + decor_degree(dec) != d:
             continue
-        total += c * integrate_term(cls.spec, g, dec, ev)
+        for fine, fine_decor, cc in _lam_free_terms(cls.spec, g, dec, c):
+            psi = {s[1]: e for s, e in fine_decor if s[0] == "psi"}
+            xi = {s[1]: e for s, e in fine_decor if s[0] == "xi"}
+            total += cc * ev.boundary_integral(cls.spec, fine, psi, xi)
     return total
 
 
@@ -376,14 +368,9 @@ def integrate(cls: TautClass, evaluator: Evaluator | None = None) -> Rational:
 def _lam_normalize(cls: TautClass) -> TautClass:
     """Expand every lam-symbol into boundary generators."""
     out = TautClass(cls.spec)
-    queue = list(cls.terms.items())
-    while queue:
-        (g, decor), coeff = queue.pop()
-        if not _has_lam(decor):
-            out.add_term(g, decor, coeff)
-            continue
-        for cand, d2, c in _lam_expand(cls.spec, g, decor):
-            queue.append(((cand, d2), coeff * c))
+    for (g, decor), coeff in cls.terms.items():
+        for fine, fine_decor, c in _lam_free_terms(cls.spec, g, decor, coeff):
+            out.add_term(fine, fine_decor, c)
     return out
 
 
@@ -421,36 +408,6 @@ def _undegeneration_structures(fine: lg.LevelGraph, passages: tuple[int, ...],
             for _, iso_emap in lg.graph_isomorphisms(coarse, contracted)]
 
 
-def multiply_term_by_bounded(spec: StratumSpec, g1: lg.LevelGraph, d1: Decor,
-                             g2: lg.LevelGraph, d2: Decor) -> TautClass:
-    """Product of a lam-free decorated term with a lam-free generator, by
-    the excess intersection formula.  A fine graph k splits below g1 meets
-    g2 through its k new passages and c = L2 - k old ones in common, once
-    per isomorphism of that undegeneration with g2, each weighing
-    1/#isomorphisms."""
-    out = TautClass(spec)
-    L1, L2 = g1.n_levels_below, g2.n_levels_below
-    extra = min(L2, dimension(spec).projectivized - L1)
-    layers = _degenerations_of(spec, g1, d1, extra)
-    for c in range(L2 - extra, min(L1, L2) + 1):
-        for fine, fine_decor, i1 in layers[L2 - c]:
-            new = tuple(p for p in range(1, fine.n_levels_below + 1) if p not in i1)
-            for common in itertools.combinations(i1, c):
-                i2 = tuple(sorted(new + common))
-                ecorrs = _undegeneration_structures(fine, i2, g2)
-                if not ecorrs:
-                    continue
-                weight = Fraction(1, len(ecorrs)) if len(ecorrs) > 1 else 1
-                nu = poly_one()
-                for p in common:
-                    nu = poly_mul(nu, nu_poly(fine, p))
-                for ecorr in ecorrs:
-                    td = _transfer_from_undegeneration(d2, i2, ecorr)
-                    for dd, cc in poly_mul({_dmul(fine_decor, td): 1}, nu).items():
-                        out.add_term(fine, dd, cc * weight)
-    return out
-
-
 def _degenerations_of(spec: StratumSpec, g: lg.LevelGraph, decor: Decor,
                       extra: int) -> list[list[tuple]]:
     """Iterated one-step splits of g with its lam-free decoration
@@ -458,9 +415,7 @@ def _degenerations_of(spec: StratumSpec, g: lg.LevelGraph, decor: Decor,
     positions of g's passages) triples k splits deep, deduplicated by
     decorated isomorphism class and passages.  Layer 0 is g itself.
     """
-    if _has_lam(decor):
-        raise ValueError("lam in degeneration search; normalize first")
-    layers =[[(g, decor, tuple(range(1, g.n_levels_below + 1)))]]
+    layers = [[(g, decor, tuple(range(1, g.n_levels_below + 1)))]]
     for _ in range(extra):
         nxt: dict = {}
         for graph, dec, passages in layers[-1]:
@@ -476,16 +431,42 @@ def _degenerations_of(spec: StratumSpec, g: lg.LevelGraph, decor: Decor,
 
 
 def multiply(a: TautClass, b: TautClass, evaluator: Evaluator | None = None) -> TautClass:
-    """Excess-intersection product of two tautological classes."""
+    """Excess-intersection product of two tautological classes, both first
+    expanded lam-free.  The degenerations of each term of ``a`` come from one
+    walk, as deep as the deepest term of ``b`` and the dimension allow.  A
+    fine graph k splits below the term meets a term of ``b`` of L2 levels
+    below through its k new passages and c = L2 - k old ones in common, once
+    per isomorphism of that undegeneration with the term of ``b``, each
+    weighing 1/#isomorphisms.  ``evaluator`` is not read; it is kept for
+    callers that pass one."""
     if a.spec != b.spec:
         raise ValueError("mixed ambient strata")
-    an = _lam_normalize(a)
-    bn = _lam_normalize(b)
-    out = TautClass(a.spec)
+    spec = a.spec
+    dim = dimension(spec).projectivized
+    an, bn = _lam_normalize(a), _lam_normalize(b)
+    deepest = max((g.n_levels_below for g, _ in bn.terms), default=0)
+    out = TautClass(spec)
     for (g1, d1), c1 in an.terms.items():
+        L1 = g1.n_levels_below
+        layers = _degenerations_of(spec, g1, d1, min(deepest, dim - L1))
         for (g2, d2), c2 in bn.terms.items():
-            part = multiply_term_by_bounded(a.spec, g1, d1, g2, d2)
-            out._merge(part.terms.items(), c1 * c2)
+            L2, scale = g2.n_levels_below, c1 * c2
+            for c in range(max(0, L2 - dim + L1), min(L1, L2) + 1):
+                for fine, fine_decor, i1 in layers[L2 - c]:
+                    new = tuple(p for p in range(1, fine.n_levels_below + 1) if p not in i1)
+                    for common in itertools.combinations(i1, c):
+                        i2 = tuple(sorted(new + common))
+                        ecorrs = _undegeneration_structures(fine, i2, g2)
+                        if not ecorrs:
+                            continue
+                        weight = Fraction(scale, len(ecorrs)) if len(ecorrs) > 1 else scale
+                        nu = poly_one()
+                        for p in common:
+                            nu = poly_mul(nu, nu_poly(fine, p))
+                        for ecorr in ecorrs:
+                            td = _transfer_from_undegeneration(d2, i2, ecorr)
+                            for dd, cc in poly_mul({_dmul(fine_decor, td): 1}, nu).items():
+                                out.add_term(fine, dd, cc * weight)
     return out
 
 

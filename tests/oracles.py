@@ -12,7 +12,7 @@ against the library routine it shadows, or checks what the library builds.
 - ``orbit_count_bfs``: the breadth-first orbit count behind
   ``exact.orbit_count``.
 - ``evaluate_generator``: the integral of a graph decorated with psi
-  exponents, through ``tautring.integrate_term``.
+  exponents, through ``tautring.integrate`` of the one-term class.
 """
 from __future__ import annotations
 
@@ -133,4 +133,4 @@ def evaluate_generator(spec: StratumSpec, g: LevelGraph,
     deg = g.n_levels_below + tr.decor_degree(decor)
     if deg != dimension(spec).projectivized:
         raise ValueError("generator degree differs from ambient dimension")
-    return tr.integrate_term(spec, g, decor, evaluator)
+    return tr.integrate(tr.TautClass(spec, {(g, decor): 1}), evaluator)

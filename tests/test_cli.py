@@ -421,6 +421,34 @@ def test_text_output_is_pinned(cmd, spec, capsys):
     assert hashlib.sha256(out).hexdigest() == TEXT_SHA256[cmd, spec]
 
 
+# exit code and stderr of chern on strata with an integral it cannot
+# evaluate, recorded before the lam-classes were expanded by one generator.
+# The expansion is depth first in term order, so the first missing integral,
+# the one named, does not move.  Never re-record a pin to absorb a change.
+CHERN_DIAGNOSTICS = {
+    (2, (4, -2)):
+        'error: cannot evaluate: xi^d on {"c": [[1, [2, 0, -2]]]}\n',
+    (2, (2, 2, -2)):
+        'error: cannot evaluate: xi^d on {"c": [[2, [2, 2, -2]]]}\n',
+    (3, (4,)):
+        'error: cannot evaluate: xi^d on {"c": [[1, [4, -2, -2]]]}'
+        ' <- xi^d on {"components": [{"genus": 1, "orders": [4, -2, -2]}],'
+        ' "residue_parts": [{"constrained": true, "points": [[0, 1]]}]}'
+        ' <- xi^d on {"components": [{"genus": 1, "orders": [4, -2, -2]}],'
+        ' "residue_parts": [{"constrained": true, "points": [[0, 1]]},'
+        ' {"constrained": true, "points": [[0, 2]]}]}\n',
+}
+
+
+@pytest.mark.parametrize("genus,orders", sorted(CHERN_DIAGNOSTICS))
+def test_chern_diagnostic_is_pinned(genus, orders, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_connected(genus, orders)))
+    assert run(["chern", "--spec", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err.encode()) == ("", CHERN_DIAGNOSTICS[genus, orders].encode())
+
+
 def _part_spec(components, part):
     return {"components": [{"genus": g, "orders": list(o)} for g, o in components],
             "residue_parts": [{"points": [list(pt) for pt in part]}]}

@@ -11,6 +11,7 @@ import pytest
 from stratacalc.exact import rational_str
 from stratacalc.strata import ResiduePart, StratumSpec, dimension
 from stratacalc.evaluate import Evaluator
+from stratacalc import invariants as inv
 from stratacalc import levelgraphs as lg
 from stratacalc import tautring as tr
 from oracles import evaluate_generator
@@ -367,6 +368,27 @@ def test_deep_product_grouping_independence():
         assert not (lhs - rhs).terms, p
 
 
+def test_multiply_walks_each_first_term_once(monkeypatch):
+    """The degenerations of a lam-free term of the first operand are walked
+    once, whatever the number of terms of the second; the product is the
+    sum of the products with each term of the second operand."""
+    spec = C(0, (2, 1, 1, -1, -5))
+    c1 = inv.c1_log_cotangent(spec)
+    first_terms = len(tr._lam_normalize(c1).terms)
+    assert first_terms > 1  # and so has the second operand, the same class
+    walks = []
+    walk = tr._degenerations_of
+    monkeypatch.setattr(tr, "_degenerations_of",
+                        lambda *args: walks.append(args) or walk(*args))
+    product = tr.multiply(c1, c1, EV)
+    assert len(walks) == first_terms
+    assert tr.integrate(product, EV) == 5
+    total = tr.TautClass.zero(spec)
+    for key, c in c1.terms.items():
+        total = total + tr.multiply(c1, tr.TautClass(spec, {key: c}), EV)
+    assert total.terms == product.terms
+
+
 def test_canonical_decorated_relabel_roundtrip():
     """Decorated canonical forms are invariant under edge reordering, and
     decorations on interchangeable parallel edges are identified."""
@@ -402,7 +424,7 @@ def test_edge_half_point_psi_integrals_are_pinned(genus, orders):
     spec = C(genus, orders)
     d = dimension(spec).projectivized
     ev = Evaluator()
-    vals = [tr.integrate_term(spec, g, tr._decor({("psi", (side, ei)): d - L}), ev)
+    vals = [tr.integrate(tr.TautClass(spec, {(g, tr._decor({("psi", (side, ei)): d - L})): 1}), ev)
             for L in range(2, d)
             for g in lg.enumerate_LGL(spec, L)
             for ei in range(len(g.edges))
