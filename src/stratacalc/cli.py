@@ -114,13 +114,10 @@ def cmd_divisors(args) -> int:
 
 def cmd_profiles(args) -> int:
     spec = _load_spec(args.spec)
-    d = dimension(spec).projectivized
-    top = min(d, args.levels) if args.levels is not None else d
-    out = {}
-    for L in range(1, top + 1):
-        profiles = [lg.profile(g, spec) for g in lg.enumerate_LGL(spec, L)]
-        lg.check_profile_order(profiles)
-        out[L] = [list(p) for p in profiles]
+    out = {L: [list(p) for p in profiles]
+           for L, profiles in lg.profile_order_check(spec, args.levels).items()}
+    # the deepest L checked; with none, 0 or an empty stratum's dimension
+    top = max(out, default=min(dimension(spec).projectivized, 0))
     _emit(args, out if args.json else
           [f"profiles consistent through L={top}",
            *(f"L={L}: {ps}" for L, ps in out.items())])

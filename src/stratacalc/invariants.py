@@ -105,13 +105,9 @@ def euler_characteristic(spec: StratumSpec,
 # ---------------------------------------------------------------------------
 
 def c1_log_cotangent(spec: StratumSpec) -> tr.TautClass:
-    """N xi + sum over divisors of (N - N_top) ell [D]."""
-    n_unproj = dimension(spec).unprojectivized
-    out = tr.TautClass.xi(spec).scale(n_unproj)
-    for g in lg.enumerate_LG1(spec):
-        ntop = dimension(lg.level_strata(g, spec)[0]).unprojectivized
-        out.add_term(g, (), (n_unproj - ntop) * lg.prong_data(g).ell)
-    return out
+    """N xi + sum over divisors of (N - N_top) ell [D]: the degree-1 piece
+    of the Chern polynomial's one graph pass."""
+    return chern_class_terms(spec, 1)
 
 
 def _chern_graph_data(spec: StratumSpec, g: lg.LevelGraph) -> tuple[int, list[int]]:

@@ -9,6 +9,7 @@ automorphisms fix every leg.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections import Counter
@@ -93,7 +94,7 @@ def _vertex_keys(g: LevelGraph) -> list[tuple]:
 def _orderings(g: LevelGraph) -> Iterator[list[int]]:
     """Every vertex ordering that lists the classes of equal refined
     invariants in sorted order, each class in any order.  The one search
-    behind canonical forms, automorphisms and isomorphisms."""
+    behind every canonical form, automorphism and isomorphism."""
     groups: dict[tuple, list[int]] = {}
     for v, key in enumerate(_vertex_keys(g)):
         groups.setdefault(key, []).append(v)
@@ -109,17 +110,12 @@ def _encode(g: LevelGraph, order: Sequence[int], edges: Sequence[tuple]) -> tupl
     return (verts, legs, tuple(sorted((pos[e[0]], pos[e[1]]) + e[2:] for e in edges)))
 
 
-def _minimal_orderings(g: LevelGraph, edges: Sequence[tuple] | None = None
-                       ) -> tuple[tuple, list[list[int]]]:
+def _minimal_orderings(g: LevelGraph) -> tuple[tuple, list[list[int]]]:
     """The least encoding over the orderings of g, and every ordering that
-    reaches it (one per vertex automorphism).  ``edges`` defaults to
-    g.edges; records (u, v, kappa, labels...) carry their labels into the
-    encoding."""
-    if edges is None:
-        edges = g.edges
+    reaches it (one per vertex automorphism)."""
     best, argmin = None, []
     for order in _orderings(g):
-        enc = _encode(g, order, edges)
+        enc = _encode(g, order, g.edges)
         if best is None or enc < best:
             best, argmin = enc, [order]
         elif enc == best:
@@ -160,13 +156,14 @@ def canonicalize(g: LevelGraph) -> LevelGraph:
 def canonicalize_labelled(g: LevelGraph, labels: Sequence[tuple[int, ...]]
                           ) -> tuple[LevelGraph, tuple[tuple[int, ...], ...]]:
     """:func:`canonicalize` for a graph whose edges carry integer labels
-    (labels[i] belongs to edge i, all of one length).  The labels move with
-    their edges and order interchangeable parallel edges; returns the
-    canonical graph and the labels of its edges."""
-    (verts, legs, recs), _ = _minimal_orderings(
-        g, [e + lab for e, lab in zip(g.edges, labels)])
-    return (_from_encoding(verts, legs, tuple(r[:3] for r in recs)),
-            tuple(r[3:] for r in recs))
+    (labels[i] belongs to edge i, all of one length): the canonical graph
+    and the labels of its edges, least over the orderings that reach the
+    canonical encoding.  Each label rides on its edge's record, so the
+    labels also order interchangeable parallel edges."""
+    enc, orders = _canonical(g)
+    edges = [e + lab for e, lab in zip(g.edges, labels)]
+    recs = min(_encode(g, order, edges)[2] for order in orders)
+    return _from_encoding(*enc), tuple(r[3:] for r in recs)
 
 
 def automorphism_order(g: LevelGraph) -> int:
@@ -247,26 +244,25 @@ def prong_data(g: LevelGraph) -> ProngData:
 # undegeneration
 # ---------------------------------------------------------------------------
 
+def _find(parent: list[int], x: int) -> int:
+    """The root of x in the union-find forest ``parent``, halving the path
+    on the way; halving never changes which node is a root."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
 def _roots(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     """Union-find over the nodes 0..n-1 joined by ``pairs``: the root of
     each node's class.  Each pair hangs its first node's root below its
     second's, so the roots depend on the pairs' order;
-    ``undegenerate_with_edgemap`` numbers its vertices by them.  The trees
-    have a handful of nodes, so there is no path compression."""
+    ``undegenerate_with_edgemap`` numbers its vertices by them."""
     parent = list(range(n))
     for a, b in pairs:
-        while parent[a] != a:
-            a = parent[a]
-        while parent[b] != b:
-            b = parent[b]
+        a, b = _find(parent, a), _find(parent, b)
         if a != b:
             parent[a] = b
-    out = []
-    for x in range(n):
-        while parent[x] != x:
-            x = parent[x]
-        out.append(x)
-    return out
+    return [_find(parent, x) for x in range(n)]
 
 
 def undegenerate(g: LevelGraph, passages: Iterable[int]) -> LevelGraph:
@@ -448,16 +444,11 @@ def _build_level_strata(g: LevelGraph, spec: StratumSpec) -> tuple[StratumSpec, 
         if g.levels[u] > g.levels[v]:
             ends[-g.levels[v]].append((u, ("ein", ei)))
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
     out = []
     for i in range(L + 1):
         tags: dict[int, list[LegTag]] = {}
         for x, tag in ends[i]:
-            tags.setdefault(find(x), []).append(tag)
+            tags.setdefault(_find(parent, x), []).append(tag)
         conds: list[frozenset[LegTag]] = []
         extra: list[frozenset[LegTag]] = []  # kept only where they lower the rank
         for r in sorted(tags, key=least.__getitem__):
@@ -475,7 +466,7 @@ def _build_level_strata(g: LevelGraph, spec: StratumSpec) -> tuple[StratumSpec, 
                                 for v, pts in zip(verts[i], level_points)), parts_here)
         out.append(_LEVEL_SPECS.setdefault(sub, sub))
         for a, b in joins[i]:
-            a, b = find(a), find(b)
+            a, b = _find(parent, a), _find(parent, b)
             if a != b:
                 parent[a] = b
                 least[b] = min(least[a], least[b])
@@ -932,29 +923,17 @@ def enumerate_LG1(spec: StratumSpec) -> tuple[LevelGraph, ...]:
 # profiles
 # ---------------------------------------------------------------------------
 
-_LG1_NUMBERING: dict[StratumSpec, dict[tuple, int]] = caches.memo(
-    "levelgraphs.lg1_numbering")
-
-
-def lg1_numbering(spec: StratumSpec) -> dict[tuple, int]:
-    """The fixed global numbering of LG_1: canonical encodings in sorted
-    order, numbered from 0.  Memoized per spec; callers must not mutate
-    the dict."""
-    hit = _LG1_NUMBERING.get(spec)
-    if hit is None:
-        hit = _LG1_NUMBERING[spec] = {canonical_encoding(g): i
-                                      for i, g in enumerate(enumerate_LG1(spec))}
-    return hit
-
-
 def profile(g: LevelGraph, spec: StratumSpec) -> tuple[int, ...]:
-    numbering = lg1_numbering(spec)
+    """The indices in ``enumerate_LG1(spec)``, which is sorted by canonical
+    encoding, of the two-level undegenerations delta_1, ..., delta_L of g."""
+    lg1 = enumerate_LG1(spec)
     out = []
     for i in range(1, g.n_levels_below + 1):
         enc = canonical_encoding(delta(g, i))
-        if enc not in numbering:
+        j = bisect.bisect_left(lg1, enc, key=canonical_encoding)
+        if j == len(lg1) or canonical_encoding(lg1[j]) != enc:
             raise EnumerationError("undegeneration missing from LG_1 list")
-        out.append(numbering[enc])
+        out.append(j)
     return tuple(out)
 
 
@@ -972,13 +951,17 @@ def check_profile_order(profiles: Iterable[tuple[int, ...]]) -> None:
         seen[key] = p
 
 
-def profile_order_check(spec: StratumSpec, max_L: int | None = None) -> None:
-    """:func:`check_profile_order` of the profiles of every L from 2 up to
-    the dimension, or to ``max_L``."""
+def profile_order_check(spec: StratumSpec, max_L: int | None = None
+                        ) -> dict[int, list[tuple[int, ...]]]:
+    """The profiles of every L from 1 up to the dimension, or to ``max_L``,
+    each L's list passed through :func:`check_profile_order`."""
     d = dimension(spec).projectivized
     top = d if max_L is None else min(d, max_L)
-    for L in range(2, top + 1):
-        check_profile_order(profile(g, spec) for g in enumerate_LGL(spec, L))
+    out = {}
+    for L in range(1, top + 1):
+        out[L] = [profile(g, spec) for g in enumerate_LGL(spec, L)]
+        check_profile_order(out[L])
+    return out
 
 
 def dimension_profile(g: LevelGraph, spec: StratumSpec) -> list[int]:

@@ -13,6 +13,9 @@ against the library routine it shadows, or checks what the library builds.
   ``exact.orbit_count``.
 - ``evaluate_generator``: the integral of a graph decorated with psi
   exponents, through ``tautring.integrate`` of the one-term class.
+- ``c1_direct``: the first Chern class of the log cotangent bundle from
+  its closed formula, which degree 1 of ``invariants.chern_class_terms``
+  is checked against.
 """
 from __future__ import annotations
 
@@ -134,3 +137,13 @@ def evaluate_generator(spec: StratumSpec, g: LevelGraph,
     if deg != dimension(spec).projectivized:
         raise ValueError("generator degree differs from ambient dimension")
     return tr.integrate(tr.TautClass(spec, {(g, decor): 1}), evaluator)
+
+
+def c1_direct(spec: StratumSpec) -> tr.TautClass:
+    """N xi + sum over divisors of (N - N_top) ell [D]."""
+    n_unproj = dimension(spec).unprojectivized
+    out = tr.TautClass.xi(spec).scale(n_unproj)
+    for g in lg.enumerate_LG1(spec):
+        ntop = dimension(lg.level_strata(g, spec)[0]).unprojectivized
+        out.add_term(g, (), (n_unproj - ntop) * lg.prong_data(g).ell)
+    return out

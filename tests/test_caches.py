@@ -71,7 +71,13 @@ def test_every_module_level_memo_is_registered(tmp_path, capsys):
     capsys.readouterr()
     grown = [name for name, v in state.items() if isinstance(v, caches.Memo) and v]
     assert "levelgraphs._ENUM_CACHE" in grown and "strata._DIMENSIONS" in grown
-    assert "levelgraphs._LEVEL_STRATA" in grown and "levelgraphs._LG1_NUMBERING" in grown
+    assert "levelgraphs._LEVEL_STRATA" in grown
+    # every registered memo by name: adding or dropping one edits this set
+    assert set(caches.stats()) == {
+        "evaluate.evaluators", "evaluate.integrals", "levelgraphs.canonical_encoding",
+        "levelgraphs.enumerate_LGL", "levelgraphs.kappa_bundles", "levelgraphs.level_specs",
+        "levelgraphs.level_strata", "levelgraphs.piece_splits", "levelgraphs.prong_data",
+        "strata.dimension"}
     # strata keeps one per-spec memo: the residue record of `dimension`
     assert [name for name, v in state.items() if name.startswith("strata.")
             and isinstance(v, caches.Memo)] == ["strata._DIMENSIONS"]

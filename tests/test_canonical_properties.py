@@ -111,6 +111,27 @@ def test_relabelling_keeps_the_canonical_data(case):
     moved = [exps[i] for i in eperm]
     assert tr.canonical_decorated(h, edge_decor(moved)) == \
         tr.canonical_decorated(g, edge_decor(exps))
+    labelled = lg.canonicalize_labelled(h, [tuple(e) for e in moved])
+    assert labelled[0] == lg.canonicalize(g)
+    assert labelled == lg.canonicalize_labelled(g, [tuple(e) for e in exps])
+
+
+def test_labelled_form_reads_the_memoized_orderings(monkeypatch):
+    """Once a graph's canonical form is memoized, its labelled forms run no
+    ordering search of their own: they take the least labels over the
+    memoized orderings that reach the canonical encoding."""
+    calls = []
+    orderings = lg._orderings
+    monkeypatch.setattr(lg, "_orderings", lambda g: calls.append(g) or orderings(g))
+    rng = random.Random(20)
+    for g in graphs():
+        lg._canonical(g)
+        calls.clear()
+        labels = [(rng.randrange(3),) for _ in g.edges]
+        graph, moved = lg.canonicalize_labelled(g, labels)
+        assert calls == []
+        assert graph == lg.canonicalize(g)
+        assert sorted(moved) == sorted(labels)
 
 
 PAIRED = StratumSpec.make([(0, (-2, -2, 2)), (0, (-2, -2, 1, 1))],

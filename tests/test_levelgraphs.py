@@ -976,9 +976,27 @@ def test_lg1_matches_a_brute_force_enumeration(spec):
 # ---------------------------------------------------------------------------
 
 def test_profiles_no_repeats_and_unique_order():
+    """``profile_order_check`` returns the profiles it checked for every L
+    from 1, each entry the index of delta_i in the sorted LG_1."""
     for spec in (H2, family_13(4), StratumSpec.connected(0, (1, 1, 2, 2, -8))):
-        lg.profile_order_check(spec)
+        encs = [lg.canonical_encoding(g) for g in lg.enumerate_LG1(spec)]
+        checked = lg.profile_order_check(spec)
+        assert list(checked) == list(range(1, dimension(spec).projectivized + 1))
+        for L, profiles in checked.items():
+            assert profiles == [
+                tuple(encs.index(lg.canonical_encoding(lg.delta(g, i))) for i in range(1, L + 1))
+                for g in lg.enumerate_LGL(spec, L)]
         assert lg.profile(lg.canonicalize(lg.trivial_graph(spec)), spec) == ()
+    with pytest.raises(lg.EnumerationError, match="missing from LG_1"):
+        lg.profile(lg.enumerate_LG1(H2)[0], family_13(4))
+
+
+def test_check_profile_order_refuses_repeats_and_two_orders():
+    lg.check_profile_order([(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(lg.EnumerationError, match="repeated index"):
+        lg.check_profile_order([(0, 1), (2, 2)])
+    with pytest.raises(lg.EnumerationError, match="share an index set"):
+        lg.check_profile_order([(0, 1), (1, 2), (1, 0)])
 
 
 def test_dimension_merging():
