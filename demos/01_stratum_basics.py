@@ -4,7 +4,7 @@ A stratum of abelian differentials is specified by per-component genera
 and zero/pole orders; optional residue parts tie residues of higher-order
 poles together.  Everything downstream is exact rational arithmetic.
 """
-from stratacalc import StratumSpec, dimension, residue_subspace_rank, validate
+from stratacalc import StratumSpec, dimension, validate
 
 # the minimal stratum in genus 2: one double zero
 h2 = StratumSpec.connected(2, (2,))
@@ -26,5 +26,5 @@ pair = StratumSpec.make(
     [(0, (-2, -2, 2)), (0, (-2, -2, 1, 1))],
     [({(0, 0), (1, 0)}, True), ({(0, 1), (1, 1)}, True)])
 print("\ntwo-component constrained stratum:", pair.to_json())
-print("  rank of the constrained residue space:", residue_subspace_rank(pair))
+print("  rank of the constrained residue space:", dimension(pair).residue_rank)
 print("  projectivized dimension:", dimension(pair).projectivized)

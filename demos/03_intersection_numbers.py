@@ -7,8 +7,7 @@ corrections.  Normal bundles of boundary divisors are evaluated both
 through the level-wise formula and through a chosen edge.
 """
 from stratacalc import (StratumSpec, Evaluator, enumerate_LG1, integrate,
-                        multiply, normal_bundle, normal_bundle_via_edge,
-                        psi_top, xi_top)
+                        multiply, normal_bundle, normal_bundle_via_edge)
 from stratacalc.tautring import TautClass
 
 ev = Evaluator()
@@ -17,12 +16,12 @@ print("top xi-powers:")
 for g, mu in [(0, (1, 1, 1, -5)), (1, (2, -2)), (1, (2, 1, -3)),
               (1, (0,)), (2, (2,))]:
     spec = StratumSpec.connected(g, mu)
-    print(f"  genus {g}, mu={mu}: {xi_top(spec, ev)}")
+    print(f"  genus {g}, mu={mu}: {ev.xi_top(spec)}")
 
 print("\npsi-integrals on rational curves:")
 n5 = StratumSpec.connected(0, (1, 1, 1, 1, -6))
-print("  psi_1 psi_2 =", psi_top(n5, {(0, 0): 1, (0, 1): 1}, ev))
-print("  psi_1^2    =", psi_top(n5, {(0, 0): 2}, ev))
+print("  psi_1 psi_2 =", ev.psi_top(n5, {(0, 0): 1, (0, 1): 1}))
+print("  psi_1^2    =", ev.psi_top(n5, {(0, 0): 2}))
 
 # the cherry divisor: one top vertex carrying the pole, two lower vertices
 cherry_spec = StratumSpec.connected(0, (1, 1, 2, 2, -8))

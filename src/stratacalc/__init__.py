@@ -5,12 +5,12 @@ characteristics, all in exact rational arithmetic.
 """
 from . import caches
 from .exact import Rational, rational_str
-from .strata import ResiduePart, SpecError, StratumSpec, dimension, residue_subspace_rank, validate
-from .levelgraphs import (LevelGraph, ProngData, automorphism_order, delta,
+from .strata import ResiduePart, SpecError, StratumSpec, dimension, validate
+from .levelgraphs import (LevelGraph, ProngData, automorphism_order,
                           enumerate_LG1, enumerate_LGL, level_stratum,
                           prong_data, profile, undegenerate)
-from .evaluate import Evaluator, FixtureRegistry, UnevaluatableError, default_registry, psi_top, xi_top
-from .tautring import TautClass, integrate, multiply, normal_bundle, normal_bundle_via_edge, remove_residue_condition, xi_as_psi
+from .evaluate import Evaluator, FixtureRegistry, UnevaluatableError, default_registry
+from .tautring import TautClass, integrate, multiply, normal_bundle, normal_bundle_via_edge, xi_as_psi
 from .invariants import (ChernReport, EulerReport, c1_log_cotangent,
                          chern_character, chern_polynomial, cross_check,
                          euler_characteristic, hyperelliptic_chi)

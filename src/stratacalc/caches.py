@@ -1,24 +1,20 @@
 """The one owner of every memo in the library.
 
-A memo is either a ``Memo``, a plain dict created here under a name, or a
-function memoized with ``cached``, an unbounded ``functools.lru_cache``
-registered under a name.  The owner can count every memo (``stats``) and
-empty it (``clear``).  Reads and inserts are ordinary dict or
-``lru_cache`` operations with no extra call, so a memo costs what it did
-before the owner existed.  Memos that belong to an object, such as the
-integral memo of each ``Evaluator``, are registered weakly and vanish
-from ``stats`` with their object.
+A memo is a ``Memo``, a plain dict created here under a name.  The owner
+can count every memo (``stats``) and empty it (``clear``).  Reads and
+inserts are ordinary dict operations with no extra call, so a memo costs
+what it did before the owner existed.  Memos that belong to an object,
+such as the integral memo of each ``Evaluator``, are registered weakly
+and vanish from ``stats`` with their object.
 
 Memos are unbounded: every workload so far sees a small set of strata.
 The library is single-threaded and the owner takes no lock.
 """
 from __future__ import annotations
 
-import functools
 import weakref
 
 _memos: dict[str, weakref.WeakValueDictionary] = {}
-_functions: dict[str, functools._lru_cache_wrapper] = {}
 
 
 class Memo(dict):
@@ -35,22 +31,10 @@ def memo(name: str) -> Memo:
     return m
 
 
-def cached(name: str):
-    """Decorator: memoize a function of hashable arguments with an
-    unbounded ``lru_cache`` registered under ``name``."""
-    def register(fn):
-        wrapper = _functions[name] = functools.lru_cache(maxsize=None)(fn)
-        return wrapper
-    return register
-
-
 def stats() -> dict[str, int]:
     """Entries per memo name, for every name registered so far."""
-    counts = {name: sum(len(m) for m in list(group.values()))
-              for name, group in _memos.items()}
-    counts.update((name, fn.cache_info().currsize)
-                  for name, fn in _functions.items())
-    return dict(sorted(counts.items()))
+    return {name: sum(len(m) for m in list(group.values()))
+            for name, group in sorted(_memos.items())}
 
 
 def clear() -> None:
@@ -59,5 +43,3 @@ def clear() -> None:
     for group in _memos.values():
         for m in list(group.values()):
             m.clear()
-    for fn in _functions.values():
-        fn.cache_clear()

@@ -270,7 +270,7 @@ class Evaluator:
     def _integral(self, spec: StratumSpec, psi: dict[Point, int], xi: int) -> Rational:
         d = dimension(spec).projectivized  # validates the spec on its memo miss
         deg = sum(psi.values()) + xi
-        if deg != d or d < 0:
+        if deg != d or d < 0:  # xi_top asks xi^d, d = -1, of an empty stratum
             return Fraction(0)
         if d == 0:
             return Fraction(1)
@@ -325,15 +325,11 @@ class Evaluator:
 
     # -- recursion moves -----------------------------------------------------
 
-    def _pick_expansion_point(self, spec: StratumSpec) -> Point:
-        pts = spec.points()
-        return min(pts, key=lambda p: (spec.order(p), p))
-
     def _expand_xi(self, spec: StratumSpec, psi: dict[Point, int], xi: int,
                    point: Point | None = None) -> Rational:
         """Trade one xi for a psi-class plus boundary terms."""
         assert xi >= 1
-        p = self._pick_expansion_point(spec) if point is None else point
+        p = min(spec.points(), key=lambda q: (spec.order(q), q)) if point is None else point
         m = spec.order(p)
         bumped = dict(psi)
         bumped[p] = bumped.get(p, 0) + 1
@@ -341,8 +337,11 @@ class Evaluator:
                 - self._boundary_sum(spec, divisors_with_point_low(spec, p), psi, xi - 1))
 
     def _reverse_psi(self, spec: StratumSpec, psi: dict[Point, int], xi: int) -> Rational:
-        """Trade one psi for a xi, on positive-genus strata."""
-        p = next(pt for pt, e in sorted(psi.items()) if e)
+        """Trade one psi for a xi, on positive-genus strata, at the first psi
+        point not a simple pole, where m_p + 1 would be zero."""
+        p = next((pt for pt in sorted(psi) if spec.order(pt) != -1), None)
+        if p is None:
+            raise UnevaluatableError(_psi_key(spec, _psi_tuple(psi)))
         m = spec.order(p)
         reduced = dict(psi)
         reduced[p] -= 1
@@ -411,14 +410,3 @@ def shared_evaluator(fixture_texts: tuple[str, ...] = ()) -> Evaluator:
         ev = _EVALUATORS[fixture_texts] = Evaluator(reg)
     return ev
 
-
-def default_evaluator() -> Evaluator:
-    return shared_evaluator()
-
-
-def xi_top(spec: StratumSpec, evaluator: Evaluator | None = None) -> Rational:
-    return (evaluator or default_evaluator()).xi_top(spec)
-
-
-def psi_top(spec: StratumSpec, psi: PsiMap, evaluator: Evaluator | None = None) -> Rational:
-    return (evaluator or default_evaluator()).psi_top(spec, psi)

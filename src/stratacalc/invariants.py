@@ -13,7 +13,7 @@ from .exact import Rational, binomial, rational_str
 from .strata import StratumSpec, dimension
 from . import levelgraphs as lg
 from . import tautring as tr
-from .evaluate import Evaluator, UnevaluatableError, default_evaluator
+from .evaluate import Evaluator, UnevaluatableError, shared_evaluator
 
 
 class EulerRow(NamedTuple):
@@ -67,7 +67,7 @@ def euler_characteristic(spec: StratumSpec,
     top xi-power integrals of the level strata.  Each row multiplies
     K * N_top, |Aut| and the numerators and denominators of its level
     factors as integers and reduces them to one fraction."""
-    integral = (evaluator or default_evaluator()).integral
+    integral = (evaluator or shared_evaluator()).integral
     d = dimension(spec).projectivized
     rows: list[EulerRow] = []
     total = Fraction(0)
@@ -180,7 +180,7 @@ def _chern_pieces(spec: StratumSpec, low: int, high: int) -> list[tr.TautClass]:
     """
     n_unproj = dimension(spec).unprojectivized
     high = min(high, n_unproj - 1)
-    pieces = [tr.TautClass.zero(spec) for _ in range(high + 1)]
+    pieces = [tr.TautClass(spec) for _ in range(high + 1)]
     table = _NuTable()
     for L in range(0, high + 1):
         for g in lg.enumerate_LGL(spec, L):
@@ -198,7 +198,7 @@ def chern_class_terms(spec: StratumSpec, degree: int) -> tr.TautClass:
     logarithmic cotangent bundle: the one graph pass of
     :func:`chern_polynomial`, keeping only the terms of that degree."""
     pieces = _chern_pieces(spec, degree, degree)
-    return pieces[degree] if 0 <= degree < len(pieces) else tr.TautClass.zero(spec)
+    return pieces[degree] if 0 <= degree < len(pieces) else tr.TautClass(spec)
 
 
 class ChernReport(NamedTuple):
@@ -223,7 +223,7 @@ def chern_polynomial(spec: StratumSpec,
     """All graded pieces of the Chern polynomial, built in one pass over the
     level graphs, with the top piece evaluated and compared against the
     Euler characteristic."""
-    ev = evaluator or default_evaluator()
+    ev = evaluator or shared_evaluator()
     d = dimension(spec).projectivized
     classes = _chern_pieces(spec, 0, d)
     # an empty stratum (d < 0) has no classes and integrates to zero
@@ -247,7 +247,7 @@ def chern_character(spec: StratumSpec, max_degree: int) -> list[tr.TautClass]:
     read from the same per-pass table as the Chern polynomial's pass."""
     lg.enumerate_LGL(spec, 0)  # the stratum's verdict, which no pass below gives when high is 0
     n_unproj = dimension(spec).unprojectivized
-    pieces = [tr.TautClass.zero(spec) for _ in range(max_degree + 1)]
+    pieces = [tr.TautClass(spec) for _ in range(max_degree + 1)]
     for j, piece in enumerate(pieces):  # the trivial graph: N e^xi - 1
         piece.add_term(lg.trivial_graph(spec), tr._decor({("xi", 0): j}),
                        Fraction(n_unproj, factorial(j)) - (j == 0))
@@ -327,7 +327,7 @@ class CrossCheckResult(NamedTuple):
         return self.lhs == self.rhs
 
 
-def cross_check(chi_holo=None, chi_mero=None) -> list[CrossCheckResult]:
+def cross_check() -> list[CrossCheckResult]:
     """Consistency identities tying the chi tables together.
 
     First, the genus-3 holomorphic strata with unlabeled zeros glue to the
@@ -337,10 +337,7 @@ def cross_check(chi_holo=None, chi_mero=None) -> list[CrossCheckResult]:
     the point-forgetting fibration contributes a factor 2-2g-n per extra
     unconstrained marked point.
     """
-    H = dict(CHI_HOLOMORPHIC)
-    H.update(chi_holo or {})
-    M = dict(CHI_MEROMORPHIC)
-    M.update(chi_mero or {})
+    H, M = CHI_HOLOMORPHIC, CHI_MEROMORPHIC
     out = []
     lhs = sum(_sym_weight(mu) * H[mu]
               for mu in [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)])

@@ -256,7 +256,7 @@ def _roots(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     """Union-find over the nodes 0..n-1 joined by ``pairs``: the root of
     each node's class.  Each pair hangs its first node's root below its
     second's, so the roots depend on the pairs' order;
-    ``undegenerate_with_edgemap`` numbers its vertices by them."""
+    ``undegenerate`` numbers its vertices by them."""
     parent = list(range(n))
     for a, b in pairs:
         a, b = _find(parent, a), _find(parent, b)
@@ -265,28 +265,15 @@ def _roots(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     return [_find(parent, x) for x in range(n)]
 
 
-def undegenerate(g: LevelGraph, passages: Iterable[int]) -> LevelGraph:
-    """delta_I: contract every level passage outside I and renormalize.
-
-    I = {1..L} is the identity; I = {} collapses to the trivial graph.
-    """
-    keep = set(passages)
-    if any(i < 1 or i > g.n_levels_below for i in keep):
-        raise ValueError("passage index out of range")
-    return canonicalize(undegenerate_with_edgemap(g, keep)[0])
-
-
-def delta(g: LevelGraph, i: int) -> LevelGraph:
-    """The i-th two-level undegeneration."""
-    return undegenerate(g, [i])
-
-
-def undegenerate_with_edgemap(g: LevelGraph, passages: Iterable[int]
-                              ) -> tuple[LevelGraph, dict[int, int]]:
-    """delta_I uncanonicalized: contract every level passage outside I and
-    renormalize, returning the graph and the map from surviving old edge
-    indices to new edge indices."""
+def undegenerate(g: LevelGraph, passages: Iterable[int]
+                 ) -> tuple[LevelGraph, dict[int, int]]:
+    """delta_I: contract every level passage outside I and renormalize,
+    returning the graph, uncanonicalized, and the map from surviving old
+    edge indices to new edge indices.  I = {1..L} keeps every level; I = {}
+    collapses to one level."""
     keep = sorted(set(passages))
+    if keep and (keep[0] < 1 or keep[-1] > g.n_levels_below):
+        raise ValueError("passage index out of range")
 
     def new_level(old: int) -> int:
         return -sum(1 for i in keep if old <= -i)
@@ -588,9 +575,15 @@ def trivial_graph(spec: StratumSpec) -> LevelGraph:
                       tuple(0 for _ in spec.components), legs, ())
 
 
-@caches.cached("levelgraphs.kappa_bundles")
+_KAPPA_BUNDLES: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = \
+    caches.memo("levelgraphs.kappa_bundles")
+
+
 def _kappa_bundles(s: int, max_edges: int) -> tuple[tuple[int, ...], ...]:
     """Multisets (kappa_1 >= kappa_2 >= ...) with sum(kappa_i + 1) == s."""
+    hit = _KAPPA_BUNDLES.get((s, max_edges))
+    if hit is not None:
+        return hit
     out = []
 
     def rec(remaining, maxk, acc):
@@ -605,10 +598,13 @@ def _kappa_bundles(s: int, max_edges: int) -> tuple[tuple[int, ...], ...]:
             k -= 1
 
     rec(s, s, [])
-    return tuple(out)
+    hit = _KAPPA_BUNDLES[s, max_edges] = tuple(out)
+    return hit
 
 
-@caches.cached("levelgraphs.piece_splits")
+_PIECE_SPLITS: dict[tuple[int, tuple[int, ...]], tuple] = caches.memo("levelgraphs.piece_splits")
+
+
 def _piece_splits_by_orders(genus: int, orders: tuple[int, ...]):
     """Connected two-level splittings of one smooth surface piece, with
     legs referenced by index into ``orders``.
@@ -622,6 +618,9 @@ def _piece_splits_by_orders(genus: int, orders: tuple[int, ...]):
     The search runs over vertex counts, top counts, genus vectors, leg
     assignments (``_leg_assignments``), one kappa bundle per bottom
     (``_exact_bundles``) and one top per edge, each in product order."""
+    hit = _PIECE_SPLITS.get((genus, orders))
+    if hit is not None:
+        return hit
     results = []
     for V in range(2, len(orders) + 2 * genus - 1):
         for t in range(1, V):
@@ -660,7 +659,8 @@ def _piece_splits_by_orders(genus: int, orders: tuple[int, ...]):
                             edges = tuple((ti, bi, k) for (bi, k), ti in zip(edge_list, tops))
                             if _split_connected(t, b, edges):
                                 results.append(sides + (edges,))
-    return tuple(results)
+    hit = _PIECE_SPLITS[genus, orders] = tuple(results)
+    return hit
 
 
 def _leg_assignments(orders: tuple[int, ...], t: int, gvec: tuple[int, ...],
@@ -929,7 +929,7 @@ def profile(g: LevelGraph, spec: StratumSpec) -> tuple[int, ...]:
     lg1 = enumerate_LG1(spec)
     out = []
     for i in range(1, g.n_levels_below + 1):
-        enc = canonical_encoding(delta(g, i))
+        enc = canonical_encoding(undegenerate(g, [i])[0])
         j = bisect.bisect_left(lg1, enc, key=canonical_encoding)
         if j == len(lg1) or canonical_encoding(lg1[j]) != enc:
             raise EnumerationError("undegeneration missing from LG_1 list")

@@ -155,15 +155,10 @@ class StratumSpec(NamedTuple):
     def canonical_key(self) -> str:
         """Serialization normalized under component reordering and marked
         point reordering inside each component; used for fixture lookup."""
-        perms = []
-        for g, orders in self.components:
-            order_sort = tuple(sorted(orders, reverse=True))
-            perms.append((g, order_sort))
-        # map each point to (component key, slot of its order in sorted list)
-        if not self.residue_parts:
-            comps = sorted(perms, key=lambda t: (t[0], t[1]))
-            return json.dumps({"c": comps}, sort_keys=True)
-        return self.to_json()  # constrained specs: verbatim key (conservative)
+        if self.residue_parts:
+            return self.to_json()  # constrained specs: verbatim key (conservative)
+        return json.dumps({"c": sorted((g, sorted(orders, reverse=True))
+                                       for g, orders in self.components)})
 
 
 def _show(x) -> str:
@@ -274,12 +269,6 @@ def _eliminate(rows: list[list[int]]) -> tuple[int, set[int]]:
     unit = {col for i, col in enumerate(pivots)
             if sum(1 for a in mat[i] if a) == 1}
     return len(pivots), unit
-
-
-def residue_subspace_rank(spec: StratumSpec) -> int:
-    """dim of (residue condition space) intersected with (residue theorem
-    space R), inside the product of the pole coordinate spaces."""
-    return dimension(spec).residue_rank
 
 
 def dimension(spec: StratumSpec) -> DimensionData:

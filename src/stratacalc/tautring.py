@@ -30,9 +30,9 @@ from fractions import Fraction
 from typing import Mapping
 
 from .exact import Rational, multinomial, rational_str
-from .strata import Point, ResiduePart, StratumSpec, dimension, require_valid
+from .strata import Point, StratumSpec, dimension
 from . import levelgraphs as lg
-from .evaluate import Evaluator, default_evaluator, divisors_with_point_low, removal_divisors
+from .evaluate import Evaluator, divisors_with_point_low, shared_evaluator
 
 # decoration symbols
 #   ("psi", tag)   tag = ("leg", point) | ("ein", ei) | ("eout", ei)
@@ -158,10 +158,6 @@ class TautClass:
                 self.add_term(g, d, c)
 
     # -- construction ------------------------------------------------------
-
-    @staticmethod
-    def zero(spec: StratumSpec) -> "TautClass":
-        return TautClass(spec)
 
     @staticmethod
     def one(spec: StratumSpec) -> "TautClass":
@@ -348,7 +344,7 @@ def integrate(cls: TautClass, evaluator: Evaluator | None = None) -> Rational:
     integrate to zero by convention.  A term's lam-classes are expanded into
     deeper strata, and a lam-free term is ``Evaluator.boundary_integral`` of
     its psi exponents (keyed by tag) and xi exponents (keyed by level)."""
-    ev = evaluator or default_evaluator()
+    ev = evaluator or shared_evaluator()
     d = dimension(cls.spec).projectivized
     total = Fraction(0)
     for (g, dec), c in cls.terms.items():
@@ -402,7 +398,7 @@ def _undegeneration_structures(fine: lg.LevelGraph, passages: tuple[int, ...],
                                coarse: lg.LevelGraph) -> list[dict[int, int]]:
     """All ways delta_I(fine) is isomorphic to ``coarse``, one edge
     correspondence (coarse index -> fine index) each."""
-    contracted, emap = lg.undegenerate_with_edgemap(fine, passages)
+    contracted, emap = lg.undegenerate(fine, passages)
     inv = {new: old for old, new in emap.items()}
     return [{ce: inv[iso_emap[ce]] for ce in range(len(coarse.edges))}
             for _, iso_emap in lg.graph_isomorphisms(coarse, contracted)]
@@ -525,18 +521,3 @@ def normal_bundle_via_edge(spec: StratumSpec, g: lg.LevelGraph, edge: int) -> Ta
         out.add_term(cand, (), Fraction(-ell_a * n_long, pd.ell * n_total))
     return out
 
-
-def remove_residue_condition(spec: StratumSpec, part: ResiduePart) -> TautClass:
-    """The class of the residue-constrained stratum inside the stratum
-    without the chosen part.  Returns the fundamental class when dropping
-    the part does not change the dimension."""
-    require_valid(spec)
-    if part not in spec.residue_parts or not part.constrained:
-        raise ValueError("part is not a constrained part of the spec")
-    spec0 = spec.drop_part(part)
-    if dimension(spec0).projectivized == dimension(spec).projectivized:
-        return TautClass.one(spec0)
-    out = TautClass.xi(spec0).scale(-1)
-    for g, ell in removal_divisors(spec0, part):
-        out.add_term(g, (), -ell)
-    return out

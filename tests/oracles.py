@@ -16,6 +16,9 @@ against the library routine it shadows, or checks what the library builds.
 - ``c1_direct``: the first Chern class of the log cotangent bundle from
   its closed formula, which degree 1 of ``invariants.chern_class_terms``
   is checked against.
+- ``remove_residue_condition``: the class of a residue-constrained stratum
+  inside the stratum without the part, the class-level form of the
+  relation ``Evaluator._remove_condition`` evaluates.
 """
 from __future__ import annotations
 
@@ -24,10 +27,10 @@ from typing import Mapping, Sequence
 
 from stratacalc import levelgraphs as lg
 from stratacalc import tautring as tr
-from stratacalc.evaluate import Evaluator
+from stratacalc.evaluate import Evaluator, removal_divisors
 from stratacalc.exact import Rational
 from stratacalc.levelgraphs import LevelGraph, _roots
-from stratacalc.strata import StratumSpec, dimension
+from stratacalc.strata import ResiduePart, StratumSpec, dimension, require_valid
 
 
 def structural_issues(g: LevelGraph, spec: StratumSpec) -> list[str]:
@@ -146,4 +149,20 @@ def c1_direct(spec: StratumSpec) -> tr.TautClass:
     for g in lg.enumerate_LG1(spec):
         ntop = dimension(lg.level_strata(g, spec)[0]).unprojectivized
         out.add_term(g, (), (n_unproj - ntop) * lg.prong_data(g).ell)
+    return out
+
+
+def remove_residue_condition(spec: StratumSpec, part: ResiduePart) -> tr.TautClass:
+    """The class of the residue-constrained stratum inside the stratum
+    without the chosen part.  Returns the fundamental class when dropping
+    the part does not change the dimension."""
+    require_valid(spec)
+    if part not in spec.residue_parts or not part.constrained:
+        raise ValueError("part is not a constrained part of the spec")
+    spec0 = spec.drop_part(part)
+    if dimension(spec0).projectivized == dimension(spec).projectivized:
+        return tr.TautClass.one(spec0)
+    out = tr.TautClass.xi(spec0).scale(-1)
+    for g, ell in removal_divisors(spec0, part):
+        out.add_term(g, (), -ell)
     return out

@@ -262,7 +262,7 @@ def test_criterion_8_structural_suite(ev):
                 # dimension merging for every two-level undegeneration
                 fine = lg.dimension_profile(g, spec)
                 for k in range(1, L + 1):
-                    coarse = lg.dimension_profile(lg.delta(g, k), spec)
+                    coarse = lg.dimension_profile(lg.undegenerate(g, [k])[0], spec)
                     if coarse != [k - 1 + sum(fine[:k]),
                                   L - k + sum(fine[k:])]:
                         ok = False

@@ -57,9 +57,9 @@ def _module_state():
 def test_every_module_level_memo_is_registered(tmp_path, capsys):
     """Only memos the owner can see grow while the library works."""
     state = _module_state()
-    registered = set(caches._functions.values())
-    assert all(v in registered for v in state.values()
-               if isinstance(v, functools._lru_cache_wrapper))
+    # every memo is a registered dict: no module-level lru_cache
+    assert not [name for name, v in state.items()
+                if isinstance(v, functools._lru_cache_wrapper)]
     fixed = {name: len(v) for name, v in state.items()
              if isinstance(v, dict) and not isinstance(v, caches.Memo)}
     caches.clear()

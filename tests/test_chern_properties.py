@@ -113,8 +113,9 @@ def test_passage_ranks_are_suffix_sums_of_level_dimensions(spec):
     n = dimension(spec).unprojectivized
     for L in range(1, dimension(spec).projectivized + 1):
         for g in lg.enumerate_LGL(spec, L):
-            ref = [n - dimension(lg.level_stratum(lg.delta(g, i), spec, 0)[0]).unprojectivized
-                   for i in range(1, L + 1)]
+            tops = [lg.level_stratum(lg.undegenerate(g, [i])[0], spec, 0)[0]
+                    for i in range(1, L + 1)]
+            ref = [n - dimension(top).unprojectivized for top in tops]
             dims = [u for _, u in lg.level_dims(g, spec)]
             assert [sum(dims[i:]) for i in range(1, L + 1)] == ref
             assert inv._chern_graph_data(spec, g) == (lg.prong_data(g).ell, ref)

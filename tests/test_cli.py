@@ -221,6 +221,21 @@ def test_rewritten_fixture_file_is_not_stale(tmp_path, capsys):
     assert "cannot evaluate" in capsys.readouterr().err
 
 
+def test_psi_at_a_simple_pole_is_no_internal_error(tmp_path, capsys):
+    """chi of genus 2 (3, 1, -1, -1) with these xi-top fixtures reaches psi
+    integrals at simple poles; they are unevaluatable, never an internal
+    error."""
+    fix = tmp_path / "fix.json"
+    fix.write_text(json.dumps([
+        {"spec": _connected(g, mu), "value": 1}
+        for g, mu in [(2, (3, 1, -1, -1)), (1, (3, -1, -2)), (1, (2, 0, -1, -1)),
+                      (1, (1, 1, -1, -1)), (1, (1, 1, 0, -1, -1)), (1, (2, -1, -1))]]))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_connected(2, (3, 1, -1, -1))))
+    assert run(["chi", "--spec", str(spec), "--fixtures", str(fix)]) in (0, 1)
+    assert "internal" not in capsys.readouterr().err
+
+
 def test_colliding_fixture_exits_one(tmp_path, capsys):
     fix = tmp_path / "fix.json"
     fix.write_text(json.dumps([{"spec": _connected(2, (2,)), "value": "1"}]))

@@ -249,6 +249,20 @@ def test_psi_fixture_key_follows_the_orders_not_the_numbering():
     assert reg.lookup(b, (((0, 1), 2),)) == values[a]
 
 
+def test_psi_at_simple_poles_only_names_its_key():
+    """psi is traded for xi at the first psi point that is not a simple
+    pole, where m_p + 1 would be zero; with every psi at a simple pole the
+    recursion stops with the psi key instead of dividing by zero."""
+    reg = default_registry()
+    reg.register(C(1, (2, -1, -1)), 1, "test")
+    ev = Evaluator(reg)
+    assert ev.psi_top(C(1, (2, -1, -1)), {(0, 0): 2}) == Fraction(17, 108)
+    with pytest.raises(UnevaluatableError) as err:
+        ev.psi_top(C(1, (-1, -1, 2)), {(0, 0): 2})
+    key = 'psi (order, exponent) on {"c": [[1, [[2, 0], [-1, 2], [-1, 0]]]]}'
+    assert err.value.key == key and err.value.chain == [key]
+
+
 def test_single_pole_recursion_sweep():
     """Closed form and generic expansion agree for single-pole rational
     strata across a systematic family of signatures."""

@@ -7,7 +7,8 @@ No linter runs on this repository, so an import, a ``_helper`` or a
 function that only the tests call, left behind by a refactor, would go
 unnoticed; this reads each module with the standard ``ast`` module
 instead.  ``__init__.py`` is exempt from the import check: its imports
-are re-exports, and they count as uses of what they name.
+are re-exports.  Importing a name is no use of it, so a re-export alone
+does not keep a function in the package.
 """
 from __future__ import annotations
 
@@ -59,7 +60,7 @@ def unused_functions(sources: list[str], users: tuple[str, ...] | list[str] = ()
                      private: bool = True) -> list[str]:
     """Top-level functions of ``sources``, the private ``def _name`` ones
     or else the public ones, that no source and no user references as a
-    name, an attribute or an imported name."""
+    name or an attribute; an import alone is no reference."""
     trees = [ast.parse(source) for source in sources]
     defined = [node.name for tree in trees for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -71,8 +72,6 @@ def unused_functions(sources: list[str], users: tuple[str, ...] | list[str] = ()
                 used.add(n.id)
             elif isinstance(n, ast.Attribute):
                 used.add(n.attr)
-            elif isinstance(n, ast.ImportFrom):
-                used.update(alias.name for alias in n.names)
     return [name for name in defined if name not in used]
 
 
@@ -102,10 +101,14 @@ def test_no_public_function_is_used_by_the_tests_alone():
 
 def test_an_unused_public_function_is_reported():
     assert unused_functions([
-        "def called():\n    pass\ndef exported():\n    pass\ndef orphan():\n    pass\n"
+        "def called():\n    pass\ndef imported():\n    pass\ndef orphan():\n    pass\n"
         "def _private():\n    pass\n",
-        "from .m import exported\n",
-    ], ["import m\nm.called()\n"], private=False) == ["orphan"]
+    ], ["import m\nm.called()\n", "from m import imported\nimported()\n"],
+        private=False) == ["orphan"]
+    # a re-export, as in ``__init__.py``, is no use of what it names
+    assert unused_functions([
+        "def exported():\n    pass\n", "from .m import exported\n",
+    ], private=False) == ["exported"]
 
 
 @pytest.mark.parametrize("module", ["stratacalc", "stratacalc.cli"])

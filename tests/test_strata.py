@@ -1,7 +1,6 @@
 from __future__ import annotations
 
-from stratacalc.strata import (StratumSpec, classify, dimension,
-                               residue_subspace_rank, validate)
+from stratacalc.strata import StratumSpec, classify, dimension, validate
 
 
 def two_component_example() -> StratumSpec:
@@ -57,16 +56,16 @@ def test_two_component_example_dimension():
     assert validate(spec) == []
     dd = dimension(spec)
     assert dd.projectivized == 1
-    assert residue_subspace_rank(spec) == 1
+    assert dd.residue_rank == 1
 
 
 def test_residue_rank_trivial_cases():
     # no parts: rank equals dim R
     spec = StratumSpec.make([(0, (1, 1, -2, -2))])
-    assert residue_subspace_rank(spec) == 1
+    assert dimension(spec).residue_rank == 1
     # single higher-order pole: residue theorem kills the residue
     spec = StratumSpec.connected(0, (1, 1, -4))
-    assert residue_subspace_rank(spec) == 0
+    assert dimension(spec).residue_rank == 0
 
 
 def test_forced_zero_residues():
