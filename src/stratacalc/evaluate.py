@@ -40,23 +40,24 @@ class FixtureCollisionError(ValueError):
     pass
 
 
-def _xi_key(spec: StratumSpec) -> str:
-    return "xi^d on " + spec.canonical_key()
-
-
-def _psi_key(spec: StratumSpec, psi: tuple) -> str:
-    """The key of a psi integrand, given as sorted (point, exponent) pairs:
-    each component's genus and multiset of (order, exponent) pairs over
-    its points, the components sorted, so that the key does not depend on
-    how the points are numbered.  Specs with residue parts keep the
-    verbatim key."""
+def _key(spec: StratumSpec, psi: tuple = (), xi: int = 0) -> str:
+    """The key of the integrand psi^a xi^b of top degree on a spec, the psi
+    part given as sorted (point, exponent) pairs.  Without psi it is xi^d.
+    A psi part is keyed by each component's genus and multiset of (order,
+    exponent) pairs over its points, the components sorted, so that the key
+    does not depend on how the points are numbered (specs with residue
+    parts keep the verbatim key), after its xi power when that is
+    positive."""
+    if not psi:
+        return "xi^d on " + spec.canonical_key()
+    head = f"xi^{xi} psi" if xi else "psi"
     if spec.residue_parts:
-        return f"psi{list(psi)} on " + spec.to_json()
+        return f"{head}{list(psi)} on " + spec.to_json()
     exps = dict(psi)
     comps = sorted((g, sorted(((m, exps.get((c, p), 0)) for p, m in enumerate(orders)),
                               reverse=True))
                    for c, (g, orders) in enumerate(spec.components))
-    return "psi (order, exponent) on " + json.dumps({"c": comps})
+    return f"{head} (order, exponent) on " + json.dumps({"c": comps})
 
 
 class FixtureRegistry:
@@ -67,8 +68,7 @@ class FixtureRegistry:
 
     def register(self, spec: StratumSpec, value: Rational, provenance: str,
                  psi: Mapping[Point, int] | None = None) -> None:
-        key = _xi_key(spec) if psi is None else _psi_key(
-            spec, tuple(sorted(psi.items())))
+        key = _key(spec, tuple(sorted((psi or {}).items())))
         value = Fraction(value)
         if key in self._entries:
             old, oldprov = self._entries[key]
@@ -80,8 +80,7 @@ class FixtureRegistry:
         self._entries[key] = (value, provenance)
 
     def lookup(self, spec: StratumSpec, psi: tuple = ()) -> Rational | None:
-        key = _xi_key(spec) if not psi else _psi_key(spec, psi)
-        hit = self._entries.get(key)
+        hit = self._entries.get(_key(spec, psi))
         return hit[0] if hit else None
 
     def load_json_obj(self, items: Sequence[dict]) -> None:
@@ -238,7 +237,7 @@ class Evaluator:
         try:
             val = self._integral(spec, dict(pt), xi)
         except UnevaluatableError as err:
-            frame = _xi_key(spec) if not pt else _psi_key(spec, pt)
+            frame = _key(spec, pt, xi)
             if err.chain[-1] != frame:
                 raise UnevaluatableError(err.key, err.chain + [frame]) from None
             raise
@@ -320,7 +319,7 @@ class Evaluator:
     def _fixture(self, spec: StratumSpec) -> Rational:
         val = self.registry.lookup(spec)
         if val is None:
-            raise UnevaluatableError(_xi_key(spec))
+            raise UnevaluatableError(_key(spec))
         return val
 
     # -- recursion moves -----------------------------------------------------
@@ -341,7 +340,7 @@ class Evaluator:
         point not a simple pole, where m_p + 1 would be zero."""
         p = next((pt for pt in sorted(psi) if spec.order(pt) != -1), None)
         if p is None:
-            raise UnevaluatableError(_psi_key(spec, _psi_tuple(psi)))
+            raise UnevaluatableError(_key(spec, _psi_tuple(psi), xi))
         m = spec.order(p)
         reduced = dict(psi)
         reduced[p] -= 1

@@ -85,9 +85,6 @@ class StratumSpec(NamedTuple):
         rest = tuple(p for p in self.residue_parts if p is not part and p != part)
         return StratumSpec(self.components, rest)
 
-    def without_parts(self) -> "StratumSpec":
-        return StratumSpec(self.components, ())
-
     # -- serialization -----------------------------------------------------
 
     def to_json_obj(self) -> dict:

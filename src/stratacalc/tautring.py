@@ -10,13 +10,18 @@ product of the per-level pieces; its integral is
 K/(|Aut| ell) times the product of the level integrals
 (``Evaluator.boundary_integral``).
 
-Integrals and products first expand every lam-class, depth first, into
-deeper strata.  Products are then computed by the excess-intersection
-formula.  One walk of the level splittings of a first term gives its
-degenerations k splits deep for every second term; each meets a second
-term, of L2 levels below, through c = L2 - k of the first term's passages
-in common, chosen among them directly, and every common passage
-contributes a normal-bundle factor
+Every decoration reaches a degeneration through one transfer: a coarse
+level's xi and lam move to the top of its fine levels, an edge psi follows
+its edge, and lam on a level split in two restricts to lam + xi of the
+lower part - xi of the upper part.  One generator yields the one-step
+splits of a level, each with the transferred decoration and its decorated
+canonical key.  Integrals and products first expand every lam-class, depth
+first, over those splits into deeper strata.  Products are then computed
+by the excess-intersection formula.  One walk of the level splittings of
+a first term gives its degenerations k splits deep for every second term;
+each meets a second term, of L2 levels below, through c = L2 - k of the
+first term's passages in common, chosen among them directly, and every
+common passage contributes a normal-bundle factor
 
     nu_i = (-xi^{[-i+1]} - lam^{[-i+1]} + xi^{[-i]}) / ell_i.
 
@@ -160,12 +165,6 @@ class TautClass:
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def one(spec: StratumSpec) -> "TautClass":
-        out = TautClass(spec)
-        out.add_term(lg.trivial_graph(spec), (), 1)
-        return out
-
-    @staticmethod
     def xi(spec: StratumSpec, power: int = 1) -> "TautClass":
         out = TautClass(spec)
         out.add_term(lg.trivial_graph(spec), _decor({("xi", 0): power}), 1)
@@ -237,9 +236,6 @@ class TautClass:
         out.terms = {key: y for key, x in self.terms.items() if (y := x * c)}
         return out
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     # -- serialization -------------------------------------------------------
 
     def to_json_obj(self) -> list:
@@ -260,60 +256,62 @@ class TautClass:
 
 
 # ---------------------------------------------------------------------------
-# decoration transfer under one-step splits
+# decoration transfer onto a degeneration
 # ---------------------------------------------------------------------------
 
-def _transfer_under_split(decor: Decor, lev: int, edge_map: dict[int, int]) -> Poly:
-    """Rewrite a decoration on Gamma as a polynomial on a one-step
-    degeneration that splits the given level (levels below shift down).
-    Everything but lam at the split level moves as one monomial, so a
-    lam-free decoration gives one term with coefficient 1."""
+def _transfer(decor: Decor, fine: lg.LevelGraph, passages: tuple[int, ...],
+              edge_corr: Mapping[int, int]) -> Poly:
+    """Rewrite a decoration on a coarse graph as a polynomial on a fine
+    graph that degenerates it.  ``passages`` are the sorted positions of the
+    coarse passages in the fine graph, so coarse level -m begins at fine
+    level -passages[m-1] (the top at 0), where its xi and lam move;
+    edge_corr maps coarse edge indices to fine ones.  lam on a level that
+    the fine graph splits in two restricts to lam + xi of the lower part -
+    xi of the upper part, so a lam-free decoration gives one term with
+    coefficient 1."""
+    if not decor:
+        return {(): 1}
+    tops = (0,) + passages
     moved: dict[Symbol, int] = {}
-    split_lam = 0
+    split = []
     for s, e in decor:
         kind, x = s
         if kind == "psi":
             if x[0] != "leg":
-                s = ("psi", (x[0], edge_map[x[1]]))
-        elif kind == "lam" and x == lev:
-            split_lam = e
-            continue
+                s = ("psi", (x[0], edge_corr[x[1]]))
         elif kind in ("xi", "lam"):
-            if x < lev:
-                s = (kind, x - 1)
+            top = tops[-x]
+            s = (kind, -top)
+            if kind == "lam":
+                parts = (tops + (fine.n_levels_below + 1,))[1 - x] - top
+                if parts > 2:
+                    raise ValueError("lam on a level split more than once")
+                if parts == 2:
+                    split.append((-top, e))
+                    continue
         else:
             raise ValueError(f"unknown symbol {s}")
         moved[s] = e
     out = {_decor(moved): 1}
-    if split_lam:
-        # restriction of the level class to a splitting of the level
-        sub = {
-            _decor({("lam", lev - 1): 1}): 1,
-            _decor({("xi", lev - 1): 1}): 1,
-            _decor({("xi", lev): 1}): -1,
-        }
-        out = poly_mul(out, poly_pow(sub, split_lam))
+    for lev, e in split:
+        sub = {_decor({("lam", lev - 1): 1}): 1, _decor({("xi", lev - 1): 1}): 1,
+               _decor({("xi", lev): 1}): -1}
+        out = poly_mul(out, poly_pow(sub, e))
     return out
 
 
-def _splits_deduped(g: lg.LevelGraph, spec: StratumSpec, lev: int,
-                    base_decor: Decor):
-    """One-step splits of a level, deduplicated by the isomorphism class of
-    the split decorated with the transferred base decoration."""
-    seen = {}
+def _decorated_splits(spec: StratumSpec, g: lg.LevelGraph, lev: int, decor: Decor,
+                      tracked: tuple[int, ...]):
+    """The one-step splits of a level of g with the decoration transferred:
+    (split, positions of the ``tracked`` passages of g in it, transferred
+    polynomial, key).  The monomials of a split differ only off its edges,
+    and alike for every split of the level, so the ``canonical_decorated``
+    form of the first monomial keys the decorated split."""
+    passages = tuple(p if -p + 1 > lev else p + 1 for p in range(1, g.n_levels_below + 1))
+    tracked = tuple(passages[p - 1] for p in tracked)
     for cand, emap in lg.level_splits(g, spec, lev):
-        marked = {}
-        for s, e in base_decor:
-            if s[0] == "psi" and s[1][0] != "leg":
-                marked[("psi", (s[1][0], emap[s[1][1]]))] = e
-            elif s == ("lam", lev):
-                marked[("lamsplit", lev)] = e
-            else:
-                marked[s] = e
-        key = canonical_decorated(cand, _decor(marked))
-        if key not in seen:
-            seen[key] = (cand, emap)
-    return list(seen.values())
+        poly = _transfer(decor, cand, passages, emap)
+        yield cand, tracked, poly, canonical_decorated(cand, next(iter(poly)))
 
 
 # ---------------------------------------------------------------------------
@@ -324,18 +322,22 @@ def _lam_free_terms(spec: StratumSpec, g: lg.LevelGraph, decor: Decor,
                     coeff: Rational | int):
     """The lam-free terms (graph, decoration, coefficient) of coeff times one
     decorated term, depth first: its first lam-class lam^{[lev]} is the sum
-    of ell_new [D] over the one-step splits of the level, and each split
-    with the rest of the decoration transferred is expanded in turn."""
+    of ell_new [D] over the one-step splits of the level, one per decorated
+    isomorphism class, and each split with the rest of the decoration
+    transferred is expanded in turn."""
     lev = next((s[1] for s, _ in decor if s[0] == "lam"), None)
     if lev is None:
         yield g, decor, coeff
         return
     reduced = dict(decor)
     reduced[("lam", lev)] -= 1
-    base = _decor(reduced)
-    for cand, emap in _splits_deduped(g, spec, lev, base):
+    seen = set()
+    for cand, _, poly, key in _decorated_splits(spec, g, lev, _decor(reduced), ()):
+        if key in seen:
+            continue
+        seen.add(key)
         ell_new = lg.prong_data(cand).ell_levels[-lev]
-        for d2, c2 in _transfer_under_split(base, lev, emap).items():
+        for d2, c2 in poly.items():
             yield from _lam_free_terms(spec, cand, d2, coeff * ell_new * c2)
 
 
@@ -370,30 +372,6 @@ def _lam_normalize(cls: TautClass) -> TautClass:
     return out
 
 
-def _transfer_from_undegeneration(decor: Decor, passages: tuple[int, ...],
-                                  edge_corr: dict[int, int]) -> Decor:
-    """Rewrite a lam-free decoration living on the undegeneration of a fine
-    graph to the sorted ``passages`` as a decoration on the fine graph.
-
-    Coarse level -m begins at fine level -passages[m-1] (the top at 0), so
-    its xi moves there; edge_corr maps coarse edge indices to fine ones.
-    """
-    nd: dict[Symbol, int] = {}
-    for s, e in decor:
-        if s[0] == "psi":
-            tag = s[1]
-            if tag[0] == "leg":
-                sym = s
-            else:
-                sym = ("psi", (tag[0], edge_corr[tag[1]]))
-        elif s[0] == "xi":
-            sym = ("xi", -passages[-s[1] - 1] if s[1] else 0)
-        else:
-            raise ValueError("lam in transfer; normalize first")
-        nd[sym] = nd.get(sym, 0) + e
-    return _decor(nd)
-
-
 def _undegeneration_structures(fine: lg.LevelGraph, passages: tuple[int, ...],
                                coarse: lg.LevelGraph) -> list[dict[int, int]]:
     """All ways delta_I(fine) is isomorphic to ``coarse``, one edge
@@ -416,12 +394,10 @@ def _degenerations_of(spec: StratumSpec, g: lg.LevelGraph, decor: Decor,
         nxt: dict = {}
         for graph, dec, passages in layers[-1]:
             for lev in range(0, -graph.n_levels_below - 1, -1):
-                new_passages = tuple(p if -p + 1 > lev else p + 1 for p in passages)
-                for cand, emap in lg.level_splits(graph, spec, lev):
-                    [dd] = _transfer_under_split(dec, lev, emap)
-                    key = (canonical_decorated(cand, dd), new_passages)
-                    if key not in nxt:
-                        nxt[key] = (cand, dd, new_passages)
+                for cand, new_passages, [dd], key in _decorated_splits(
+                        spec, graph, lev, dec, passages):
+                    if (key, new_passages) not in nxt:
+                        nxt[key, new_passages] = (cand, dd, new_passages)
         layers.append(list(nxt.values()))
     return layers
 
@@ -460,7 +436,7 @@ def multiply(a: TautClass, b: TautClass, evaluator: Evaluator | None = None) -> 
                         for p in common:
                             nu = poly_mul(nu, nu_poly(fine, p))
                         for ecorr in ecorrs:
-                            td = _transfer_from_undegeneration(d2, i2, ecorr)
+                            [td] = _transfer(d2, fine, i2, ecorr)
                             for dd, cc in poly_mul({_dmul(fine_decor, td): 1}, nu).items():
                                 out.add_term(fine, dd, cc * weight)
     return out

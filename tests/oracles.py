@@ -161,7 +161,7 @@ def remove_residue_condition(spec: StratumSpec, part: ResiduePart) -> tr.TautCla
         raise ValueError("part is not a constrained part of the spec")
     spec0 = spec.drop_part(part)
     if dimension(spec0).projectivized == dimension(spec).projectivized:
-        return tr.TautClass.one(spec0)
+        return tr.TautClass.boundary(spec0, lg.trivial_graph(spec0))
     out = tr.TautClass.xi(spec0).scale(-1)
     for g, ell in removal_divisors(spec0, part):
         out.add_term(g, (), -ell)

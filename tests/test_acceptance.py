@@ -288,13 +288,13 @@ def test_criterion_8_structural_suite(ev):
         d = dimension(spec).projectivized
         lam = tr.TautClass(spec)
         lam.add_term(lg.trivial_graph(spec), tr._decor({("lam", 0): 1}), 1)
-        lhs = tr.TautClass.one(spec)
-        power = tr.TautClass.one(spec)
+        lhs = tr.TautClass.boundary(spec, lg.trivial_graph(spec))
+        power = tr.TautClass.boundary(spec, lg.trivial_graph(spec))
         for m in range(1, d + 1):
             power = tr.multiply(power, lam, ev)
             lhs = lhs + power.scale(Fraction(1, factorial(m)))
         lhs = tr._lam_normalize(lhs)
-        rhs = tr.TautClass.one(spec)
+        rhs = tr.TautClass.boundary(spec, lg.trivial_graph(spec))
         for L in range(1, d + 1):
             for graph in lg.enumerate_LGL(spec, L):
                 pd = lg.prong_data(graph)

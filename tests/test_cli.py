@@ -221,10 +221,9 @@ def test_rewritten_fixture_file_is_not_stale(tmp_path, capsys):
     assert "cannot evaluate" in capsys.readouterr().err
 
 
-def test_psi_at_a_simple_pole_is_no_internal_error(tmp_path, capsys):
-    """chi of genus 2 (3, 1, -1, -1) with these xi-top fixtures reaches psi
-    integrals at simple poles; they are unevaluatable, never an internal
-    error."""
+def _simple_pole_chi(tmp_path) -> list[str]:
+    """chi of genus 2 (3, 1, -1, -1) with xi-top fixtures that let it reach
+    psi integrals at simple poles."""
     fix = tmp_path / "fix.json"
     fix.write_text(json.dumps([
         {"spec": _connected(g, mu), "value": 1}
@@ -232,8 +231,29 @@ def test_psi_at_a_simple_pole_is_no_internal_error(tmp_path, capsys):
                       (1, (1, 1, -1, -1)), (1, (1, 1, 0, -1, -1)), (1, (2, -1, -1))]]))
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(_connected(2, (3, 1, -1, -1))))
-    assert run(["chi", "--spec", str(spec), "--fixtures", str(fix)]) in (0, 1)
+    return ["chi", "--spec", str(spec), "--fixtures", str(fix)]
+
+
+def test_psi_at_a_simple_pole_is_no_internal_error(tmp_path, capsys):
+    """The psi integrals at simple poles that this chi reaches are
+    unevaluatable, never an internal error."""
+    assert run(_simple_pole_chi(tmp_path)) in (0, 1)
     assert "internal" not in capsys.readouterr().err
+
+
+def test_a_mixed_psi_xi_frame_names_its_xi_power(tmp_path, capsys):
+    """Each frame of the chain names its whole integrand: the psi^2 xi^2 and
+    psi xi^3 frames on the disconnected level stratum of projectivized
+    dimension 4 carry their xi power, the pure psi and pure xi frames read
+    as their fixture keys."""
+    assert run(_simple_pole_chi(tmp_path)) == 1
+    out, err = capsys.readouterr()
+    psi = 'psi (order, exponent) on {"c": [%s[1, [[2, 0], [-1, %d], [-1, 0]]]]}'
+    assert (out, err) == ("", "error: cannot evaluate: " + " <- ".join([
+        psi % ("", 2), "xi^2 " + psi % ("[1, [[0, 0]]], ", 2),
+        "xi^3 " + psi % ("[1, [[0, 0]]], ", 1),
+        'xi^d on {"c": [[1, [0]], [1, [2, -1, -1]]]}',
+        'level 0 of a boundary graph of {"c": [[2, [3, 1, -1, -1]]]}']) + "\n")
 
 
 def test_colliding_fixture_exits_one(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Every module-level import of the package is used, and so is every
-top-level function: a private one by the package, a public one by the
-package, the demos or the benchmark; importing the package loads neither
-``dataclasses`` nor ``inspect``.
+top-level function and every method of a top-level class but a dunder: a
+private one by the package, a public one by the package, the demos or the
+benchmark; importing the package loads neither ``dataclasses`` nor
+``inspect``.
 
 No linter runs on this repository, so an import, a ``_helper`` or a
 function that only the tests call, left behind by a refactor, would go
@@ -27,6 +28,7 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 UNCALLED_PUBLIC = {
     "stats": "caches.stats: the per-memo entry counts that library-native "
              "counters are to build on",
+    "error": "cli._Parser.error: argparse calls it on a usage error",
 }
 
 
@@ -58,13 +60,17 @@ def test_an_unused_import_is_reported():
 
 def unused_functions(sources: list[str], users: tuple[str, ...] | list[str] = (),
                      private: bool = True) -> list[str]:
-    """Top-level functions of ``sources``, the private ``def _name`` ones
-    or else the public ones, that no source and no user references as a
-    name or an attribute; an import alone is no reference."""
+    """Top-level functions and methods of top-level classes of ``sources``,
+    the private ``def _name`` ones or else the public ones, that no source
+    and no user references as a name or an attribute; an import alone is
+    no reference, and a dunder method is exempt."""
     trees = [ast.parse(source) for source in sources]
-    defined = [node.name for tree in trees for node in tree.body
+    defs = [node for tree in trees for top in tree.body
+            for node in (top.body if isinstance(top, ast.ClassDef) else [top])]
+    defined = [node.name for node in defs
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-               and node.name.startswith("_") == private]
+               and node.name.startswith("_") == private
+               and not (node.name.startswith("__") and node.name.endswith("__"))]
     used = set()
     for tree in [*trees, *map(ast.parse, users)]:
         for n in ast.walk(tree):
@@ -105,6 +111,11 @@ def test_an_unused_public_function_is_reported():
         "def _private():\n    pass\n",
     ], ["import m\nm.called()\n", "from m import imported\nimported()\n"],
         private=False) == ["orphan"]
+    # so is a method of a class, a dunder method excepted
+    assert unused_functions([
+        "class K:\n    def __init__(self):\n        pass\n"
+        "    def called(self):\n        pass\n    def orphan(self):\n        pass\n",
+    ], ["import m\nm.K().called()\n"], private=False) == ["orphan"]
     # a re-export, as in ``__init__.py``, is no use of what it names
     assert unused_functions([
         "def exported():\n    pass\n", "from .m import exported\n",

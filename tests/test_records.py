@@ -33,7 +33,7 @@ def test_hash_is_the_hash_of_the_fields():
 
 
 def test_fields_cannot_be_assigned():
-    plain = SPEC.without_parts()
+    plain = StratumSpec(SPEC.components)
     rep = euler_characteristic(plain, Evaluator())
     for rec in (SPEC, SPEC.residue_parts[0], dimension(SPEC), GRAPH, lg.prong_data(GRAPH),
                 rep, rep.rows[0], chern_polynomial(plain, Evaluator()), cross_check()[0]):

@@ -80,7 +80,7 @@ def test_forced_zero_residues():
 def test_unconstrained_parts_are_inert():
     free = StratumSpec.make([(0, (1, 1, -2, -2))], [({(0, 2), (0, 3)}, False)])
     assert dimension(free).projectivized == \
-        dimension(free.without_parts()).projectivized
+        dimension(StratumSpec(free.components)).projectivized
     assert dimension(free).forced_zero == ()
 
 
