@@ -99,13 +99,21 @@ def test_fixture_flag(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "2/3"
 
 
-def test_output_file_and_determinism(tmp_path):
+def test_output_file_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
     for out in (out1, out2):
         assert run(["chi", "--spec", spec_path("m13_k2.json"), "--json",
                     "--out", str(out)]) == 0
     assert out1.read_text() == out2.read_text()
+    # the --out file of a --json command holds exactly the bytes stdout prints
+    for argv in (["chi", "--spec", spec_path("m13_k2.json")],
+                 ["profiles", "--spec", spec_path("h2_min.json")], ["check"]):
+        path = tmp_path / f"{argv[0]}.json"
+        assert run([*argv, "--json", "--out", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert run([*argv, "--json"]) == 0
+        assert path.read_bytes() == capsys.readouterr().out.encode(), argv
 
 
 def test_entry_point_runs():
@@ -272,8 +280,11 @@ def test_colliding_fixture_exits_one(tmp_path, capsys):
 # Chern graph pass was merged, the divisors pin on pair_residue before the
 # induced conditions of constrained parts of two or more poles changed).  The LG_1 numbering (divisors, profiles) and
 # the order of the decorated terms (c1, chern) follow from the plain tuple
-# order of canonical encodings; a drift there changes these bytes.  Never
-# re-record a pin to absorb a change.
+# order of canonical encodings; a drift there changes these bytes.  The info,
+# graphs, xi-top and check pins were recorded before --json output was written
+# by the CLI's own writer instead of json.dumps.  A key is the command with its
+# options and the spec the --spec option names, if any.  Never re-record a pin
+# to absorb a change.
 JSON_SHA256 = {
     ("chi", "m13_k2"):
         "d4011585d4c63c3e223f40d58b52afc4c890f21167d3c2677e93c2bc149a6604",
@@ -311,12 +322,37 @@ JSON_SHA256 = {
         "c2198b3e290fbdc714587d6df6a5120a17ed36340d035c7c25524b726732da72",
     ("chern", "pair_residue"):
         "42d5675eee3e238a848bc8d37b59cc058e13e9bb276ac82b5cf865184813dae0",
+    ("info", "m13_k2"):
+        "8bfa1dc8ae807fff2ab34c8ee88ce2c29f76db528f7bcdd3636cffd6ceee2186",
+    ("info", "pair_residue"):
+        "229db6d2adc90face9a6f3e01563a82c9d50cc24db7cf86591235a703d09cecb",
+    ("graphs --levels 1", "h2_min"):
+        "2428010c980fed48ae423f4735fd4f22bdbaed583d27fc732aa0408117f0ce07",
+    ("graphs --levels 1", "g0_cherry"):
+        "b46b6881982b24d10b3ea2087a777fecc3f3e5a62e8d876ec1dca61e75a08be0",
+    ("graphs --levels 2", "h2_min"):
+        "9f3ced0597b22d5606cf0e5a94b5dd0c5f23b7595bf95b8612947f366c9c7611",
+    ("graphs --levels 2", "g0_cherry"):
+        "fa1461236a418a920179e18d4a621d0d1b5c77eca84ee42ac2649753d344d146",
+    ("xi-top", "g0_111"):
+        "ff8760cd3174a07cffe3dd22b5fd96501660145bf85f5edb35f852b3bbde3001",
+    ("xi-top", "h2_min"):
+        "7150245e8d49594f945317c2f364d37374f20c269d500a80be5eb3241c5a9553",
+    ("check", None):
+        "4fd7ccc9f0472387be1c02b5e26998f600b6d8c603598f7d49c02644e6cd7710",
 }
 
 
-@pytest.mark.parametrize("cmd,spec", sorted(JSON_SHA256))
+def _argv(cmd: str, spec: str | None) -> list[str]:
+    """The command line of a pin key: the command, its --spec, its options."""
+    name, *options = cmd.split()
+    return [name, *(["--spec", spec_path(spec + ".json")] if spec else []), *options]
+
+
+@pytest.mark.parametrize("cmd,spec", list(JSON_SHA256),
+                         ids=[f"{c}-{s}" for c, s in JSON_SHA256])
 def test_json_output_is_pinned(cmd, spec, capsys):
-    assert run([cmd, "--spec", spec_path(spec + ".json"), "--json"]) == 0
+    assert run([*_argv(cmd, spec), "--json"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == JSON_SHA256[cmd, spec]
 
@@ -449,9 +485,7 @@ TEXT_SHA256 = {
 @pytest.mark.parametrize("cmd,spec", list(TEXT_SHA256),
                          ids=[f"{c}-{s}" for c, s in TEXT_SHA256])
 def test_text_output_is_pinned(cmd, spec, capsys):
-    name, *options = cmd.split()
-    argv = [name, *(["--spec", spec_path(spec + ".json")] if spec else []), *options]
-    assert run(argv) == 0
+    assert run(_argv(cmd, spec)) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == TEXT_SHA256[cmd, spec]
 
