@@ -1,5 +1,6 @@
 """Property tests of the command line: random spec JSON never gives a
-traceback.  Skipped where hypothesis is not installed."""
+traceback, and the ``--json`` writer prints what ``json.dumps`` prints.
+Skipped where hypothesis is not installed."""
 from __future__ import annotations
 
 import contextlib
@@ -7,13 +8,15 @@ import io
 import json
 import os
 import tempfile
+from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from stratacalc.cli import run  # noqa: E402
+from stratacalc import levelgraphs as lg  # noqa: E402
+from stratacalc.cli import _json_text, run  # noqa: E402
 
 json_leaf = (st.none() | st.booleans() | st.integers(-6, 6)
              | st.floats(allow_nan=True) | st.text(max_size=4))
@@ -56,3 +59,48 @@ def test_random_spec_json_never_shows_a_traceback(obj, cmd):
     assert rc in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert err.getvalue().count("\n") == (rc != 0)
+
+
+# what the CLI may print: str or int keys (one kind a dict, as sort_keys needs),
+# text with quotes, backslashes, control and non-ASCII characters, ints beyond
+# 64 bits, bools, None, and empty containers
+exact_text = st.text(st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600')
+                     | st.characters(), max_size=6)
+exact_leaf = (st.none() | st.booleans() | exact_text
+              | st.integers() | st.integers(2 ** 64, 2 ** 200).map(lambda n: n * (-1) ** (n % 2)))
+exact_value = st.recursive(
+    exact_leaf, lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(exact_text, inner, max_size=4)
+    | st.dictionaries(st.integers(-50, 50), inner, max_size=4), max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=exact_value)
+def test_json_writer_prints_what_json_dumps_prints(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+inexact = (st.floats() | st.fractions() | st.tuples(st.booleans(), exact_value).map(
+    lambda kv: dict([kv])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(obj=exact_value, bad=inexact, depth=st.integers(0, 3), data=st.data())
+def test_json_writer_refuses_a_float_a_fraction_or_a_bool_key(obj, bad, depth, data):
+    for _ in range(depth):
+        bad = data.draw(st.sampled_from([lambda x: [x], lambda x: (x,),
+                                         lambda x: {"k": x}, lambda x: {-3: x}]))(bad)
+    with pytest.raises(TypeError):
+        _json_text(data.draw(st.sampled_from([bad, [obj, bad], {"a": obj, "b": bad}])))
+
+
+@pytest.mark.parametrize("bad", [0.5, Fraction(1, 2), {True: 1}],
+                         ids=["float", "Fraction", "bool key"])
+def test_an_inexact_answer_is_an_internal_error(bad, monkeypatch, capsys):
+    monkeypatch.setattr(lg, "graph_report", lambda g, spec: {"ell": 1, "x": [bad]})
+    spec = os.path.join(os.path.dirname(__file__), "..", "demos", "specs", "g0_111.json")
+    assert run(["graphs", "--spec", spec, "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("internal error: TypeError: ")
