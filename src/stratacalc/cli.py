@@ -53,7 +53,7 @@ _quote, _int = json.encoder.encode_basestring_ascii, int.__repr__
 def _json_text(o, nl: str = "\n") -> str:
     """The very text that ``json.dumps`` gives for ``o`` under ``indent=2`` and
     ``sort_keys=True``, written by a direct recursion: any indent sends
-    ``json`` to its pure-Python encoder, which takes three times as long.
+    ``json`` to its pure-Python encoder, which takes about three times as long.
     Only what the CLI prints is accepted: dicts with str or int keys, lists,
     tuples, str, int, bools and None.  Anything else, a float or a bool key
     among them, raises ``TypeError``, so no inexact value reaches an answer.
@@ -69,8 +69,8 @@ def _json_text(o, nl: str = "\n") -> str:
             return "{}"
         items = []
         for k in sorted(o):
-            kt, v = type(k), o[k]
-            vt = type(v)
+            v = o[k]
+            kt, vt = type(k), type(v)
             if kt is str:
                 key = _quote(k)
             elif kt is int:
