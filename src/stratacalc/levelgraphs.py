@@ -72,11 +72,17 @@ class EnumerationError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def _vertex_keys(g: LevelGraph) -> list[tuple]:
-    legs_of: dict[int, list[Point]] = {v: [] for v in range(g.n_vertices)}
+    """Each vertex's (level, genus, legs) key, refined by the keys across
+    its edges until the classes of equal keys stop splitting.  Keys that
+    are already pairwise distinct come back as they are: refinement cannot
+    split a class of one, and a refined key leads with the key it refines,
+    so both sort the vertices alike."""
+    legs_of: list[list[Point]] = [[] for _ in g.genera]
     for pt, v in g.legs:
         legs_of[v].append(pt)
-    keys = [(g.levels[v], g.genera[v], tuple(sorted(legs_of[v])))
-            for v in range(g.n_vertices)]
+    keys = [(x, gv, tuple(sorted(pts))) for x, gv, pts in zip(g.levels, g.genera, legs_of)]
+    if len(set(keys)) == len(keys):
+        return keys
     # Weisfeiler-Lehman style refinement with edge profiles
     for _ in range(g.n_vertices):
         prof: list[list] = [[] for _ in range(g.n_vertices)]
@@ -231,7 +237,12 @@ def prong_data(g: LevelGraph) -> ProngData:
     ells = tuple(math.lcm(*(k for k, flag in zip(kappas, row) if flag)) for row in rows)
     ell = math.prod(ells)
     bigk = math.prod(kappas)
-    orbits = orbit_count(kappas, rows)
+    if all(g.levels[u] - g.levels[v] == 1 for u, v, _ in g.edges):
+        # every edge crosses one passage, so the rows are disjoint and span
+        # a product of cyclic groups of orders ell_i: K / ell orbits
+        orbits = bigk // ell
+    else:
+        orbits = orbit_count(kappas, rows)
     # e = [Tw : Tw^s] = [R : Tw^s] / [R : Tw] = prod(ell_i) * orbits / K
     twist = ell * orbits // bigk
     assert ell * orbits % bigk == 0
@@ -400,10 +411,10 @@ def _build_level_strata(g: LevelGraph, spec: StratumSpec) -> tuple[StratumSpec, 
     One union-find over the auxiliary nodes grows as the walk passes each
     level: the vertices of a level join their edges to the levels above
     and their constrained parts once the walk is below them."""
+    comps, levels, genera = spec.components, g.levels, g.genera
     part_of = _constrained_part_of(spec)
     parts = sorted(set(part_of.values()), key=sorted)
     part_index = {pts: x for x, pts in enumerate(parts, g.n_vertices)}
-    points = _half_edges(g, spec)
     L = g.n_levels_below
     nodes = g.n_vertices + len(parts)
     parent = list(range(nodes))
@@ -411,48 +422,59 @@ def _build_level_strata(g: LevelGraph, spec: StratumSpec) -> tuple[StratumSpec, 
     free = [False] * nodes    # a simple pole, or a pole in no constrained part
     shared = [False] * nodes  # a pole in a constrained part of two or more points
     verts: list[list[int]] = [[] for _ in range(L + 1)]
-    for v, x in enumerate(g.levels):
+    for v, x in enumerate(levels):
         verts[-x].append(v)
-    joins: list[list[tuple[int, int]]] = [[] for _ in range(L + 1)]
-    # at each level, the (node, tag) pairs of the conditions it may receive
-    ends: list[list[tuple[int, LegTag]]] = [[] for _ in range(L + 1)]
-    for pt, v in g.legs:
-        m = spec.order(pt)
+    # each vertex's orders, in the order in which _half_edges lists its
+    # points; the tagged lists are built only for a graph with a condition
+    orders: list[list[int]] = [[] for _ in genera]
+    # at each level, the (node, vertex, tag) joins that the walk makes below
+    # it; a tag is the end of a condition the level may receive
+    joins: list[list[tuple[int, int, LegTag | None]]] = [[] for _ in range(L + 1)]
+    for pt, v in sorted(g.legs):
+        m = comps[pt[0]][1][pt[1]]
+        orders[v].append(m)
+        if m >= 0:
+            continue  # residue parts hold poles only
         part = part_of.get(pt)
-        if m == -1 or (m < 0 and part is None):
+        if part is None or m == -1:
             free[v] = True
-        elif m < 0 and len(part) >= 2:
+        elif len(part) >= 2:
             shared[v] = True
         if part is not None:
-            joins[-g.levels[v]].append((v, part_index[part]))
-            ends[-g.levels[v]].append((part_index[part], ("leg", pt)))
-    for ei, (u, v, _) in enumerate(g.edges):
-        joins[-min(g.levels[u], g.levels[v])].append((u, v))
-        if g.levels[u] > g.levels[v]:
-            ends[-g.levels[v]].append((u, ("ein", ei)))
+            joins[-levels[v]].append((part_index[part], v, ("leg", pt)))
+    for ei, (u, v, k) in enumerate(g.edges):
+        orders[v].append(-k - 1)
+        lu, lv = levels[u], levels[v]
+        joins[-min(lu, lv)].append((u, v, ("ein", ei) if lu > lv else None))
+    for u, _, k in g.edges:
+        orders[u].append(k - 1)
 
+    points = None
     out = []
     for i in range(L + 1):
+        parts_here: tuple[ResiduePart, ...] = ()
         tags: dict[int, list[LegTag]] = {}
-        for x, tag in ends[i]:
-            tags.setdefault(_find(parent, x), []).append(tag)
+        for x, _, tag in joins[i]:
+            if tag is not None:
+                tags.setdefault(_find(parent, x), []).append(tag)
         conds: list[frozenset[LegTag]] = []
         extra: list[frozenset[LegTag]] = []  # kept only where they lower the rank
         for r in sorted(tags, key=least.__getitem__):
             if not free[r]:
                 (extra if shared[r] else conds).append(frozenset(tags[r]))
-        level_points = [points[v] for v in verts[i]]
-        if extra:
-            conds += _rank_lowering(level_points, conds, extra)
-        parts_here: tuple[ResiduePart, ...] = ()
-        if conds:
-            positions = _positions(level_points)
-            parts_here = tuple(ResiduePart(frozenset(positions[t] for t in cond), True)
-                               for cond in conds)
-        sub = StratumSpec(tuple((g.genera[v], tuple(o for _, o in pts))
-                                for v, pts in zip(verts[i], level_points)), parts_here)
+        if conds or extra:
+            if points is None:
+                points = _half_edges(g, spec)
+            level_points = [points[v] for v in verts[i]]
+            if extra:
+                conds += _rank_lowering(level_points, conds, extra)
+            if conds:
+                positions = _positions(level_points)
+                parts_here = tuple([ResiduePart(frozenset([positions[t] for t in cond]), True)
+                                    for cond in conds])
+        sub = StratumSpec(tuple([(genera[v], tuple(orders[v])) for v in verts[i]]), parts_here)
         out.append(_LEVEL_SPECS.setdefault(sub, sub))
-        for a, b in joins[i]:
+        for a, b, _ in joins[i]:
             a, b = _find(parent, a), _find(parent, b)
             if a != b:
                 parent[a] = b

@@ -375,7 +375,22 @@ def _lam_normalize(cls: TautClass) -> TautClass:
 def _undegeneration_structures(fine: lg.LevelGraph, passages: tuple[int, ...],
                                coarse: lg.LevelGraph) -> list[dict[int, int]]:
     """All ways delta_I(fine) is isomorphic to ``coarse``, one edge
-    correspondence (coarse index -> fine index) each."""
+    correspondence (coarse index -> fine index) each.  Two invariants of
+    delta_I(fine) are compared with ``coarse`` before it is built: the new
+    level of each leg, and the sorted (upper level, lower level, kappa)
+    list of the edges that survive; most pairs that a product tries differ
+    in one of them."""
+    # fine level -m lands on level -above[m], above[m] the passages of I above it
+    above = [0]
+    for m in range(1, fine.n_levels_below + 1):
+        above.append(above[-1] + (m in passages))
+    nl = [-above[-x] for x in fine.levels]
+    if sorted((pt, nl[v]) for pt, v in fine.legs) != \
+            sorted((pt, coarse.levels[v]) for pt, v in coarse.legs):
+        return []
+    if sorted((nl[u], nl[v], k) for u, v, k in fine.edges if nl[u] != nl[v]) != \
+            sorted((coarse.levels[u], coarse.levels[v], k) for u, v, k in coarse.edges):
+        return []
     contracted, emap = lg.undegenerate(fine, passages)
     inv = {new: old for old, new in emap.items()}
     return [{ce: inv[iso_emap[ce]] for ce in range(len(coarse.edges))}

@@ -19,9 +19,17 @@ against the library routine it shadows, or checks what the library builds.
 - ``remove_residue_condition``: the class of a residue-constrained stratum
   inside the stratum without the part, the class-level form of the
   relation ``Evaluator._remove_condition`` evaluates.
+- ``refined_minimal_orderings``: ``levelgraphs._minimal_orderings`` over
+  vertex keys that are refined on every graph
+  (``refined_vertex_keys``), also where the initial keys are already
+  pairwise distinct and the library returns them as they are.
+- ``undegeneration_structures_unchecked``: the edge correspondences of
+  ``tautring._undegeneration_structures`` from the contraction and
+  ``graph_isomorphisms`` alone, with no invariant compared first.
 """
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from typing import Mapping, Sequence
 
@@ -166,3 +174,54 @@ def remove_residue_condition(spec: StratumSpec, part: ResiduePart) -> tr.TautCla
     for g, ell in removal_divisors(spec0, part):
         out.add_term(g, (), -ell)
     return out
+
+
+def refined_vertex_keys(g: LevelGraph) -> list[tuple]:
+    """(level, genus, legs) per vertex, refined by the edge profiles until
+    the number of classes stops growing, on every graph."""
+    legs_of: dict[int, list] = {v: [] for v in range(g.n_vertices)}
+    for pt, v in g.legs:
+        legs_of[v].append(pt)
+    keys = [(g.levels[v], g.genera[v], tuple(sorted(legs_of[v])))
+            for v in range(g.n_vertices)]
+    for _ in range(g.n_vertices):
+        prof: list[list] = [[] for _ in range(g.n_vertices)]
+        for (u, v, k) in g.edges:
+            prof[u].append((1, k, keys[v]))
+            prof[v].append((-1, k, keys[u]))
+        new = [(keys[v], tuple(sorted(prof[v]))) for v in range(g.n_vertices)]
+        if len(set(new)) == len(set(keys)):
+            keys = new
+            break
+        keys = new
+    return keys
+
+
+def refined_minimal_orderings(g: LevelGraph) -> tuple[tuple, list[list[int]]]:
+    """The least encoding over the orderings that list the classes of
+    ``refined_vertex_keys`` in sorted order, each class in any order, and
+    every ordering that reaches it."""
+    groups: dict[tuple, list[int]] = {}
+    for v, key in enumerate(refined_vertex_keys(g)):
+        groups.setdefault(key, []).append(v)
+    best, argmin = None, []
+    for choice in itertools.product(
+            *[itertools.permutations(groups[k]) for k in sorted(groups)]):
+        order = [v for grp in choice for v in grp]
+        enc = lg._encode(g, order, g.edges)
+        if best is None or enc < best:
+            best, argmin = enc, [order]
+        elif enc == best:
+            argmin.append(order)
+    return best, argmin
+
+
+def undegeneration_structures_unchecked(fine: LevelGraph, passages: tuple[int, ...],
+                                        coarse: LevelGraph) -> list[dict[int, int]]:
+    """Every way delta_I(fine) is isomorphic to ``coarse``, one edge
+    correspondence (coarse index -> fine index) each, read off the
+    isomorphisms of the contracted graph."""
+    contracted, emap = lg.undegenerate(fine, passages)
+    inv = {new: old for old, new in emap.items()}
+    return [{ce: inv[iso_emap[ce]] for ce in range(len(coarse.edges))}
+            for _, iso_emap in lg.graph_isomorphisms(coarse, contracted)]

@@ -5,7 +5,9 @@ order and its decorated canonical form unchanged, and its isomorphisms
 onto the relabelled copy number |Aut|.  The realizability verdict is
 a class invariant too, and so are the classes of a level's splits.
 Enumeration leaves each class it stores with the canonical form a fresh
-search gives.  Skipped where hypothesis is not installed."""
+search gives, and the ordering search that returns distinct vertex keys
+unrefined finds what refining them on every graph finds.  Skipped where
+hypothesis is not installed."""
 from __future__ import annotations
 
 import functools
@@ -25,7 +27,7 @@ from stratacalc import levelgraphs as lg  # noqa: E402
 from stratacalc import tautring as tr  # noqa: E402
 from stratacalc.strata import ResiduePart, StratumSpec, dimension  # noqa: E402
 from test_levelgraphs import reference_split_candidates  # noqa: E402
-from oracles import structural_issues  # noqa: E402
+from oracles import refined_minimal_orderings, structural_issues  # noqa: E402
 
 # (genus, orders, deepest level): genus 2 and 3 bring vertex automorphisms
 # and parallel edges, genus 0 many legs and no symmetry
@@ -114,6 +116,40 @@ def test_relabelling_keeps_the_canonical_data(case):
     labelled = lg.canonicalize_labelled(h, [tuple(e) for e in moved])
     assert labelled[0] == lg.canonicalize(g)
     assert labelled == lg.canonicalize_labelled(g, [tuple(e) for e in exps])
+
+
+@st.composite
+def tied_graphs(draw):
+    """A level graph, sound or not, of up to six vertices on levels 0..-2
+    of genus 0 or 1 with up to seven edges of kappa 1..3, parallel ones
+    included.  Legs go on some vertices only; when ``tie`` is drawn, two
+    legless vertices share a level and a genus, so their initial keys tie
+    and only refinement by their edges can part them."""
+    n = draw(st.integers(1, 6))
+    levels = draw(st.lists(st.integers(-2, 0), min_size=n, max_size=n))
+    genera = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    tie = n >= 2 and draw(st.booleans())
+    if tie:
+        levels[1], genera[1] = levels[0], genera[0]
+    bearers = list(range(2 if tie else 0, n))
+    legs = tuple(((0, i), draw(st.sampled_from(bearers)))
+                 for i in range(draw(st.integers(0, 4)) if bearers else 0))
+    pairs = [(u, v) for u in range(n) for v in range(n) if levels[u] > levels[v]]
+    edges = draw(st.lists(st.tuples(st.sampled_from(pairs), st.integers(1, 3)),
+                          max_size=7)) if pairs else []
+    return lg.LevelGraph(tuple(genera), tuple(levels), legs,
+                         tuple((u, v, k) for (u, v), k in edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(tied_graphs(), st.sampled_from(graphs())))
+def test_distinct_keys_need_no_refinement(g):
+    """``_minimal_orderings`` gives the encoding and the list of minimizing
+    orderings, in order, that it gives when the vertex keys are refined on
+    every graph: on enumerated graphs, whose initial keys are mostly
+    distinct, and on random graphs with tied legless vertices, where the
+    refinement runs."""
+    assert lg._minimal_orderings(g) == refined_minimal_orderings(g)
 
 
 def test_labelled_form_reads_the_memoized_orderings(monkeypatch):

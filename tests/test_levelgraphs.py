@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from stratacalc.strata import ResiduePart, SpecError, StratumSpec, _eliminate, dimension, validate
 from stratacalc import caches, cli
 from stratacalc import levelgraphs as lg
-from oracles import realizability_verdict, structural_issues
+from stratacalc.exact import orbit_count
+from oracles import orbit_count_bfs, realizability_verdict, structural_issues
 
 
 H2 = StratumSpec.connected(2, (2,))
@@ -682,6 +684,66 @@ def test_automorphism_examples():
     distinct = lg.LevelGraph((0, 1), (-1, 0), (((0, 0), 0),),
                              ((1, 0, 1), (1, 0, 3)))
     assert lg.automorphism_order(distinct) == 1
+
+
+def test_interchangeable_legless_vertices_keep_their_automorphism():
+    """The two legless genus-1 vertices on top of a divisor of genus 2
+    (1, 1) have equal initial keys, so ``_vertex_keys`` refines them and
+    leaves them tied, and swapping them is an automorphism."""
+    g = lg.LevelGraph((0, 1, 1), (-1, 0, 0), (((0, 0), 0), ((0, 1), 0)),
+                      ((1, 0, 1), (2, 0, 1)))
+    assert g in lg.enumerate_LG1(StratumSpec.connected(2, (1, 1)))
+    keys = lg._vertex_keys(g)
+    assert keys[1] == keys[2] != keys[0]
+    assert lg.automorphism_order(g) == 2
+
+
+def orbit_count_route(g: lg.LevelGraph) -> tuple[int, int]:
+    """(orbits, twist index) with the orbits counted by ``orbit_count`` on
+    the crossing rows, on every graph."""
+    kappas = [k for _, _, k in g.edges]
+    rows = lg._crossing_matrix(g)
+    orbits = orbit_count(kappas, rows)
+    ell = math.prod(math.lcm(*(k for k, f in zip(kappas, row) if f)) for row in rows)
+    return orbits, ell * orbits // math.prod(kappas)
+
+
+def test_prong_data_is_the_orbit_count_route_on_every_graph():
+    """Every graph of genus 0 (5, 2, -1, -1, -1, -6) with one to three
+    levels below zero gets the orbits and twist index that ``orbit_count``
+    gives, whichever route ``prong_data`` takes; most graphs with two or
+    three levels below have an edge across two or more passages."""
+    spec = StratumSpec.connected(0, (5, 2, -1, -1, -1, -6))
+    long_edged = 0
+    for L in (1, 2, 3):
+        for g in lg.enumerate_LGL(spec, L):
+            pd = lg.prong_data(g)
+            assert (pd.orbits, pd.twist_index) == orbit_count_route(g), g
+            long_edged += any(g.levels[u] - g.levels[v] > 1 for u, v, _ in g.edges)
+    assert long_edged > 100
+
+
+def test_orbits_of_disjoint_passages_are_k_over_ell():
+    """Graphs whose every edge crosses exactly one passage (one to four
+    passages, one to three vertices per level, kappa up to 6): the
+    crossing rows are disjoint, the orbits number K / ell, and both
+    ``orbit_count`` and the breadth-first oracle agree."""
+    rng = random.Random(25)
+    for _ in range(300):
+        L = rng.randint(1, 4)
+        per_level = [rng.randint(1, 3) for _ in range(L + 1)]
+        levels = tuple(-i for i, n in enumerate(per_level) for _ in range(n))
+        at = [[v for v, x in enumerate(levels) if x == -i] for i in range(L + 1)]
+        edges = tuple((rng.choice(at[i]), rng.choice(at[i + 1]), rng.randint(1, 6))
+                      for i in range(L) for _ in range(rng.randint(1, 2)))
+        g = lg.LevelGraph((0,) * len(levels), levels, (((0, 0), 0),), edges)
+        pd = lg.prong_data(g)
+        kappas = [k for _, _, k in edges]
+        rows = lg._crossing_matrix(g)
+        assert all(sum(col) == 1 for col in zip(*rows))
+        assert pd.orbits == pd.kappa_product // pd.ell == orbit_count(kappas, rows)
+        if pd.kappa_product <= 300:
+            assert pd.orbits == orbit_count_bfs(kappas, rows)
 
 
 # ---------------------------------------------------------------------------

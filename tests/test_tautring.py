@@ -14,7 +14,8 @@ from stratacalc.evaluate import Evaluator
 from stratacalc import invariants as inv
 from stratacalc import levelgraphs as lg
 from stratacalc import tautring as tr
-from oracles import evaluate_generator, remove_residue_condition
+from oracles import (evaluate_generator, remove_residue_condition,
+                     undegeneration_structures_unchecked)
 
 
 EV = Evaluator()
@@ -496,3 +497,59 @@ def test_two_one_step_transfers_are_one_transfer(genus, orders):
                 assert tr.canonical_decorated(fine, dd) in once, (g, fine, i1)
                 entries += 1
     assert entries
+
+
+# two strata of the products workload, genus 0 with one pole and genus 1
+# (k, 1, -k-1): (divisor pairs D_a.D_b to multiply, None for all of them)
+UNDEGENERATION_STRATA = {(0, (2, 1, 1, 1, 1, -8)): 60, (1, (7, 1, -8)): None}
+
+
+def _leg_and_edge_levels(g: lg.LevelGraph) -> tuple[list, list]:
+    return (sorted((pt, g.levels[v]) for pt, v in g.legs),
+            sorted((g.levels[u], g.levels[v], k) for u, v, k in g.edges))
+
+
+@pytest.mark.parametrize("genus,orders", UNDEGENERATION_STRATA)
+def test_undegeneration_structures_are_the_unchecked_contraction(genus, orders, monkeypatch):
+    """On every call that ``multiply`` makes for D^d of each divisor and for
+    D_a.D_b, ``_undegeneration_structures`` returns what contracting and
+    ``graph_isomorphisms`` return, and contracts exactly when the
+    contraction's leg levels and sorted (upper level, lower level, kappa)
+    edges are those of the coarse graph.  Several calls differ from the
+    coarse graph in kappa alone."""
+    spec = C(genus, orders)
+    d = dimension(spec).projectivized
+    divisors = lg.enumerate_LG1(spec)
+    pairs = [(a, b) for a in divisors for b in divisors]
+    if UNDEGENERATION_STRATA[genus, orders] is not None:
+        pairs = random.Random(45).sample(pairs, UNDEGENERATION_STRATA[genus, orders])
+    contractions = []
+    undegenerate = lg.undegenerate
+    monkeypatch.setattr(lg, "undegenerate",
+                        lambda g, passages: contractions.append(g) or undegenerate(g, passages))
+    calls = []
+    structures = tr._undegeneration_structures
+
+    def recording(fine, passages, coarse):
+        before = len(contractions)
+        out = structures(fine, passages, coarse)
+        calls.append((fine, passages, coarse, out, len(contractions) > before))
+        return out
+
+    monkeypatch.setattr(tr, "_undegeneration_structures", recording)
+    for g in divisors:
+        power = D = tr.TautClass.boundary(spec, g)
+        for _ in range(d - 1):
+            power = tr.multiply(power, D)
+    for a, b in pairs:
+        tr.multiply(tr.TautClass.boundary(spec, a), tr.TautClass.boundary(spec, b))
+    monkeypatch.undo()
+    kappa_only = 0
+    for fine, passages, coarse, out, contracted in calls:
+        assert out == undegeneration_structures_unchecked(fine, passages, coarse)
+        legs, edges = _leg_and_edge_levels(lg.undegenerate(fine, passages)[0])
+        coarse_legs, coarse_edges = _leg_and_edge_levels(coarse)
+        assert contracted == (legs == coarse_legs and edges == coarse_edges)
+        kappa_only += legs == coarse_legs and edges != coarse_edges and \
+            [e[:2] for e in edges] == [e[:2] for e in coarse_edges]
+    assert any(out for *_, out, _ in calls) and kappa_only
