@@ -23,7 +23,7 @@ import json
 import sys
 
 from .exact import rational_str
-from .strata import SpecError, StratumSpec, classify, dimension, validate
+from .strata import SpecError, StratumSpec, classify, dimension
 from . import levelgraphs as lg
 from . import invariants as inv
 from .evaluate import Evaluator, FixtureCollisionError, UnevaluatableError, shared_evaluator
@@ -110,11 +110,7 @@ def _table(rows: list[list[str]]) -> list[str]:
 
 def cmd_info(args) -> int:
     spec = StratumSpec.from_json(_read(args.spec))
-    issues = validate(spec)
-    if issues:
-        print("invalid spec: " + "; ".join(issues), file=sys.stderr)
-        return 1
-    dd = dimension(spec)
+    dd = dimension(spec)  # raises SpecError on an invalid spec
     obj = {"spec": spec.to_json_obj(), "type": classify(spec),
            "dim": dd.projectivized, "dim_unprojectivized": dd.unprojectivized,
            "residue_rank": dd.residue_rank, "components": spec.n_components,

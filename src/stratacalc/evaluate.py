@@ -90,9 +90,6 @@ class FixtureRegistry:
         for i, item in enumerate(_array(items, "fixtures")):
             self.register(*_fixture_entry(item, f"fixtures[{i}]"))
 
-    def items(self):
-        return sorted(self._entries.items())
-
 
 def _fixture_entry(item, where: str) -> tuple:
     """(spec, value, provenance, psi map or None) of one fixture item.  The

@@ -276,6 +276,16 @@ def _roots(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     return [_find(parent, x) for x in range(n)]
 
 
+def _delta_levels(g: LevelGraph, passages: Collection[int]) -> list[int]:
+    """The level of each vertex of g in delta_I(g), I = ``passages``: fine
+    level -m lands on level -above[m], above[m] the number of passages of I
+    above it."""
+    above = [0]
+    for m in range(1, g.n_levels_below + 1):
+        above.append(above[-1] + (m in passages))
+    return [-above[-x] for x in g.levels]
+
+
 def undegenerate(g: LevelGraph, passages: Iterable[int]
                  ) -> tuple[LevelGraph, dict[int, int]]:
     """delta_I: contract every level passage outside I and renormalize,
@@ -285,11 +295,7 @@ def undegenerate(g: LevelGraph, passages: Iterable[int]
     keep = sorted(set(passages))
     if keep and (keep[0] < 1 or keep[-1] > g.n_levels_below):
         raise ValueError("passage index out of range")
-
-    def new_level(old: int) -> int:
-        return -sum(1 for i in keep if old <= -i)
-
-    nl = [new_level(x) for x in g.levels]
+    nl = _delta_levels(g, keep)
     contracted = [(u, v) for (u, v, _) in g.edges if nl[u] == nl[v]]
     root = _roots(g.n_vertices, contracted)
     reps = sorted(set(root))
@@ -544,8 +550,6 @@ def _genus0_zero_residue_ok(sub: StratumSpec, cj: int, dd: DimensionData) -> boo
     if genus != 0:
         return True
     pole_pts = [pt for pt in dd.poles if pt[0] == cj]
-    if not pole_pts:
-        return False  # genus 0 needs a pole; unreachable for valid specs
     if not all(pt in dd.forced_zero for pt in pole_pts):
         return True
     if len(pole_pts) == 1:
@@ -624,33 +628,26 @@ def _kappa_bundles(s: int, max_edges: int) -> tuple[tuple[int, ...], ...]:
     return hit
 
 
-_PIECE_SPLITS: dict[tuple[int, tuple[int, ...]], tuple] = caches.memo("levelgraphs.piece_splits")
-
-
 def _piece_splits_by_orders(genus: int, orders: tuple[int, ...]):
     """Connected two-level splittings of one smooth surface piece, with
     legs referenced by index into ``orders``.
 
-    Returns tuples (tops, bots, edges): tops/bots are ((genus, leg index
-    tuple), ...) and edges (top slot, bottom slot, kappa).  Stability caps
-    the vertex count at n + 2*genus - 2.  The vertices are numbered slots,
-    so a splitting with interchangeable vertices is listed once per
-    numbering of them: entries are not distinct labelled splittings.
+    Returns a tuple of triples (tops, bots, edges), searched afresh on
+    every call: tops/bots are ((genus, leg index tuple), ...) and edges
+    (top slot, bottom slot, kappa).  Stability caps the vertex count at
+    n + 2*genus - 2.  The vertices are numbered slots, so a splitting with
+    interchangeable vertices is listed once per numbering of them: entries
+    are not distinct labelled splittings.
 
     The search runs over vertex counts, top counts, genus vectors, leg
     assignments (``_leg_assignments``), one kappa bundle per bottom
     (``_exact_bundles``) and one top per edge, each in product order."""
-    hit = _PIECE_SPLITS.get((genus, orders))
-    if hit is not None:
-        return hit
     results = []
     for V in range(2, len(orders) + 2 * genus - 1):
         for t in range(1, V):
             b = V - t
             for gvec in _genus_vectors_up_to(genus, V):
                 E = genus - sum(gvec) + V - 1
-                if E < max(t, b):
-                    continue
                 for assign in _leg_assignments(orders, t, gvec, E):
                     legs: list[list[int]] = [[] for _ in range(V)]
                     legsum = [0] * V
@@ -681,8 +678,7 @@ def _piece_splits_by_orders(genus: int, orders: tuple[int, ...]):
                             edges = tuple((ti, bi, k) for (bi, k), ti in zip(edge_list, tops))
                             if _split_connected(t, b, edges):
                                 results.append(sides + (edges,))
-    hit = _PIECE_SPLITS[genus, orders] = tuple(results)
-    return hit
+    return tuple(results)
 
 
 def _leg_assignments(orders: tuple[int, ...], t: int, gvec: tuple[int, ...],

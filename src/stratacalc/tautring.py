@@ -380,11 +380,7 @@ def _undegeneration_structures(fine: lg.LevelGraph, passages: tuple[int, ...],
     level of each leg, and the sorted (upper level, lower level, kappa)
     list of the edges that survive; most pairs that a product tries differ
     in one of them."""
-    # fine level -m lands on level -above[m], above[m] the passages of I above it
-    above = [0]
-    for m in range(1, fine.n_levels_below + 1):
-        above.append(above[-1] + (m in passages))
-    nl = [-above[-x] for x in fine.levels]
+    nl = lg._delta_levels(fine, passages)
     if sorted((pt, nl[v]) for pt, v in fine.legs) != \
             sorted((pt, coarse.levels[v]) for pt, v in coarse.legs):
         return []

@@ -638,7 +638,7 @@ def test_bad_specs_exit_one_with_one_line(tmp_path, capsys):
 def test_invalid_spec_gives_the_same_diagnostic_on_every_request(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"components": [{"genus": 0, "orders": [2, -2, -1]}]}))
-    for cmd in ("graphs", "divisors", "chi", "xi-top"):
+    for cmd in ("info", "graphs", "divisors", "profiles", "chi", "xi-top", "c1", "chern"):
         answers = []
         for _ in range(2):
             rc = run([cmd, "--spec", str(path)])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from stratacalc import levelgraphs as lg
 from stratacalc.strata import SpecError, StratumSpec, dimension
 from stratacalc.evaluate import (Evaluator, FixtureCollisionError,
                                  FixtureRegistry, UnevaluatableError,
-                                 default_registry)
+                                 default_registry, shared_evaluator)
 
 
 EV = Evaluator()
@@ -153,14 +154,14 @@ def test_fixture_lookup_is_order_insensitive():
 
 def test_default_registries_do_not_share_entries():
     one, two = default_registry(), default_registry()
-    assert len(one.items()) == 12 and one.items() == two.items()
+    assert len(one._entries) == 12 and one._entries == two._entries
     extra = C(3, (7, -3))
     one.register(extra, Fraction(1, 7), "test")
     assert one.lookup(extra) == Fraction(1, 7)
     assert two.lookup(extra) is None and default_registry().lookup(extra) is None
     with pytest.raises(FixtureCollisionError):
         two.register(C(1, (0,)), Fraction(1, 25), "conflicting")
-    assert default_registry().items() == two.items()
+    assert default_registry()._entries == two._entries
 
 
 def test_fail_loud_names_the_key():
@@ -261,6 +262,22 @@ def test_psi_at_simple_poles_only_names_its_key():
         ev.psi_top(C(1, (-1, -1, 2)), {(0, 0): 2})
     key = 'psi (order, exponent) on {"c": [[1, [[2, 0], [-1, 2], [-1, 0]]]]}'
     assert err.value.key == key and err.value.chain == [key]
+
+
+def test_psi_fixture_on_a_spec_with_a_residue_part_keeps_the_verbatim_key():
+    """A spec with a residue part, here an unconstrained one on genus 1
+    (3, -1, -2), keys its psi integrals by its verbatim JSON: a --fixtures
+    item answers psi_top, and without one the missing key is that JSON."""
+    spec = StratumSpec.from_json_obj({
+        "components": [{"genus": 1, "orders": [3, -1, -2]}],
+        "residue_parts": [{"points": [[0, 2]], "constrained": False}]})
+    key = "psi[((0, 1), 2)] on " + spec.to_json()
+    with pytest.raises(UnevaluatableError) as err:
+        Evaluator(default_registry()).psi_top(spec, {(0, 1): 2})
+    assert err.value.key == key and err.value.chain == [key]
+    item = {"spec": spec.to_json_obj(), "value": "2/9", "integrand": {"psi": {"0.1": 2}}}
+    ev = shared_evaluator((json.dumps([item]),))
+    assert ev.psi_top(spec, {(0, 1): 2}) == Fraction(2, 9)
 
 
 def test_single_pole_recursion_sweep():

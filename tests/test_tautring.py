@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -58,6 +59,31 @@ def test_xi_as_psi_913():
     assert c == -1 and lg.prong_data(g).ell == 1
     psi_terms = [c for (g, dec), c in cls.terms.items() if g.is_trivial()]
     assert psi_terms == [-k]
+
+
+def test_xi_as_psi_json_names_the_psi_leg():
+    """The psi exponents of a term are keyed by the repr of their tag."""
+    obj = tr.xi_as_psi(C(1, (3, 1, -4)), (0, 2)).to_json_obj()
+    assert json.dumps(obj, sort_keys=True) == (
+        '[{"classes": {}, "coeff": "-1", "graph": "(((-1, 0), (0, 1)), '
+        '(((0, 0), 0), ((0, 1), 0), ((0, 2), 0)), ((1, 0, 1),))", "psi": {}}, '
+        '{"classes": {}, "coeff": "-3", "graph": "(((0, 1),), '
+        '(((0, 0), 0), ((0, 1), 0), ((0, 2), 0)), ())", '
+        '"psi": {"(\'leg\', (0, 2))": 1}}]')
+
+
+def test_integrate_skips_terms_below_the_top_degree():
+    """xi^2 + xi on a stratum of dimension 2 integrates to xi-top, and the
+    xi term is never evaluated."""
+    spec = C(1, (3, 1, -4))
+    ev = Evaluator()
+    calls = []
+    boundary_integral = ev.boundary_integral
+    ev.boundary_integral = lambda *a: calls.append(a[3]) or boundary_integral(*a)
+    cls = tr.TautClass.xi(spec, 2) + tr.TautClass.xi(spec)
+    assert len(cls.terms) == 2
+    assert tr.integrate(cls, ev) == EV.xi_top(spec) == Fraction(10, 3)
+    assert calls == [{0: 2}]
 
 
 def test_xi_consistency_through_relation():
