@@ -45,14 +45,15 @@ def _key(spec: StratumSpec, psi: tuple = (), xi: int = 0) -> str:
     part given as sorted (point, exponent) pairs.  Without psi it is xi^d.
     A psi part is keyed by each component's genus and multiset of (order,
     exponent) pairs over its points, the components sorted, so that the key
-    does not depend on how the points are numbered (specs with residue
-    parts keep the verbatim key), after its xi power when that is
-    positive."""
+    does not depend on how the points are numbered (specs with constrained
+    residue parts keep the verbatim point list and ``canonical_key``),
+    after its xi power when that is positive.  Unconstrained residue parts
+    impose no condition and do not enter the key."""
     if not psi:
         return "xi^d on " + spec.canonical_key()
     head = f"xi^{xi} psi" if xi else "psi"
-    if spec.residue_parts:
-        return f"{head}{list(psi)} on " + spec.to_json()
+    if spec.constrained_parts():
+        return f"{head}{list(psi)} on " + spec.canonical_key()
     exps = dict(psi)
     comps = sorted((g, sorted(((m, exps.get((c, p), 0)) for p, m in enumerate(orders)),
                               reverse=True))

@@ -151,9 +151,12 @@ class StratumSpec(NamedTuple):
 
     def canonical_key(self) -> str:
         """Serialization normalized under component reordering and marked
-        point reordering inside each component; used for fixture lookup."""
-        if self.residue_parts:
-            return self.to_json()  # constrained specs: verbatim key (conservative)
+        point reordering inside each component; used for fixture lookup.
+        Unconstrained residue parts impose no condition and are left out; a
+        spec with a constrained part keeps its verbatim key (conservative)."""
+        parts = self.constrained_parts()
+        if parts:
+            return StratumSpec(self.components, tuple(parts)).to_json()
         return json.dumps({"c": sorted((g, sorted(orders, reverse=True))
                                        for g, orders in self.components)})
 

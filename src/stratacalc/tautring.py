@@ -16,7 +16,14 @@ its edge, and lam on a level split in two restricts to lam + xi of the
 lower part - xi of the upper part.  One generator yields the one-step
 splits of a level, each with the transferred decoration and its decorated
 canonical key.  Integrals and products first expand every lam-class, depth
-first, over those splits into deeper strata.  Products are then computed
+first, over those splits into deeper strata.  An integral first drops every
+top-degree term whose degree on some level (its xi and lam there, and the
+psi at the legs and edge half-points on it) differs from that level's
+dimension: a level integral of the wrong degree is zero, and expanding lam
+on a level gives two levels whose dimensions and whose share of the rest of
+the decoration both add up to one less, so the mismatch never goes away.
+On the top Chern class that leaves one term per level graph, the graph's
+Euler row.  Products are then computed
 by the excess-intersection formula.  One walk of the level splittings of
 a first term gives its degenerations k splits deep for every second term;
 each meets a second term, of L2 levels below, through c = L2 - k of the
@@ -341,16 +348,46 @@ def _lam_free_terms(spec: StratumSpec, g: lg.LevelGraph, decor: Decor,
             yield from _lam_free_terms(spec, cand, d2, coeff * ell_new * c2)
 
 
+def _level_degrees(g: lg.LevelGraph, decor: Decor) -> list[int]:
+    """The degree of a decoration on each level of g, top first: the
+    exponents of xi and lam at the level, of psi at the legs on it, and of
+    psi at the edge half-points on it (ein at the edge's lower vertex, eout
+    at its upper vertex)."""
+    degrees = [0] * (g.n_levels_below + 1)
+    legv = g.leg_vertex()
+    for (kind, x), e in decor:
+        if kind != "psi":
+            lev = x
+        elif x[0] == "leg":
+            lev = g.levels[legv[x[1]]]
+        else:
+            u, w, _ = g.edges[x[1]]
+            lev = g.levels[w if x[0] == "ein" else u]
+        degrees[-lev] += e
+    return degrees
+
+
 def integrate(cls: TautClass, evaluator: Evaluator | None = None) -> Rational:
     """Sum of the integrals of the top-degree terms; terms of lower degree
     integrate to zero by convention.  A term's lam-classes are expanded into
     deeper strata, and a lam-free term is ``Evaluator.boundary_integral`` of
-    its psi exponents (keyed by tag) and xi exponents (keyed by level)."""
+    its psi exponents (keyed by tag) and xi exponents (keyed by level).
+
+    A term whose degree on some level differs from that level's
+    projectivized dimension is skipped before any expansion, since it
+    integrates to zero: a lam-free one has a level integral of the wrong
+    degree, and expanding lam on a level gives splits whose two levels have
+    dimensions adding up to one less than the level's, while the rest of the
+    decoration loses the one degree of that lam and stays on those two
+    levels, so every lam-free descendant of the term is again mismatched."""
     ev = evaluator or shared_evaluator()
     d = dimension(cls.spec).projectivized
     total = Fraction(0)
     for (g, dec), c in cls.terms.items():
         if g.n_levels_below + decor_degree(dec) != d:
+            continue
+        if _level_degrees(g, dec) != [dimension(sub).projectivized
+                                      for sub in lg.level_strata(g, cls.spec)]:
             continue
         for fine, fine_decor, cc in _lam_free_terms(cls.spec, g, dec, c):
             psi = {s[1]: e for s, e in fine_decor if s[0] == "psi"}

@@ -13,6 +13,8 @@ against the library routine it shadows, or checks what the library builds.
   ``exact.orbit_count``.
 - ``evaluate_generator``: the integral of a graph decorated with psi
   exponents, through ``tautring.integrate`` of the one-term class.
+- ``integrate_every_term``: ``tautring.integrate`` with every top-degree
+  term lam-expanded and integrated, none skipped for its level degrees.
 - ``c1_direct``: the first Chern class of the log cotangent bundle from
   its closed formula, which degree 1 of ``invariants.chern_class_terms``
   is checked against.
@@ -31,11 +33,12 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 from stratacalc import levelgraphs as lg
 from stratacalc import tautring as tr
-from stratacalc.evaluate import Evaluator, removal_divisors
+from stratacalc.evaluate import Evaluator, removal_divisors, shared_evaluator
 from stratacalc.exact import Rational
 from stratacalc.levelgraphs import LevelGraph, _roots
 from stratacalc.strata import ResiduePart, StratumSpec, dimension, require_valid
@@ -148,6 +151,23 @@ def evaluate_generator(spec: StratumSpec, g: LevelGraph,
     if deg != dimension(spec).projectivized:
         raise ValueError("generator degree differs from ambient dimension")
     return tr.integrate(tr.TautClass(spec, {(g, decor): 1}), evaluator)
+
+
+def integrate_every_term(cls: tr.TautClass, evaluator: Evaluator | None = None) -> Rational:
+    """Sum of the integrals of the top-degree terms, each expanded lam-free
+    and integrated by ``Evaluator.boundary_integral``, whatever its degree
+    on each level."""
+    ev = evaluator or shared_evaluator()
+    d = dimension(cls.spec).projectivized
+    total = Fraction(0)
+    for (g, dec), c in cls.terms.items():
+        if g.n_levels_below + tr.decor_degree(dec) != d:
+            continue
+        for fine, fine_decor, cc in tr._lam_free_terms(cls.spec, g, dec, c):
+            psi = {s[1]: e for s, e in fine_decor if s[0] == "psi"}
+            xi = {s[1]: e for s, e in fine_decor if s[0] == "xi"}
+            total += cc * ev.boundary_integral(cls.spec, fine, psi, xi)
+    return total
 
 
 def c1_direct(spec: StratumSpec) -> tr.TautClass:

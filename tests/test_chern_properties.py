@@ -1,7 +1,8 @@
 """Property tests of the Euler characteristic and the Chern polynomial on
 strata with closed forms (genus 0 up to the n = 6 strata of the
-euler-sweep workload, and a genus-1 family), and of the integers the
-Chern graph pass reads per graph.  Skipped where hypothesis is not
+euler-sweep workload, and a genus-1 family), of the integers the
+Chern graph pass reads per graph, and of the terms of the top Chern class
+that ``tautring.integrate`` keeps.  Skipped where hypothesis is not
 installed."""
 from __future__ import annotations
 
@@ -15,10 +16,11 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 
 from stratacalc import invariants as inv  # noqa: E402
 from stratacalc import levelgraphs as lg  # noqa: E402
+from stratacalc import tautring as tr  # noqa: E402
 from stratacalc.evaluate import Evaluator  # noqa: E402
 from stratacalc.strata import StratumSpec, dimension  # noqa: E402
 
-from oracles import c1_direct  # noqa: E402
+from oracles import c1_direct, integrate_every_term  # noqa: E402
 
 EV = Evaluator()
 
@@ -68,8 +70,9 @@ def test_genus0_chi_closed_form_duality_and_c1(mu):
     check_genus0_chi_closed_form_duality_and_c1(mu)
 
 
-# each example is a cold chi + Chern pass of about 0.4 s, so the count is
-# what the tier-1 time budget allows
+# each example is a cold chi + Chern pass of 0.07-0.18 CPU s (eight strata
+# of the pool, each in a fresh process), so the count is what the tier-1
+# time budget allows
 @settings(max_examples=4, deadline=None)
 @given(mu=euler_sweep_signature())
 def test_genus0_n6_chi_closed_form_duality_and_c1(mu):
@@ -119,3 +122,41 @@ def test_passage_ranks_are_suffix_sums_of_level_dimensions(spec):
             dims = [u for _, u in lg.level_dims(g, spec)]
             assert [sum(dims[i:]) for i in range(1, L + 1)] == ref
             assert inv._chern_graph_data(spec, g) == (lg.prong_data(g).ell, ref)
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=st.one_of(genus0_signature().map(lambda mu: StratumSpec.connected(0, mu)),
+                      st.integers(1, 8).map(lambda k: StratumSpec.connected(1, (k, 1, -k - 1)))))
+@example(spec=StratumSpec.connected(2, (2,)))
+@example(spec=StratumSpec.connected(2, (1, 1)))
+@example(spec=StratumSpec.make([(0, (2, 2, 1, -3, -4))], [({(0, 3), (0, 4)}, True)]))
+def test_top_chern_integral_matches_every_term_integration(spec):
+    """integrate, which skips the terms of c_d whose degree on some level
+    is not that level's dimension, gives what integrating every term
+    gives: on genus 0 with n <= 5, on genus 1 (k, 1, -k-1), on genus 2 and
+    on a stratum with a constrained residue part."""
+    cd = inv.chern_class_terms(spec, dimension(spec).projectivized)
+    assert tr.integrate(cd, EV) == integrate_every_term(cd, EV)
+
+
+@settings(max_examples=10, deadline=None)
+@given(spec=small_stratum())
+@example(spec=PAIRED)
+@example(spec=StratumSpec.connected(2, (2,)))
+@example(spec=StratumSpec.connected(2, (1, 1)))
+def test_top_chern_class_is_the_euler_rows_termwise(spec):
+    """The terms of c_d that integrate keeps, those whose degree on each
+    level is that level's projectivized dimension d_i, are one per level
+    graph: ell_Gamma N_top(Gamma) prod_i (xi^[-i])^d_i [D_Gamma], whose
+    integral is the graph's row of the Euler characteristic."""
+    d = dimension(spec).projectivized
+    rows = {row.graph: row for row in inv.euler_characteristic(spec, EV).rows}
+    kept = {}
+    for (g, dec), c in inv.chern_class_terms(spec, d).terms.items():
+        dims = [p for p, _ in lg.level_dims(g, spec)]
+        if tr._level_degrees(g, dec) == dims:
+            assert g not in kept
+            assert dec == tr._decor({("xi", -i): e for i, e in enumerate(dims)})
+            assert c == lg.prong_data(g).ell * rows[g].top_dim_unproj
+            kept[g] = tr.integrate(tr.TautClass(spec, {(g, dec): c}), EV)
+    assert kept == {g: row.contribution for g, row in rows.items()}

@@ -264,20 +264,31 @@ def test_psi_at_simple_poles_only_names_its_key():
     assert err.value.key == key and err.value.chain == [key]
 
 
-def test_psi_fixture_on_a_spec_with_a_residue_part_keeps_the_verbatim_key():
-    """A spec with a residue part, here an unconstrained one on genus 1
-    (3, -1, -2), keys its psi integrals by its verbatim JSON: a --fixtures
-    item answers psi_top, and without one the missing key is that JSON."""
-    spec = StratumSpec.from_json_obj({
+def test_fixture_key_drops_an_unconstrained_residue_part():
+    """An unconstrained residue part imposes no condition, so a spec keys
+    its fixtures as the spec without it: a psi fixture on genus 1
+    (3, -1, -2) with the unconstrained part {(0, 2)} answers the plain
+    spec and the other way round, and without one the missing key of
+    either is the plain spec's.  A constrained part keeps the verbatim key,
+    without the unconstrained parts."""
+    plain = C(1, (3, -1, -2))
+    free = StratumSpec.from_json_obj({
         "components": [{"genus": 1, "orders": [3, -1, -2]}],
         "residue_parts": [{"points": [[0, 2]], "constrained": False}]})
-    key = "psi[((0, 1), 2)] on " + spec.to_json()
-    with pytest.raises(UnevaluatableError) as err:
-        Evaluator(default_registry()).psi_top(spec, {(0, 1): 2})
-    assert err.value.key == key and err.value.chain == [key]
-    item = {"spec": spec.to_json_obj(), "value": "2/9", "integrand": {"psi": {"0.1": 2}}}
-    ev = shared_evaluator((json.dumps([item]),))
-    assert ev.psi_top(spec, {(0, 1): 2}) == Fraction(2, 9)
+    assert free.canonical_key() == plain.canonical_key() == '{"c": [[1, [3, -1, -2]]]}'
+    key = 'psi (order, exponent) on {"c": [[1, [[3, 0], [-1, 2], [-2, 0]]]]}'
+    for spec in (plain, free):
+        with pytest.raises(UnevaluatableError) as err:
+            Evaluator(default_registry()).psi_top(spec, {(0, 1): 2})
+        assert err.value.key == key and err.value.chain == [key]
+    for held, asked in ((free, plain), (plain, free)):
+        item = {"spec": held.to_json_obj(), "value": "2/9",
+                "integrand": {"psi": {"0.1": 2}}}
+        ev = shared_evaluator((json.dumps([item]),))
+        assert ev.psi_top(asked, {(0, 1): 2}) == Fraction(2, 9)
+    both = StratumSpec.make([(0, (2, 2, -2, -2, -2))],
+                            [({(0, 2), (0, 3)}, True), ({(0, 4)}, False)])
+    assert both.canonical_key() == StratumSpec(both.components, both.residue_parts[:1]).to_json()
 
 
 def test_single_pole_recursion_sweep():

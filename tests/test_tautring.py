@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -15,7 +16,7 @@ from stratacalc.evaluate import Evaluator
 from stratacalc import invariants as inv
 from stratacalc import levelgraphs as lg
 from stratacalc import tautring as tr
-from oracles import (evaluate_generator, remove_residue_condition,
+from oracles import (evaluate_generator, integrate_every_term, remove_residue_condition,
                      undegeneration_structures_unchecked)
 
 
@@ -84,6 +85,30 @@ def test_integrate_skips_terms_below_the_top_degree():
     assert len(cls.terms) == 2
     assert tr.integrate(cls, ev) == EV.xi_top(spec) == Fraction(10, 3)
     assert calls == [{0: 2}]
+
+
+def test_integrate_skips_terms_of_a_wrong_level_degree(monkeypatch):
+    """On c_3 of genus 0 (3, 1, 1, 1, -3, -5), integrate skips every term
+    whose degree on some level is not that level's dimension: the second
+    call, on a warm evaluator, makes one boundary integral per level graph
+    of a kept term, 352 in all, and splits no level to expand a lam, where
+    integrating every top-degree term makes 636 boundary integrals and 236
+    level splittings.  The value is the same."""
+    spec = C(0, (3, 1, 1, 1, -3, -5))
+    c3 = inv.chern_class_terms(spec, 3)
+    ev = Evaluator()
+    assert tr.integrate(c3, ev) == integrate_every_term(c3, ev) == 6
+    counts = {"boundary_integral": 0, "level_splits": 0}
+
+    def counting(name, f):
+        return lambda *a: counts.__setitem__(name, counts[name] + 1) or f(*a)
+
+    monkeypatch.setattr(ev, "boundary_integral", counting("boundary_integral", ev.boundary_integral))
+    monkeypatch.setattr(lg, "level_splits", counting("level_splits", lg.level_splits))
+    assert tr.integrate(c3, ev) == 6
+    assert counts == {"boundary_integral": 352, "level_splits": 0}
+    assert integrate_every_term(c3, ev) == 6
+    assert counts == {"boundary_integral": 352 + 636, "level_splits": 236}
 
 
 def test_xi_consistency_through_relation():
@@ -501,6 +526,33 @@ def test_lam_on_a_divisor_integrals_are_pinned(genus, orders):
     text = " ".join(rational_str(v) for v in vals)
     assert (len(vals), sum(1 for v in vals if v), rational_str(sum(vals)),
             hashlib.sha256(text.encode()).hexdigest()) == LAM_PINS[genus, orders]
+
+
+@pytest.mark.parametrize("genus,orders", PRODUCT_STRATA)
+def test_integrate_of_products_matches_every_term_integration(genus, orders):
+    """D^d of every divisor, D_a.D_b.xi^(d-2) of every pair of divisors and
+    xi^(d-2).N_D through both normal-bundle routes, whose terms carry lam
+    inside the normal bundles and psi at edge half-points, integrate to the
+    values that integrating every top-degree term gives."""
+    spec = C(genus, orders)
+    d = dimension(spec).projectivized
+    divisors = lg.enumerate_LG1(spec)
+    xi = tr.TautClass.xi(spec, d - 2)
+    classes = []
+    for g in divisors:
+        power = D = tr.TautClass.boundary(spec, g)
+        for _ in range(d - 1):
+            power = tr.multiply(power, D)
+        classes.append(power)
+        classes.append(tr.multiply(xi, tr.normal_bundle(spec, g, 1)))
+        classes += [tr.multiply(xi, tr.normal_bundle_via_edge(spec, g, ei))
+                    for ei in range(len(g.edges))]
+    for a, b in itertools.combinations_with_replacement(divisors, 2):
+        classes.append(tr.multiply(tr.multiply(tr.TautClass.boundary(spec, a),
+                                               tr.TautClass.boundary(spec, b)), xi))
+    values = [tr.integrate(cls, EV) for cls in classes]
+    assert any(values)
+    assert values == [integrate_every_term(cls, EV) for cls in classes]
 
 
 @pytest.mark.parametrize("genus,orders", PRODUCT_STRATA)
