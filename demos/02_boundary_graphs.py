@@ -8,7 +8,7 @@ generic cyclic stack structure) and with the generalized strata sitting at
 its levels.
 """
 from stratacalc import StratumSpec, enumerate_LG1, enumerate_LGL, level_stratum, prong_data, profile
-from stratacalc.levelgraphs import dimension_profile, graph_report
+from stratacalc.levelgraphs import graph_report, level_dims
 
 h2 = StratumSpec.connected(2, (2,))
 divisors = enumerate_LG1(h2)
@@ -27,7 +27,7 @@ for g in enumerate_LG1(fam):
     pd = prong_data(g)
     kappas = sorted(kk for _, _, kk in g.edges)
     print(f"  kappas {kappas}  ell {pd.ell}  prong classes {pd.orbits}  "
-          f"level dims {dimension_profile(g, fam)}  profile {profile(g, fam)}")
+          f"level dims {[d for d, _ in level_dims(g, fam)]}  profile {profile(g, fam)}")
 
 # the top and bottom level of one divisor are generalized strata themselves
 g = enumerate_LG1(fam)[0]

@@ -601,48 +601,60 @@ def trivial_graph(spec: StratumSpec) -> LevelGraph:
                       tuple(0 for _ in spec.components), legs, ())
 
 
-_KAPPA_BUNDLES: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = \
-    caches.memo("levelgraphs.kappa_bundles")
-
-
-def _kappa_bundles(s: int, max_edges: int) -> tuple[tuple[int, ...], ...]:
-    """Multisets (kappa_1 >= kappa_2 >= ...) with sum(kappa_i + 1) == s."""
-    hit = _KAPPA_BUNDLES.get((s, max_edges))
-    if hit is not None:
-        return hit
-    out = []
-
-    def rec(remaining, maxk, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        if len(acc) >= max_edges:
-            return
-        k = min(maxk, remaining - 1)
-        while k >= 1:
-            rec(remaining - k - 1, k, acc + [k])
-            k -= 1
-
-    rec(s, s, [])
-    hit = _KAPPA_BUNDLES[s, max_edges] = tuple(out)
-    return hit
-
-
 def _piece_splits_by_orders(genus: int, orders: tuple[int, ...]):
     """Connected two-level splittings of one smooth surface piece, with
     legs referenced by index into ``orders``.
 
     Returns a tuple of triples (tops, bots, edges), searched afresh on
     every call: tops/bots are ((genus, leg index tuple), ...) and edges
-    (top slot, bottom slot, kappa).  Stability caps the vertex count at
+    (top slot, bottom slot, kappa), bottom by bottom, each bottom's in
+    nonincreasing kappa.  Stability caps the vertex count at
     n + 2*genus - 2.  The vertices are numbered slots, so a splitting with
     interchangeable vertices is listed once per numbering of them: entries
-    are not distinct labelled splittings.
+    are not distinct labelled splittings, and their order is not part of
+    the contract.
 
-    The search runs over vertex counts, top counts, genus vectors, leg
-    assignments (``_leg_assignments``), one kappa bundle per bottom
-    (``_exact_bundles``) and one top per edge, each in product order."""
+    The search runs over vertex counts, top counts, genus vectors and leg
+    assignments (``_leg_assignments``), and then places the edges depth
+    first, bottom by bottom: each edge takes a kappa no larger than its
+    bottom's previous one, so each bottom's kappa multiset comes once, and
+    a top whose need sum(kappa - 1) still fits kappa - 1.  A kappa is
+    skipped when the bottom's later edges, at most kappa + 1 each and one
+    kept for each later bottom, could not carry the rest of its
+    sum(kappa + 1)."""
     results = []
+
+    def place(j: int, rem: int, kmax: int, left: int) -> None:
+        # bottom j has rem of its sum(kappa + 1) left for edges of kappa <=
+        # kmax, and left edges are still to place; the slots, needs and
+        # degrees are those of the leg assignment in the loop below
+        if rem == 0:
+            if deg[t + j] < least[t + j]:
+                return
+            j += 1
+            if j == b:
+                # sum(need) == (sum of the bottoms' rem) - 2 * left stays
+                # true, so every need is 0 and no edge is left here
+                if all(deg[i] >= least[i] for i in range(t)) \
+                        and _split_connected(t, b, edges):
+                    results.append(sides + (tuple(edges),))
+                return
+            rem = kmax = s[j]
+        # this edge and the bottom's later ones carry at most kappa + 1
+        # each, and each later bottom keeps one of the left edges
+        lo = max(1, -(-rem // (left - b + 1 + j)) - 1)
+        for i in range(t):
+            for k in range(min(kmax, rem - 1, need[i] + 1), lo - 1, -1):
+                need[i] -= k - 1
+                deg[i] += 1
+                deg[t + j] += 1
+                edges.append((i, j, k))
+                place(j, rem - k - 1, k, left - 1)
+                edges.pop()
+                deg[t + j] -= 1
+                deg[i] -= 1
+                need[i] += k - 1
+
     for V in range(2, len(orders) + 2 * genus - 1):
         for t in range(1, V):
             b = V - t
@@ -656,28 +668,14 @@ def _piece_splits_by_orders(genus: int, orders: tuple[int, ...]):
                         legsum[slot] += orders[li]
                     verts = [(gv, tuple(lis)) for gv, lis in zip(gvec, legs)]
                     sides = (tuple(verts[:t]), tuple(verts[t:]))
-                    # a bottom's edges: a bundle with sum(kappa + 1) fixed by
-                    # its legs, long enough to make it stable
-                    bundle_opts = [
-                        [bl for bl in _kappa_bundles(legsum[j] + 2 - 2 * gvec[j], E)
-                         if 2 * gvec[j] - 2 + len(legs[j]) + len(bl) > 0]
-                        for j in range(t, V)]
-                    need = [2 * gvec[j] - 2 - legsum[j] for j in range(t)]
-                    for bundles in _exact_bundles(bundle_opts, E):
-                        edge_list = [(bi, k) for bi, bl in enumerate(bundles) for k in bl]
-                        for tops in itertools.product(range(t), repeat=E):
-                            ksum = [0] * t
-                            deg = [0] * t
-                            for (bi, k), ti in zip(edge_list, tops):
-                                ksum[ti] += k - 1
-                                deg[ti] += 1
-                            if any(deg[i] == 0 or ksum[i] != need[i]
-                                   or 2 * gvec[i] - 2 + len(legs[i]) + deg[i] <= 0
-                                   for i in range(t)):
-                                continue
-                            edges = tuple((ti, bi, k) for (bi, k), ti in zip(edge_list, tops))
-                            if _split_connected(t, b, edges):
-                                results.append(sides + (edges,))
+                    # a top's edges carry sum(kappa - 1) == need, a bottom's
+                    # sum(kappa + 1) == s, and a slot is stable with least edges
+                    need = [2 * gvec[i] - 2 - legsum[i] for i in range(t)]
+                    s = [legsum[j] + 2 - 2 * gvec[j] for j in range(t, V)]
+                    least = [max(1, 3 - 2 * gv - len(lis)) for gv, lis in zip(gvec, legs)]
+                    deg = [0] * V
+                    edges: list[tuple[int, int, int]] = []
+                    place(0, s[0], s[0], E)
     return tuple(results)
 
 
@@ -737,32 +735,6 @@ def _leg_assignments(orders: tuple[int, ...], t: int, gvec: tuple[int, ...],
                 gap[slot] = old
 
     place(0, 0, sum(x > 0 for x in gap[:t]), sum(x > 0 for x in gap[t:]), sum(lack))
-    return out
-
-
-def _exact_bundles(options: list[list[tuple[int, ...]]], total: int
-                   ) -> list[tuple[tuple[int, ...], ...]]:
-    """The tuples of ``itertools.product(*options)`` whose lengths add up
-    to ``total``, in that order.  A depth-first search extends a prefix
-    only while the least and the greatest lengths of the options still to
-    choose can make up the rest."""
-    if not all(options):
-        return []
-    lo, hi = [0], [0]
-    for opts in reversed(options):
-        lo.insert(0, lo[0] + min(map(len, opts)))
-        hi.insert(0, hi[0] + max(map(len, opts)))
-    out: list[tuple[tuple[int, ...], ...]] = []
-
-    def pick(i: int, left: int, acc: tuple) -> None:
-        if i == len(options):
-            out.append(acc)
-            return
-        for o in options[i]:
-            if lo[i + 1] <= left - len(o) <= hi[i + 1]:
-                pick(i + 1, left - len(o), acc + (o,))
-
-    pick(0, total, ())
     return out
 
 
@@ -980,11 +952,6 @@ def profile_order_check(spec: StratumSpec, max_L: int | None = None
         out[L] = [profile(g, spec) for g in enumerate_LGL(spec, L)]
         check_profile_order(out[L])
     return out
-
-
-def dimension_profile(g: LevelGraph, spec: StratumSpec) -> list[int]:
-    """Projectivized dimensions of the level strata, top level first."""
-    return [d for d, _ in level_dims(g, spec)]
 
 
 # ---------------------------------------------------------------------------

@@ -260,9 +260,9 @@ def test_criterion_8_structural_suite(ev):
                 if len(set(p)) != len(p):
                     ok = False
                 # dimension merging for every two-level undegeneration
-                fine = lg.dimension_profile(g, spec)
+                fine = [d for d, _ in lg.level_dims(g, spec)]
                 for k in range(1, L + 1):
-                    coarse = lg.dimension_profile(lg.undegenerate(g, [k])[0], spec)
+                    coarse = [d for d, _ in lg.level_dims(lg.undegenerate(g, [k])[0], spec)]
                     if coarse != [k - 1 + sum(fine[:k]),
                                   L - k + sum(fine[k:])]:
                         ok = False

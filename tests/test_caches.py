@@ -24,7 +24,7 @@ def test_clear_empties_every_memo_and_keeps_results():
     before = chi_and_chern(SPEC)
     stats = caches.stats()
     assert stats["levelgraphs.enumerate_LGL"] and stats["strata.dimension"]
-    assert stats["levelgraphs.kappa_bundles"] and stats["levelgraphs.level_strata"]
+    assert stats["levelgraphs.level_strata"]
     assert "levelgraphs.level_verdict" not in stats
     caches.clear()
     assert set(caches.stats().values()) == {0}
@@ -75,7 +75,7 @@ def test_every_module_level_memo_is_registered(tmp_path, capsys):
     # every registered memo by name: adding or dropping one edits this set
     assert set(caches.stats()) == {
         "evaluate.evaluators", "evaluate.integrals", "levelgraphs.canonical_encoding",
-        "levelgraphs.enumerate_LGL", "levelgraphs.kappa_bundles", "levelgraphs.level_specs",
+        "levelgraphs.enumerate_LGL", "levelgraphs.level_specs",
         "levelgraphs.level_strata", "levelgraphs.prong_data", "strata.dimension"}
     # strata keeps one per-spec memo: the residue record of `dimension`
     assert [name for name, v in state.items() if name.startswith("strata.")
