@@ -227,7 +227,7 @@ class Evaluator:
     def integral(self, spec: StratumSpec, psi: PsiMap, xi: int) -> Rational:
         """Integral of prod psi_p^{a_p} * xi^b over the compactified
         stratum; zero when the degree is not the dimension."""
-        pt = _psi_tuple(psi)
+        pt = _psi_tuple(psi) if psi else ()
         key = (spec, pt, xi)
         hit = self._memo.get(key)
         if hit is not None:
@@ -248,9 +248,11 @@ class Evaluator:
         """Integral over the ambient stratum of the class on D_Gamma given by
         psi exponents at tags (legs or edge half-points) and xi exponents at
         levels: K/(|Aut| ell) times the product of the level integrals, each
-        over the psi at the tags on its level and its own xi power."""
+        over the psi at the tags on its level and its own xi power.  The
+        numerators and denominators are multiplied as integers and reduced
+        to one fraction at the end."""
         pd = lg.prong_data(graph)
-        out = Fraction(pd.kappa_product, pd.aut_order * pd.ell)
+        num, den = pd.kappa_product, pd.aut_order * pd.ell
         for i, sub in enumerate(lg.level_strata(graph, spec)):
             level_psi = {}
             if psi:
@@ -259,8 +261,9 @@ class Evaluator:
             factor = self.integral(sub, level_psi, xi.get(-i, 0))
             if not factor:
                 return Fraction(0)
-            out *= factor
-        return out
+            num *= factor.numerator
+            den *= factor.denominator
+        return Fraction(num, den)
 
     # -- dispatch ------------------------------------------------------------
 

@@ -97,12 +97,13 @@ def _vertex_keys(g: LevelGraph) -> list[tuple]:
     return keys
 
 
-def _orderings(g: LevelGraph) -> Iterator[list[int]]:
+def _orderings(keys: Sequence[tuple]) -> Iterator[list[int]]:
     """Every vertex ordering that lists the classes of equal refined
-    invariants in sorted order, each class in any order.  The one search
-    behind every canonical form, automorphism and isomorphism."""
+    invariants ``keys`` (from ``_vertex_keys``) in sorted order, each class
+    in any order.  The one search behind every canonical form, automorphism
+    and isomorphism."""
     groups: dict[tuple, list[int]] = {}
-    for v, key in enumerate(_vertex_keys(g)):
+    for v, key in enumerate(keys):
         groups.setdefault(key, []).append(v)
     for choice in itertools.product(
             *[itertools.permutations(groups[k]) for k in sorted(groups)]):
@@ -118,9 +119,14 @@ def _encode(g: LevelGraph, order: Sequence[int], edges: Sequence[tuple]) -> tupl
 
 def _minimal_orderings(g: LevelGraph) -> tuple[tuple, list[list[int]]]:
     """The least encoding over the orderings of g, and every ordering that
-    reaches it (one per vertex automorphism)."""
+    reaches it (one per vertex automorphism).  Pairwise distinct keys allow
+    one ordering, the vertices sorted by key, which is encoded directly."""
+    keys = _vertex_keys(g)
+    if len(set(keys)) == len(keys):
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        return _encode(g, order, g.edges), [order]
     best, argmin = None, []
-    for order in _orderings(g):
+    for order in _orderings(keys):
         enc = _encode(g, order, g.edges)
         if best is None or enc < best:
             best, argmin = enc, [order]
@@ -396,8 +402,53 @@ _LEVEL_SPECS: dict[StratumSpec, StratumSpec] = caches.memo("levelgraphs.level_sp
 
 
 def _build_level_strata(g: LevelGraph, spec: StratumSpec) -> tuple[StratumSpec, ...]:
-    """The level specs of :func:`level_strata` in one walk from the top
-    level down.
+    """The level specs of :func:`level_strata`: each vertex's orders, listed
+    once in the order in which ``_half_edges`` lists its points, with the
+    residue conditions of :func:`_induced_conditions`.
+
+    The walk of :func:`_induced_conditions` is skipped where it provably
+    finds no condition: the spec has no constrained part, and every vertex
+    that no edge enters from above carries a leg pole.  The global residue
+    condition binds a level only through a component Y of the graph above
+    it with no free pole, and without constrained parts every pole is free.
+    A vertex on Y's top level has no edge entering it from above, since the
+    upper end of such an edge would lie in Y too; so it carries a leg pole
+    and Y escapes.  The rule always holds in genus 0: the orders of a
+    genus-0 vertex that no edge enters from above are its legs and the
+    zeros k - 1 >= 0 of its outgoing edges, and they sum to -2."""
+    comps, levels, genera = spec.components, g.levels, g.genera
+    L = g.n_levels_below
+    verts: list[list[int]] = [[] for _ in range(L + 1)]
+    for v, x in enumerate(levels):
+        verts[-x].append(v)
+    orders: list[list[int]] = [[] for _ in genera]
+    escapes = [False] * len(genera)  # a leg pole, or an edge entering from above
+    for pt, v in sorted(g.legs):
+        m = comps[pt[0]][1][pt[1]]
+        orders[v].append(m)
+        if m < 0:
+            escapes[v] = True
+    for u, v, k in g.edges:
+        orders[v].append(-k - 1)
+        if levels[u] > levels[v]:
+            escapes[v] = True
+    for u, _, k in g.edges:
+        orders[u].append(k - 1)
+    if all(escapes) and not spec.constrained_parts():
+        conditions: Sequence[tuple[ResiduePart, ...]] = ((),) * (L + 1)
+    else:
+        conditions = _induced_conditions(g, spec, verts)
+    out = []
+    for vs, parts_here in zip(verts, conditions):
+        sub = StratumSpec(tuple([(genera[v], tuple(orders[v])) for v in vs]), parts_here)
+        out.append(_LEVEL_SPECS.setdefault(sub, sub))
+    return tuple(out)
+
+
+def _induced_conditions(g: LevelGraph, spec: StratumSpec, verts: Sequence[list[int]]
+                        ) -> list[tuple[ResiduePart, ...]]:
+    """The residue conditions of each level (``verts[i]`` the vertices of
+    level -i), in one walk from the top level down.
 
     The residue conditions come from the residue-condition variant of the
     global residue condition.  For every level and every connected
@@ -417,28 +468,20 @@ def _build_level_strata(g: LevelGraph, spec: StratumSpec) -> tuple[StratumSpec, 
     One union-find over the auxiliary nodes grows as the walk passes each
     level: the vertices of a level join their edges to the levels above
     and their constrained parts once the walk is below them."""
-    comps, levels, genera = spec.components, g.levels, g.genera
+    comps, levels = spec.components, g.levels
     part_of = _constrained_part_of(spec)
     parts = sorted(set(part_of.values()), key=sorted)
     part_index = {pts: x for x, pts in enumerate(parts, g.n_vertices)}
-    L = g.n_levels_below
     nodes = g.n_vertices + len(parts)
     parent = list(range(nodes))
     least = list(range(nodes))
     free = [False] * nodes    # a simple pole, or a pole in no constrained part
     shared = [False] * nodes  # a pole in a constrained part of two or more points
-    verts: list[list[int]] = [[] for _ in range(L + 1)]
-    for v, x in enumerate(levels):
-        verts[-x].append(v)
-    # each vertex's orders, in the order in which _half_edges lists its
-    # points; the tagged lists are built only for a graph with a condition
-    orders: list[list[int]] = [[] for _ in genera]
     # at each level, the (node, vertex, tag) joins that the walk makes below
     # it; a tag is the end of a condition the level may receive
-    joins: list[list[tuple[int, int, LegTag | None]]] = [[] for _ in range(L + 1)]
-    for pt, v in sorted(g.legs):
+    joins: list[list[tuple[int, int, LegTag | None]]] = [[] for _ in verts]
+    for pt, v in g.legs:
         m = comps[pt[0]][1][pt[1]]
-        orders[v].append(m)
         if m >= 0:
             continue  # residue parts hold poles only
         part = part_of.get(pt)
@@ -448,19 +491,16 @@ def _build_level_strata(g: LevelGraph, spec: StratumSpec) -> tuple[StratumSpec, 
             shared[v] = True
         if part is not None:
             joins[-levels[v]].append((part_index[part], v, ("leg", pt)))
-    for ei, (u, v, k) in enumerate(g.edges):
-        orders[v].append(-k - 1)
+    for ei, (u, v, _) in enumerate(g.edges):
         lu, lv = levels[u], levels[v]
         joins[-min(lu, lv)].append((u, v, ("ein", ei) if lu > lv else None))
-    for u, _, k in g.edges:
-        orders[u].append(k - 1)
 
     points = None
     out = []
-    for i in range(L + 1):
+    for vs, level_joins in zip(verts, joins):
         parts_here: tuple[ResiduePart, ...] = ()
         tags: dict[int, list[LegTag]] = {}
-        for x, _, tag in joins[i]:
+        for x, _, tag in level_joins:
             if tag is not None:
                 tags.setdefault(_find(parent, x), []).append(tag)
         conds: list[frozenset[LegTag]] = []
@@ -471,23 +511,22 @@ def _build_level_strata(g: LevelGraph, spec: StratumSpec) -> tuple[StratumSpec, 
         if conds or extra:
             if points is None:
                 points = _half_edges(g, spec)
-            level_points = [points[v] for v in verts[i]]
+            level_points = [points[v] for v in vs]
             if extra:
                 conds += _rank_lowering(level_points, conds, extra)
             if conds:
                 positions = _positions(level_points)
                 parts_here = tuple([ResiduePart(frozenset([positions[t] for t in cond]), True)
                                     for cond in conds])
-        sub = StratumSpec(tuple([(genera[v], tuple(orders[v])) for v in verts[i]]), parts_here)
-        out.append(_LEVEL_SPECS.setdefault(sub, sub))
-        for a, b, _ in joins[i]:
+        out.append(parts_here)
+        for a, b, _ in level_joins:
             a, b = _find(parent, a), _find(parent, b)
             if a != b:
                 parent[a] = b
                 least[b] = min(least[a], least[b])
                 free[b] = free[a] or free[b]
                 shared[b] = shared[a] or shared[b]
-    return tuple(out)
+    return out
 
 
 def level_strata(g: LevelGraph, spec: StratumSpec) -> tuple[StratumSpec, ...]:
@@ -495,7 +534,7 @@ def level_strata(g: LevelGraph, spec: StratumSpec) -> tuple[StratumSpec, ...]:
     (entry i is level -i): one component per vertex at the level, its
     points listed by ``_half_edges``, with the residue conditions that the
     global residue condition induces on that level (see
-    ``_build_level_strata``).  Memoized per (graph, spec); the tuple is
+    ``_induced_conditions``).  Memoized per (graph, spec); the tuple is
     shared, and so is each spec."""
     hit = _LEVEL_STRATA.get((g, spec))
     if hit is None:

@@ -157,8 +157,8 @@ def test_labelled_form_reads_the_memoized_orderings(monkeypatch):
     ordering search of their own: they take the least labels over the
     memoized orderings that reach the canonical encoding."""
     calls = []
-    orderings = lg._orderings
-    monkeypatch.setattr(lg, "_orderings", lambda g: calls.append(g) or orderings(g))
+    search = lg._minimal_orderings
+    monkeypatch.setattr(lg, "_minimal_orderings", lambda g: calls.append(g) or search(g))
     rng = random.Random(20)
     for g in graphs():
         lg._canonical(g)

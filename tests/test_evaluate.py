@@ -112,6 +112,61 @@ def test_route_independence():
     assert vals.pop() == EV.xi_top(spec)
 
 
+def genus0_strata(hyp, sizes, min_poles: int = 1):
+    """A hypothesis strategy of genus-0 strata with a number of nonzero
+    orders drawn from ``sizes`` and at least ``min_poles`` poles."""
+    st = hyp.strategies
+
+    @st.composite
+    def draw_spec(draw):
+        n = draw(st.sampled_from(sizes))
+        orders = draw(st.lists(st.integers(-5, 4).filter(bool),
+                               min_size=n - 1, max_size=n - 1))
+        orders.append(-2 - sum(orders))
+        hyp.assume(orders[-1] and -7 <= orders[-1] <= 6)
+        hyp.assume(sum(m < 0 for m in orders) >= min_poles)
+        return C(0, tuple(orders))
+
+    return draw_spec()
+
+
+def test_the_expansion_point_does_not_matter_property():
+    """Trading one xi for psi at any point that is not a simple pole, on a
+    fresh evaluator, gives the xi-top: random genus-0 strata with four to
+    six points and at least two poles.  Skipped where hypothesis is not
+    installed."""
+    hyp = pytest.importorskip("hypothesis")
+
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(genus0_strata(hyp, (4, 5, 6), min_poles=2))
+    def check(spec):
+        d = dimension(spec).projectivized
+        top = Evaluator().xi_top(spec)
+        for p in spec.points():
+            if spec.order(p) != -1:
+                assert Evaluator()._expand_xi(spec, {}, d, point=p) == top, p
+
+    check()
+
+
+def test_an_order_zero_point_multiplies_the_xi_top_property():
+    """The order-0 relation: the xi-top of mu with an added point of order
+    0 is -sum over the poles of (|m_j| - 1) times the xi-top of mu, on
+    random genus-0 strata mu with three to five points.  Skipped where
+    hypothesis is not installed."""
+    hyp = pytest.importorskip("hypothesis")
+
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(genus0_strata(hyp, (3, 4, 5)))
+    def check(spec):
+        mu = spec.components[0][1]
+        factor = -sum(-m - 1 for m in mu if m < 0)
+        ev = Evaluator()
+        assert ev.xi_top(C(0, mu + (0,))) == factor * ev.xi_top(spec)
+
+    check()
+
+
 def test_genus0_closed_form_agrees_with_recursion():
     """Single-pole strata evaluated through the generic expansion."""
     for mu in [(1, 1, 1, -5), (1, 1, 1, 1, -6), (3, 1, 2, -8)]:

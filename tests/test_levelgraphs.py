@@ -572,6 +572,72 @@ def test_level_strata_record_matches_the_per_level_build_on_the_scan():
     assert (specs, graphs) == (100, 2505)
 
 
+def test_level_strata_record_matches_the_per_level_build_property():
+    """The record equals the per-level construction on every enumerated
+    graph, and on its reversed copy, of random realizable strata: genus 0
+    with up to six points, genus 1 with up to four and genus 2 with up to
+    three, half of those with poles of order <= -2 given one constrained
+    part.  Positive genus brings graphs with a pole-free top vertex, where
+    the walk runs without a constrained part.  Skipped where hypothesis is
+    not installed."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @st.composite
+    def record_spec(draw):
+        genus = draw(st.integers(0, 2))
+        n = draw(st.integers(3 if genus == 0 else 1, (6, 4, 3)[genus]))
+        orders = draw(st.lists(st.integers(-5, 5).filter(bool),
+                               min_size=n - 1, max_size=n - 1))
+        orders.append(2 * genus - 2 - sum(orders))
+        hyp.assume(orders[-1] and -7 <= orders[-1] <= 8)
+        spec = StratumSpec.connected(genus, tuple(orders))
+        higher = [(0, i) for i, m in enumerate(orders) if m <= -2]
+        if higher and draw(st.booleans()):
+            part = draw(st.lists(st.sampled_from(higher), min_size=1, unique=True))
+            spec = StratumSpec.make(spec.components, [(part, True)])
+        hyp.assume(not validate(spec))
+        try:
+            lg.enumerate_LGL(spec, 0)
+        except SpecError:
+            hyp.assume(False)
+        return spec
+
+    # an example enumerates every L, at most about 0.25 CPU s in genus 2
+    @hyp.settings(max_examples=30, deadline=None)
+    @hyp.given(record_spec())
+    def check(spec):
+        for L in range(dimension(spec).projectivized + 1):
+            for g in itertools.chain.from_iterable(
+                    (g, reversed_graph(g)) for g in lg.enumerate_LGL(spec, L)):
+                assert lg.level_strata(g, spec) == reference_level_strata(g, spec), g
+
+    check()
+
+
+def test_record_walks_the_levels_only_where_a_condition_can_arise(monkeypatch):
+    """``_build_level_strata`` skips the walk of ``_induced_conditions``
+    where no condition can arise: on every graph of genus 0
+    (2,1,1,1,-3,-4), which has no constrained part and whose vertices that
+    no edge enters from above all hold a leg pole.  It walks every graph
+    of genus 3 (4), whose top vertices hold no pole, and of each
+    ``TWO_POLE_PARTS`` stratum, which has a constrained part."""
+    walks = []
+    walk = lg._induced_conditions
+    monkeypatch.setattr(lg, "_induced_conditions",
+                        lambda g, spec, verts: walks.append(g) or walk(g, spec, verts))
+    cases = [(StratumSpec.connected(0, (2, 1, 1, 1, -3, -4)), False),
+             (StratumSpec.connected(3, (4,)), True),
+             *((spec, True) for spec in TWO_POLE_PARTS)]
+    for spec, walked in cases:
+        graphs = [g for L in range(dimension(spec).projectivized + 1)
+                  for g in lg.enumerate_LGL(spec, L)]
+        walks.clear()
+        for g in graphs:
+            assert lg._build_level_strata(g, spec) == reference_level_strata(g, spec)
+        assert walks == (graphs if walked else []), spec
+
+
 def test_first_seen_component_order_breaks_the_record():
     """Ordering a level's components by the first of their vertices met
     from the top is not the least-member order.  Canonical graphs number
