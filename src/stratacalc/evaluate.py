@@ -227,7 +227,7 @@ class Evaluator:
     def integral(self, spec: StratumSpec, psi: PsiMap, xi: int) -> Rational:
         """Integral of prod psi_p^{a_p} * xi^b over the compactified
         stratum; zero when the degree is not the dimension."""
-        pt = _psi_tuple(psi) if psi else ()
+        pt = _psi_tuple(psi)
         key = (spec, pt, xi)
         hit = self._memo.get(key)
         if hit is not None:

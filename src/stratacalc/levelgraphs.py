@@ -100,8 +100,8 @@ def _vertex_keys(g: LevelGraph) -> list[tuple]:
 def _orderings(keys: Sequence[tuple]) -> Iterator[list[int]]:
     """Every vertex ordering that lists the classes of equal refined
     invariants ``keys`` (from ``_vertex_keys``) in sorted order, each class
-    in any order.  The one search behind every canonical form, automorphism
-    and isomorphism."""
+    in any order: the search of :func:`_minimal_orderings` where two keys
+    tie."""
     groups: dict[tuple, list[int]] = {}
     for v, key in enumerate(keys):
         groups.setdefault(key, []).append(v)
@@ -119,8 +119,10 @@ def _encode(g: LevelGraph, order: Sequence[int], edges: Sequence[tuple]) -> tupl
 
 def _minimal_orderings(g: LevelGraph) -> tuple[tuple, list[list[int]]]:
     """The least encoding over the orderings of g, and every ordering that
-    reaches it (one per vertex automorphism).  Pairwise distinct keys allow
-    one ordering, the vertices sorted by key, which is encoded directly."""
+    reaches it (one per vertex automorphism); every canonical form,
+    automorphism and isomorphism comes from this search.  Pairwise distinct
+    keys allow one ordering, the vertices sorted by key, which is encoded
+    directly."""
     keys = _vertex_keys(g)
     if len(set(keys)) == len(keys):
         order = sorted(range(len(keys)), key=keys.__getitem__)

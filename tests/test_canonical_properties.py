@@ -157,8 +157,9 @@ def test_labelled_form_reads_the_memoized_orderings(monkeypatch):
     ordering search of their own: they take the least labels over the
     memoized orderings that reach the canonical encoding."""
     calls = []
-    search = lg._minimal_orderings
-    monkeypatch.setattr(lg, "_minimal_orderings", lambda g: calls.append(g) or search(g))
+    for name in ("_minimal_orderings", "_orderings"):
+        search = getattr(lg, name)
+        monkeypatch.setattr(lg, name, lambda x, search=search: calls.append(x) or search(x))
     rng = random.Random(20)
     for g in graphs():
         lg._canonical(g)
