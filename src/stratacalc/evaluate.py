@@ -248,9 +248,16 @@ class Evaluator:
         """Integral over the ambient stratum of the class on D_Gamma given by
         psi exponents at tags (legs or edge half-points) and xi exponents at
         levels: K/(|Aut| ell) times the product of the level integrals, each
-        over the psi at the tags on its level and its own xi power.  The
-        numerators and denominators are multiplied as integers and reduced
-        to one fraction at the end."""
+        over the psi at the tags on its level and its own xi power."""
+        return Fraction(*self._boundary_pair(spec, graph, psi, xi))
+
+    def _boundary_pair(self, spec: StratumSpec, graph: lg.LevelGraph,
+                       psi: Mapping[lg.LegTag, int],
+                       xi: Mapping[int, int]) -> tuple[int, int]:
+        """:meth:`boundary_integral` as an unreduced (numerator, positive
+        denominator) pair: the numerators and denominators are multiplied
+        as integers, for the caller to reduce once, or to add up with
+        ``exact.fraction_sum``."""
         pd = lg.prong_data(graph)
         num, den = pd.kappa_product, pd.aut_order * pd.ell
         for i, sub in enumerate(lg.level_strata(graph, spec)):
@@ -260,10 +267,10 @@ class Evaluator:
                 level_psi = {positions[t]: e for t, e in psi.items() if t in positions}
             factor = self.integral(sub, level_psi, xi.get(-i, 0))
             if not factor:
-                return Fraction(0)
+                return 0, 1
             num *= factor.numerator
             den *= factor.denominator
-        return Fraction(num, den)
+        return num, den
 
     # -- dispatch ------------------------------------------------------------
 

@@ -8,8 +8,8 @@ throughout the package; no floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-from typing import Sequence
+from math import factorial, gcd
+from typing import Iterable, Sequence
 
 Rational = Fraction
 
@@ -22,6 +22,20 @@ def rational_str(x: Rational | int) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def fraction_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
+    """The sum of the fractions num/den of integer pairs (num, den), each
+    den > 0 and the pairs not necessarily reduced, as one ``Fraction``.
+    The running sum is kept over the least common multiple of the
+    denominators seen, so only the result is reduced."""
+    num, den = 0, 1
+    for n, d in pairs:
+        if d != den:
+            g = gcd(den, d)
+            num, den, n = num * (d // g), den // g * d, n * (den // g)
+        num += n
+    return Fraction(num, den)
 
 
 def multinomial(total: int, parts: Sequence[int]) -> int:

@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import NamedTuple, Sequence
 
-from .exact import Rational, binomial, rational_str
+from .exact import Rational, binomial, fraction_sum, rational_str
 from .strata import StratumSpec, dimension
 from . import levelgraphs as lg
 from . import tautring as tr
@@ -70,7 +70,7 @@ def euler_characteristic(spec: StratumSpec,
     integral = (evaluator or shared_evaluator()).integral
     d = dimension(spec).projectivized
     rows: list[EulerRow] = []
-    total = Fraction(0)
+    pairs: list[tuple[int, int]] = []
     for L in range(0, d + 1):
         for g in lg.enumerate_LGL(spec, L):
             pd = lg.prong_data(g)
@@ -93,10 +93,10 @@ def euler_characteristic(spec: StratumSpec,
                 if val == 0 and zero_rule is None:
                     zero_rule = _vanishing_rule(sub)
             contribution = Fraction(num, den)
-            total += contribution
+            pairs.append((num, den))
             rows.append(EulerRow(g, L, pd.kappa_product, ntop, pd.aut_order,
                                  factors, contribution, zero_rule))
-    chi = Fraction(-1) ** d * total
+    chi = (-1) ** d * fraction_sum(pairs)
     return EulerReport(spec, chi, rows)
 
 

@@ -18,7 +18,7 @@ from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 from . import caches
 from .exact import orbit_count
 from .strata import (DimensionData, Point, ResiduePart, SpecError, StratumSpec, _eliminate,
-                     dimension)
+                     dimension, require_valid)
 
 # point tags inside a level stratum
 LegTag = tuple  # ("leg", Point) | ("ein", edge index) | ("eout", edge index)
@@ -403,13 +403,14 @@ _LEVEL_STRATA: dict[tuple[LevelGraph, StratumSpec], tuple[StratumSpec, ...]] = \
 _LEVEL_SPECS: dict[StratumSpec, StratumSpec] = caches.memo("levelgraphs.level_specs")
 
 
-def _build_level_strata(g: LevelGraph, spec: StratumSpec) -> tuple[StratumSpec, ...]:
-    """The level specs of :func:`level_strata`: each vertex's orders, listed
-    once in the order in which ``_half_edges`` lists its points, with the
-    residue conditions of :func:`_induced_conditions`.
+def _vertex_orders(g: LevelGraph, spec: StratumSpec
+                   ) -> tuple[list[list[int]], list[list[int]], bool]:
+    """(verts, orders, plain): the vertices of each level, top first; each
+    vertex's orders, listed once in the order in which ``_half_edges``
+    lists its points; and whether provably no level gets a residue
+    condition from :func:`_induced_conditions`.
 
-    The walk of :func:`_induced_conditions` is skipped where it provably
-    finds no condition: the spec has no constrained part, and every vertex
+    That holds where the spec has no constrained part and every vertex
     that no edge enters from above carries a leg pole.  The global residue
     condition binds a level only through a component Y of the graph above
     it with no free pole, and without constrained parts every pole is free.
@@ -418,13 +419,12 @@ def _build_level_strata(g: LevelGraph, spec: StratumSpec) -> tuple[StratumSpec, 
     and Y escapes.  The rule always holds in genus 0: the orders of a
     genus-0 vertex that no edge enters from above are its legs and the
     zeros k - 1 >= 0 of its outgoing edges, and they sum to -2."""
-    comps, levels, genera = spec.components, g.levels, g.genera
-    L = g.n_levels_below
-    verts: list[list[int]] = [[] for _ in range(L + 1)]
+    comps, levels = spec.components, g.levels
+    verts: list[list[int]] = [[] for _ in range(g.n_levels_below + 1)]
     for v, x in enumerate(levels):
         verts[-x].append(v)
-    orders: list[list[int]] = [[] for _ in genera]
-    escapes = [False] * len(genera)  # a leg pole, or an edge entering from above
+    orders: list[list[int]] = [[] for _ in levels]
+    escapes = [False] * len(levels)  # a leg pole, or an edge entering from above
     for pt, v in sorted(g.legs):
         m = comps[pt[0]][1][pt[1]]
         orders[v].append(m)
@@ -436,10 +436,20 @@ def _build_level_strata(g: LevelGraph, spec: StratumSpec) -> tuple[StratumSpec, 
             escapes[v] = True
     for u, _, k in g.edges:
         orders[u].append(k - 1)
-    if all(escapes) and not spec.constrained_parts():
-        conditions: Sequence[tuple[ResiduePart, ...]] = ((),) * (L + 1)
+    return verts, orders, all(escapes) and not spec.constrained_parts()
+
+
+def _build_level_strata(g: LevelGraph, spec: StratumSpec) -> tuple[StratumSpec, ...]:
+    """The level specs of :func:`level_strata`: each vertex's orders from
+    :func:`_vertex_orders`, with the residue conditions of
+    :func:`_induced_conditions`, whose walk is skipped where
+    ``_vertex_orders`` proves that it finds none."""
+    verts, orders, plain = _vertex_orders(g, spec)
+    if plain:
+        conditions: Sequence[tuple[ResiduePart, ...]] = ((),) * len(verts)
     else:
         conditions = _induced_conditions(g, spec, verts)
+    genera = g.genera
     out = []
     for vs, parts_here in zip(verts, conditions):
         sub = StratumSpec(tuple([(genera[v], tuple(orders[v])) for v in vs]), parts_here)
@@ -607,23 +617,51 @@ def realizability_issues(g: LevelGraph, spec: StratumSpec) -> list[str]:
     obstruction.  Only the trivial graph and the two-level graphs of a
     stratum are judged in enumeration; deeper graphs are glued from the
     judged two-level graphs of level strata (:func:`level_splits`).
-    Raises ``EnumerationError`` when the level dimensions of a realizable
-    graph do not add up to the stratum's."""
+    Raises ``SpecError`` when a vertex's orders do not sum to 2g - 2, and
+    ``EnumerationError`` when the level dimensions of a realizable graph
+    do not add up to the stratum's.
+
+    Where :func:`_vertex_orders` proves that no level gets a residue
+    condition, the verdict is read from each vertex's orders alone and no
+    level record is built.  A level's residue rows are then the residue
+    theorems of its vertices with poles, one per vertex on disjoint poles,
+    so a vertex of genus h with n points adds 2h + n - 1 to the level's
+    unprojectivized dimension, less one if it has a pole.  That is at
+    least 1 on a stable vertex (a genus-0 vertex has a pole and n >= 3),
+    so no level dimension is negative.  A pole's residue vanishes
+    identically exactly when it is its vertex's only pole; an edge pole
+    has order -k - 1 <= -2, so the only issue left is a simple-pole leg
+    that is its vertex's only pole.  The genus-0 obstruction needs two
+    poles with vanishing residues on one vertex, so it cannot arise."""
+    verts, orders, plain = _vertex_orders(g, spec)
     issues: list[str] = []
     nsum = 0
-    for i, sub in enumerate(level_strata(g, spec)):
-        lev = -i
-        dd = dimension(sub)
-        nsum += dd.unprojectivized
-        if dd.projectivized < 0:
-            issues.append(f"level {lev}: negative dimension")
-            continue
-        for pt in dd.poles:
-            if pt in dd.forced_zero and sub.order(pt) == -1:
-                issues.append(f"level {lev}: simple pole with zero residue")
-        for cj in range(sub.n_components):
-            if not _genus0_zero_residue_ok(sub, cj, dd):
-                issues.append(f"level {lev}: genus-0 zero-residue obstruction")
+    if plain:
+        genera = g.genera
+        for i, vs in enumerate(verts):
+            for v in vs:
+                genus, ords = genera[v], orders[v]
+                if sum(ords) != 2 * genus - 2:  # raises as the level record would
+                    require_valid(StratumSpec(tuple([(genera[w], tuple(orders[w]))
+                                                     for w in vs])))
+                poles = [m for m in ords if m < 0]
+                nsum += 2 * genus + len(ords) - 1 - bool(poles)
+                if poles == [-1]:
+                    issues.append(f"level {-i}: simple pole with zero residue")
+    else:
+        for i, sub in enumerate(level_strata(g, spec)):
+            lev = -i
+            dd = dimension(sub)
+            nsum += dd.unprojectivized
+            if dd.projectivized < 0:
+                issues.append(f"level {lev}: negative dimension")
+                continue
+            for pt in dd.poles:
+                if pt in dd.forced_zero and sub.order(pt) == -1:
+                    issues.append(f"level {lev}: simple pole with zero residue")
+            for cj in range(sub.n_components):
+                if not _genus0_zero_residue_ok(sub, cj, dd):
+                    issues.append(f"level {lev}: genus-0 zero-residue obstruction")
     if not issues:
         total = dimension(spec).unprojectivized
         if nsum != total:

@@ -41,7 +41,7 @@ import itertools
 from fractions import Fraction
 from typing import Mapping
 
-from .exact import Rational, multinomial, rational_str
+from .exact import Rational, fraction_sum, multinomial, rational_str
 from .strata import Point, StratumSpec, dimension
 from . import levelgraphs as lg
 from .evaluate import Evaluator, divisors_with_point_low, shared_evaluator
@@ -371,7 +371,9 @@ def integrate(cls: TautClass, evaluator: Evaluator | None = None) -> Rational:
     """Sum of the integrals of the top-degree terms; terms of lower degree
     integrate to zero by convention.  A term's lam-classes are expanded into
     deeper strata, and a lam-free term is ``Evaluator.boundary_integral`` of
-    its psi exponents (keyed by tag) and xi exponents (keyed by level).
+    its psi exponents (keyed by tag) and xi exponents (keyed by level),
+    taken as an unreduced integer pair; the pairs are added up by
+    ``exact.fraction_sum``, so the sum is reduced once.
 
     A term whose degree on some level differs from that level's
     projectivized dimension is skipped before any expansion, since it
@@ -381,19 +383,25 @@ def integrate(cls: TautClass, evaluator: Evaluator | None = None) -> Rational:
     decoration loses the one degree of that lam and stays on those two
     levels, so every lam-free descendant of the term is again mismatched."""
     ev = evaluator or shared_evaluator()
-    d = dimension(cls.spec).projectivized
-    total = Fraction(0)
+    spec = cls.spec
+    d = dimension(spec).projectivized
+    level_dims: dict[lg.LevelGraph, list[int]] = {}
+    pairs = []
     for (g, dec), c in cls.terms.items():
         if g.n_levels_below + decor_degree(dec) != d:
             continue
-        if _level_degrees(g, dec) != [dimension(sub).projectivized
-                                      for sub in lg.level_strata(g, cls.spec)]:
+        dims = level_dims.get(g)
+        if dims is None:
+            dims = level_dims[g] = [dimension(sub).projectivized
+                                    for sub in lg.level_strata(g, spec)]
+        if _level_degrees(g, dec) != dims:
             continue
-        for fine, fine_decor, cc in _lam_free_terms(cls.spec, g, dec, c):
+        for fine, fine_decor, cc in _lam_free_terms(spec, g, dec, c):
             psi = {s[1]: e for s, e in fine_decor if s[0] == "psi"}
             xi = {s[1]: e for s, e in fine_decor if s[0] == "xi"}
-            total += cc * ev.boundary_integral(cls.spec, fine, psi, xi)
-    return total
+            num, den = ev._boundary_pair(spec, fine, psi, xi)
+            pairs.append((cc.numerator * num, cc.denominator * den))
+    return fraction_sum(pairs)
 
 
 # ---------------------------------------------------------------------------

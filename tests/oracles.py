@@ -9,6 +9,10 @@ against the library routine it shadows, or checks what the library builds.
   oracle checks every graph that enumeration returns and screens the
   candidates of the reference split searches, which are not sound by
   construction.
+- ``record_realizability_issues``: the level part of the realizability
+  predicate read from the level-strata record of every graph, the way
+  ``levelgraphs.realizability_issues`` reads it only where a level can
+  get a residue condition.
 - ``orbit_count_bfs``: the breadth-first orbit count behind
   ``exact.orbit_count``.
 - ``evaluate_generator``: the integral of a graph decorated with psi
@@ -103,6 +107,36 @@ def realizability_verdict(g: LevelGraph, spec: StratumSpec) -> list[str]:
     oracle, then the library's level part, which is defined only on
     structurally sound graphs."""
     return structural_issues(g, spec) or lg.realizability_issues(g, spec)
+
+
+def record_realizability_issues(g: LevelGraph, spec: StratumSpec) -> list[str]:
+    """The level part of the verdict from each level's residue record:
+    negative level dimensions, simple poles with identically vanishing
+    residue and the genus-0 zero-residue obstruction, level by level from
+    the top.  Raises as the library does: ``SpecError`` on a level spec
+    whose orders do not add up, ``EnumerationError`` when the level
+    dimensions of a realizable graph do not add up to the stratum's."""
+    issues: list[str] = []
+    nsum = 0
+    for i, sub in enumerate(lg.level_strata(g, spec)):
+        lev = -i
+        dd = dimension(sub)
+        nsum += dd.unprojectivized
+        if dd.projectivized < 0:
+            issues.append(f"level {lev}: negative dimension")
+            continue
+        for pt in dd.poles:
+            if pt in dd.forced_zero and sub.order(pt) == -1:
+                issues.append(f"level {lev}: simple pole with zero residue")
+        for cj in range(sub.n_components):
+            if not lg._genus0_zero_residue_ok(sub, cj, dd):
+                issues.append(f"level {lev}: genus-0 zero-residue obstruction")
+    if not issues:
+        total = dimension(spec).unprojectivized
+        if nsum != total:
+            raise lg.EnumerationError(
+                f"level dimension sum {nsum} != stratum dimension {total}")
+    return issues
 
 
 def orbit_count_bfs(moduli: Sequence[int], action_rows: Sequence[Sequence[int]]) -> int:

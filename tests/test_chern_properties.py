@@ -88,6 +88,19 @@ def test_genus1_chi_closed_form_and_duality(k):
 
 
 
+@settings(max_examples=30, deadline=None)
+@given(spec=st.one_of(genus0_signature().map(lambda mu: StratumSpec.connected(0, mu)),
+                      st.integers(1, 8).map(lambda k: StratumSpec.connected(1, (k, 1, -k - 1)))))
+def test_chi_is_the_signed_sum_of_its_rows(spec):
+    """chi, summed as one integer pair and reduced once, is (-1)^d times
+    the sum of the rows' contributions, each a reduced Fraction: on genus
+    0 with n <= 5 and on genus 1 (k, 1, -k-1)."""
+    rep = inv.euler_characteristic(spec, EV)
+    total = sum((row.contribution for row in rep.rows), Fraction(0))
+    assert rep.chi == (-1) ** dimension(spec).projectivized * total
+    assert type(rep.chi) is Fraction
+
+
 PAIRED = StratumSpec.make([(0, (-2, -2, 2)), (0, (-2, -2, 1, 1))],
                           [({(0, 0), (1, 0)}, True), ({(0, 1), (1, 1)}, True)])
 

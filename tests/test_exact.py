@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from stratacalc.exact import binomial, multinomial, orbit_count, rational_str
+from stratacalc.exact import binomial, fraction_sum, multinomial, orbit_count, rational_str
 from oracles import orbit_count_bfs
 
 
@@ -24,6 +25,18 @@ def test_multinomial_symmetry():
         perm = parts[:]
         rng.shuffle(perm)
         assert multinomial(sum(parts), parts) == multinomial(sum(perm), perm)
+
+
+def test_fraction_sum_of_unreduced_pairs():
+    """fraction_sum adds unreduced pairs of any sign exactly, whatever the
+    denominators share, and returns a reduced Fraction, 0 on no pairs."""
+    assert fraction_sum([]) == 0 and type(fraction_sum([])) is Fraction
+    assert fraction_sum([(2, 4), (-3, 6), (5, 35), (1, 7)]) == Fraction(2, 7)
+    rng = random.Random(3)
+    for _ in range(50):
+        pairs = [(rng.randint(-40, 40), rng.choice([1, 2, 3, 4, 6, 7, 9, 12, 24, 35]))
+                 for _ in range(rng.randrange(8))]
+        assert fraction_sum(pairs) == sum((Fraction(n, d) for n, d in pairs), Fraction(0))
 
 
 def test_binomial_conventions():

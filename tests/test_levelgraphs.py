@@ -13,7 +13,8 @@ from stratacalc.strata import ResiduePart, SpecError, StratumSpec, _eliminate, d
 from stratacalc import caches, cli
 from stratacalc import levelgraphs as lg
 from stratacalc.exact import orbit_count
-from oracles import orbit_count_bfs, realizability_verdict, structural_issues
+from oracles import (orbit_count_bfs, realizability_verdict, record_realizability_issues,
+                     structural_issues)
 
 
 H2 = StratumSpec.connected(2, (2,))
@@ -266,18 +267,24 @@ def test_bottom_splits_enumerate_every_class_property():
 
 def test_enumeration_judges_the_graphs_it_returns():
     """Enumeration judges the two-level graphs on the canonical graphs it
-    returns, and splits the returned graphs of every L below the dimension
-    on their own level strata, so reading the level strata of those graphs
-    builds nothing.  The deepest graphs are glued from judged two-level
-    graphs and judged by nothing, and no verdict is memoized."""
+    returns, and splits the returned graphs of every L from 1 below the
+    dimension on their own level strata, so reading the level strata of
+    those graphs builds nothing.  The trivial graph is judged from its
+    vertex orders, so its record is built on the first read.  The deepest
+    graphs are glued from judged two-level graphs and judged by nothing,
+    and no verdict is memoized."""
     spec = StratumSpec.connected(0, (2, 1, 1, 1, -3, -4))
     d = dimension(spec).projectivized
     caches.clear()
     layers = [lg.enumerate_LGL(spec, L) for L in range(d + 1)]
     built = caches.stats()["levelgraphs.level_strata"]
     assert "levelgraphs.level_verdict" not in caches.stats()
-    for g in itertools.chain(*layers[:d]):
+    for g in itertools.chain(*layers[1:d]):
         lg.level_strata(g, spec)
+    assert caches.stats()["levelgraphs.level_strata"] == built
+    [triv] = layers[0]
+    lg.level_strata(triv, spec)
+    built += 1
     assert caches.stats()["levelgraphs.level_strata"] == built
     for g in layers[d]:
         lg.level_strata(g, spec)
@@ -636,6 +643,98 @@ def test_record_walks_the_levels_only_where_a_condition_can_arise(monkeypatch):
         for g in graphs:
             assert lg._build_level_strata(g, spec) == reference_level_strata(g, spec)
         assert walks == (graphs if walked else []), spec
+
+
+def verdict_outcome(judge, g, spec):
+    """The issues that ``judge`` finds on g, or the type and text of what
+    it raises."""
+    try:
+        return judge(g, spec)
+    except (SpecError, lg.EnumerationError) as exc:
+        return type(exc), str(exc)
+
+
+def test_verdict_from_vertex_orders_matches_the_record_property():
+    """The verdict, read from the vertex orders wherever no level can get a
+    residue condition, equals the record-based oracle's (the same issue
+    texts in the same order, or the same error) on the trivial graph and
+    on every two-level candidate, realizable or not, of random strata:
+    genus 0 with up to six points, genus 1 with up to four and genus 2
+    with up to three, half of those with poles of order <= -2 given one
+    constrained part, simple poles and the unrealizable genus 1 (1, -1)
+    included.  Skipped where hypothesis is not installed."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @st.composite
+    def verdict_spec(draw):
+        genus = draw(st.integers(0, 2))
+        n = draw(st.integers(3 if genus == 0 else 2, (6, 4, 3)[genus]))
+        orders = draw(st.lists(st.integers(-5, 5).filter(bool),
+                               min_size=n - 1, max_size=n - 1))
+        orders.append(2 * genus - 2 - sum(orders))
+        hyp.assume(orders[-1] and -7 <= orders[-1] <= 8)
+        spec = StratumSpec.connected(genus, tuple(orders))
+        higher = [(0, i) for i, m in enumerate(orders) if m <= -2]
+        if higher and draw(st.booleans()):
+            part = draw(st.lists(st.sampled_from(higher), min_size=1, unique=True))
+            spec = StratumSpec.make(spec.components, [(part, True)])
+        hyp.assume(not validate(spec))
+        return spec
+
+    # an example judges every candidate twice, at most about 0.2 CPU s
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(verdict_spec())
+    @hyp.example(StratumSpec.connected(1, (1, -1)))
+    def check(spec):
+        for g in itertools.chain([lg.trivial_graph(spec)], lg._split_candidates(spec)):
+            assert verdict_outcome(lg.realizability_issues, g, spec) == \
+                verdict_outcome(record_realizability_issues, g, spec), g
+
+    check()
+
+
+def test_vertex_verdict_raises_where_the_record_would():
+    """A sound two-level graph judged from its vertex orders, with one
+    vertex's genus raised so that its orders no longer sum to 2g - 2,
+    raises the ``SpecError`` that validating its level record raises, and
+    builds no record on the way."""
+    spec = StratumSpec.connected(0, (2, 1, 1, 1, -3, -4))
+    g = lg.enumerate_LG1(spec)[0]
+    caches.clear()
+    assert lg._vertex_orders(g, spec)[2]
+    raised = g._replace(genera=(g.genera[0] + 1,) + g.genera[1:])
+    with pytest.raises(SpecError) as vertex_path:
+        lg.realizability_issues(raised, spec)
+    assert caches.stats()["levelgraphs.level_strata"] == 0
+    with pytest.raises(SpecError) as record_path:
+        record_realizability_issues(raised, spec)
+    assert str(vertex_path.value) == str(record_path.value)
+    assert "order sum" in str(vertex_path.value)
+
+
+def test_two_level_enumeration_builds_a_record_only_where_the_walk_is_needed():
+    """On cleared memos, enumerating the two-level graphs of genus 0
+    (2,1,1,1,-3,-4) judges every graph from its vertex orders and builds
+    no level record.  Genus 3 (4), whose top vertices hold no pole, and
+    genus 2 (2,2,-2), where a pole-free genus-1 vertex can sit on top,
+    build one record for each judged graph with a vertex that no edge
+    enters from above and that holds no leg pole."""
+    def needs_walk(g, spec):
+        entered = {v for u, v, _ in g.edges if g.levels[u] > g.levels[v]}
+        poled = {v for pt, v in g.legs if spec.order(pt) < 0}
+        return any(v not in entered and v not in poled for v in range(g.n_vertices))
+
+    for spec, walked in [(StratumSpec.connected(0, (2, 1, 1, 1, -3, -4)), False),
+                         (StratumSpec.connected(3, (4,)), True),
+                         (StratumSpec.connected(2, (2, 2, -2)), True)]:
+        caches.clear()
+        lg.enumerate_LG1(spec)
+        built = caches.stats()["levelgraphs.level_strata"]
+        judged = {lg.canonicalize(cand) for cand in lg._split_candidates(spec)}
+        judged.add(lg.canonicalize(lg.trivial_graph(spec)))
+        assert built == sum(needs_walk(g, spec) for g in judged), spec
+        assert (built > 0) == walked, spec
 
 
 def test_first_seen_component_order_breaks_the_record():

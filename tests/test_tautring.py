@@ -75,12 +75,13 @@ def test_xi_as_psi_json_names_the_psi_leg():
 
 def test_integrate_skips_terms_below_the_top_degree():
     """xi^2 + xi on a stratum of dimension 2 integrates to xi-top, and the
-    xi term is never evaluated."""
+    xi term is never evaluated: the boundary integrals that ``integrate``
+    sums, in their integer-pair form, are of xi^2 alone."""
     spec = C(1, (3, 1, -4))
     ev = Evaluator()
     calls = []
-    boundary_integral = ev.boundary_integral
-    ev.boundary_integral = lambda *a: calls.append(a[3]) or boundary_integral(*a)
+    boundary_pair = ev._boundary_pair
+    ev._boundary_pair = lambda *a: calls.append(a[3]) or boundary_pair(*a)
     cls = tr.TautClass.xi(spec, 2) + tr.TautClass.xi(spec)
     assert len(cls.terms) == 2
     assert tr.integrate(cls, ev) == EV.xi_top(spec) == Fraction(10, 3)
@@ -93,22 +94,56 @@ def test_integrate_skips_terms_of_a_wrong_level_degree(monkeypatch):
     call, on a warm evaluator, makes one boundary integral per level graph
     of a kept term, 352 in all, and splits no level to expand a lam, where
     integrating every top-degree term makes 636 boundary integrals and 236
-    level splittings.  The value is the same."""
+    level splittings.  The value is the same.  Both count the integer-pair
+    form that ``integrate`` and ``Evaluator.boundary_integral`` share."""
     spec = C(0, (3, 1, 1, 1, -3, -5))
     c3 = inv.chern_class_terms(spec, 3)
     ev = Evaluator()
     assert tr.integrate(c3, ev) == integrate_every_term(c3, ev) == 6
-    counts = {"boundary_integral": 0, "level_splits": 0}
+    counts = {"boundary_pair": 0, "level_splits": 0}
 
     def counting(name, f):
         return lambda *a: counts.__setitem__(name, counts[name] + 1) or f(*a)
 
-    monkeypatch.setattr(ev, "boundary_integral", counting("boundary_integral", ev.boundary_integral))
+    monkeypatch.setattr(ev, "_boundary_pair", counting("boundary_pair", ev._boundary_pair))
     monkeypatch.setattr(lg, "level_splits", counting("level_splits", lg.level_splits))
     assert tr.integrate(c3, ev) == 6
-    assert counts == {"boundary_integral": 352, "level_splits": 0}
+    assert counts == {"boundary_pair": 352, "level_splits": 0}
     assert integrate_every_term(c3, ev) == 6
-    assert counts == {"boundary_integral": 352 + 636, "level_splits": 236}
+    assert counts == {"boundary_pair": 352 + 636, "level_splits": 236}
+
+
+def test_integrate_is_exact_on_coprime_fraction_coefficients():
+    """integrate adds its terms as one integer pair and reduces once; it
+    equals integrating every term on a class whose coefficients are
+    Fractions of coprime denominators (xi^(d-2) times a normal bundle by
+    the edge route, whose coefficients are -kappa/ell with ell = 2, plus
+    terms scaled by 1/3 and -2/7), and is exactly 0 on a sum of such
+    terms that cancels."""
+    spec = C(0, (3, 1, 1, -1, -2, -4))
+    d = dimension(spec).projectivized
+    ev = Evaluator()
+    g = next(g for g in lg.enumerate_LG1(spec)
+             if g.levels.count(0) == 2 and sorted(k for *_, k in g.edges) == [1, 2])
+    xi_d2 = tr.TautClass.xi(spec, d - 2)
+    nb = tr.multiply(xi_d2, tr.normal_bundle_via_edge(spec, g, 0), ev)
+    D_xi = tr.multiply(tr.TautClass.boundary(spec, g), tr.TautClass.xi(spec, d - 1), ev)
+    parts = [tr.integrate(nb, ev), ev.xi_top(spec), tr.integrate(D_xi, ev)]
+    assert parts == [Fraction(7, 2), -51, 3]
+    cls = nb + tr.TautClass.xi(spec, d).scale(Fraction(1, 3)) + D_xi.scale(Fraction(-2, 7))
+    assert Fraction(-1, 2) in cls.terms.values()
+    value = tr.integrate(cls, ev)
+    assert value == integrate_every_term(cls, ev)
+    assert value == parts[0] + parts[1] / 3 - Fraction(2, 7) * parts[2] == Fraction(-201, 14)
+    # the two normal-bundle routes, and xi against its psi form, cancel
+    cancel = (tr.multiply(xi_d2, tr.normal_bundle(spec, g, 1)
+                          - tr.normal_bundle_via_edge(spec, g, 1), ev).scale(Fraction(1, 7))
+              + (tr.TautClass.xi(spec, d)
+                 - tr.multiply(tr.TautClass.xi(spec, d - 1),
+                               tr.xi_as_psi(spec, (0, 0)), ev)).scale(Fraction(1, 3)))
+    assert cancel.terms
+    assert tr.integrate(cancel, ev) == integrate_every_term(cancel, ev) == 0
+    assert type(tr.integrate(cancel, ev)) is Fraction
 
 
 def test_xi_consistency_through_relation():
