@@ -680,9 +680,12 @@ def trivial_graph(spec: StratumSpec) -> LevelGraph:
                       tuple(0 for _ in spec.components), legs, ())
 
 
-def _piece_splits_by_orders(genus: int, orders: tuple[int, ...]):
+def _piece_splits_by_orders(genus: int, orders: tuple[int, ...],
+                            forced: Sequence[bool | None] | None = None):
     """Connected two-level splittings of one smooth surface piece, with
-    legs referenced by index into ``orders``.
+    legs referenced by index into ``orders``; given ``forced``, only those
+    that put leg i on top where forced[i] is True and at the bottom where
+    it is False (the ``sides`` of ``_leg_assignments``).
 
     Returns a tuple of triples (tops, bots, edges), searched afresh on
     every call: tops/bots are ((genus, leg index tuple), ...) and edges
@@ -739,7 +742,7 @@ def _piece_splits_by_orders(genus: int, orders: tuple[int, ...]):
             b = V - t
             for gvec in _genus_vectors_up_to(genus, V):
                 E = genus - sum(gvec) + V - 1
-                for assign in _leg_assignments(orders, t, gvec, E):
+                for assign in _leg_assignments(orders, t, gvec, E, forced):
                     legs: list[list[int]] = [[] for _ in range(V)]
                     legsum = [0] * V
                     for li, slot in enumerate(assign):
@@ -759,13 +762,17 @@ def _piece_splits_by_orders(genus: int, orders: tuple[int, ...]):
 
 
 def _leg_assignments(orders: tuple[int, ...], t: int, gvec: tuple[int, ...],
-                     E: int) -> list[tuple[int, ...]]:
+                     E: int, sides: Sequence[bool | None] | None = None
+                     ) -> list[tuple[int, ...]]:
     """The assignments of legs to vertex slots (tops 0..t-1, bottoms
     t..V-1) in ``itertools.product`` order that can carry a split: a top's
     leg sum is at most 2g - 2, a bottom's at least 2g, the bottoms' total
     at least 2E - 2b + 2 (sum of bottom genera), and each slot has the
     3 - 2g - d legs it needs to be stable at its largest degree d
-    (E - t + 1 for a top, E - b + 1 for a bottom).
+    (E - t + 1 for a top, E - b + 1 for a bottom).  Given ``sides``, leg i
+    runs over the tops only where sides[i] is True and over the bottoms
+    only where it is False: the same list, less the assignments that put a
+    forced leg on the other side.
 
     A depth-first search over the legs counts the tops over their bound,
     the bottoms under theirs and the legs the slots lack, and drops a
@@ -788,6 +795,8 @@ def _leg_assignments(orders: tuple[int, ...], t: int, gvec: tuple[int, ...],
     bottoms_lo = 2 * E - 2 * b + 2 * sum(gvec[t:])
     assign = [0] * n
     out: list[tuple[int, ...]] = []
+    slots = [range(V) if sides is None or sides[i] is None else
+             range(t) if sides[i] else range(t, V) for i in range(n)]
 
     def place(i: int, bottoms: int, over: int, under: int, lacking: int) -> None:
         if i == n:
@@ -795,7 +804,7 @@ def _leg_assignments(orders: tuple[int, ...], t: int, gvec: tuple[int, ...],
             return
         o = orders[i]
         pos, neg_ct, pos_ct = rest[i + 1]
-        for slot in range(V):
+        for slot in slots[i]:
             old = gap[slot]
             new = old + o if slot < t else old - o
             moved = (new > 0) - (old > 0)
@@ -832,9 +841,11 @@ def _split_connected(t: int, b: int, edges: list[tuple[int, int, int]]) -> bool:
     return len(set(_roots(t + b, [(ti, t + bi) for (ti, bi, _) in edges]))) == 1
 
 
-def _split_candidates(spec: StratumSpec) -> Iterator[LevelGraph]:
+def _split_candidates(spec: StratumSpec, sides: dict[Point, bool] | None = None
+                      ) -> Iterator[LevelGraph]:
     """Every assembled two-level splitting of the trivial graph of the
-    stratum, realizable or not.
+    stratum, realizable or not; given ``sides``, only those that put each
+    of its points on top (True) or at the bottom (False).
 
     Each component is placed by one split of its points: a (tops, bots,
     new edges) triple from ``_piece_splits_by_orders`` with leg indices
@@ -846,8 +857,10 @@ def _split_candidates(spec: StratumSpec) -> Iterator[LevelGraph]:
     for ci, (genus, orders) in enumerate(spec.components):
         points = tuple((ci, pi) for pi in range(len(orders)))
         whole = ((genus, points),)
-        opts = [(whole, (), ()), ((), whole, ())]
-        for split in _piece_splits_by_orders(genus, orders):
+        forced = None if sides is None else [sides.get(pt) for pt in points]
+        opts = [opt for opt, against in (((whole, (), ()), False), (((), whole, ()), True))
+                if forced is None or against not in forced]
+        for split in _piece_splits_by_orders(genus, orders, forced):
             tops, bots = (tuple((gv, tuple(points[li] for li in lis)) for gv, lis in side)
                           for side in split[:2])
             opts.append((tops, bots, split[2]))
@@ -877,7 +890,8 @@ def _assemble_split(choice: Sequence[tuple]) -> LevelGraph:
     return LevelGraph(tuple(genera), tuple(levels), tuple(sorted(legs)), tuple(edges))
 
 
-def level_splits(g: LevelGraph, spec: StratumSpec, lev: int
+def level_splits(g: LevelGraph, spec: StratumSpec, lev: int,
+                 sides: dict[Point, bool] | None = None
                  ) -> list[tuple[LevelGraph, dict[int, int]]]:
     """The one-step degenerations of g that split level ``lev``, each with
     the map from old edge indices to new edge indices: one per two-level
@@ -894,17 +908,25 @@ def level_splits(g: LevelGraph, spec: StratumSpec, lev: int
     automorphisms of g may identify two splits.  The level stratum of a
     trivial graph is ``spec`` up to the order of its components and parts
     and without its unconstrained parts, so the splits of a trivial graph
-    are the two-level graphs of ``spec`` itself, under its own memo key."""
+    are the two-level graphs of ``spec`` itself, under its own memo key.
+
+    Given ``sides``, a side for some of g's legs on the level (True: the
+    upper part), only the splits that put those legs there are listed:
+    the full list filtered, in its order (see :func:`_divisors_on_sides`).
+    """
     if lev == 0 and g.is_trivial():
-        return [(d, {}) for d in enumerate_LG1(spec)]
-    tag_of = {p: tag for tag, p in level_positions(g, spec, lev).items()}
+        return [(d, {}) for d in _divisors_on_sides(spec, sides)]
+    positions = level_positions(g, spec, lev)
+    tag_of = {p: tag for tag, p in positions.items()}
+    if sides is not None:
+        sides = {positions[("leg", pt)]: up for pt, up in sides.items()}
     kept = [v for v in range(g.n_vertices) if g.levels[v] != lev]
     new_of = {v: i for i, v in enumerate(kept)}
     genera = tuple(g.genera[v] for v in kept)
     levels = tuple(x if x > lev else x - 1 for x in (g.levels[v] for v in kept))
     legs = [(pt, new_of[v]) for pt, v in g.legs if v in new_of]
     out = []
-    for d in enumerate_LG1(level_strata(g, spec)[-lev]):
+    for d in _divisors_on_sides(level_strata(g, spec)[-lev], sides):
         base = len(kept)
         d_legs = list(legs)
         ends: dict[LegTag, int] = {}
@@ -925,6 +947,33 @@ def level_splits(g: LevelGraph, spec: StratumSpec, lev: int
 
 
 _ENUM_CACHE: dict[tuple, tuple[LevelGraph, ...]] = caches.memo("levelgraphs.enumerate_LGL")
+
+
+def _divisors_on_sides(spec: StratumSpec, sides: dict[Point, bool] | None
+                       ) -> Sequence[LevelGraph]:
+    """``enumerate_LG1(spec)``, or given nonempty ``sides``, its entries
+    that put each point of ``sides`` on top (True) or at the bottom
+    (False), in its order.  The memo's full list is filtered where it is
+    there.  Otherwise only the candidates with those sides are built
+    (``_split_candidates``), each class judged once on its canonical graph
+    as :func:`enumerate_LGL` judges it, and neither the list nor the
+    candidates' encodings enter a memo, which holds full lists only."""
+    if not sides:
+        return enumerate_LG1(spec)
+    full = _ENUM_CACHE.get((spec, 1))
+    if full is not None:
+        return [d for d in full
+                if all((d.levels[v] == 0) == sides[pt] for pt, v in d.legs if pt in sides)]
+    if dimension(spec).projectivized < 1:
+        return []
+    found: dict[tuple, LevelGraph | None] = {}
+    for cand in _split_candidates(spec, sides):
+        hit = _CANON_CACHE.get(cand)
+        enc = hit[0] if hit else _minimal_orderings(cand)[0]
+        if enc not in found:
+            h = _from_encoding(*enc)
+            found[enc] = None if realizability_issues(h, spec) else h
+    return [h for _, h in sorted(found.items()) if h is not None]
 
 
 def enumerate_LGL(spec: StratumSpec, L: int) -> tuple[LevelGraph, ...]:

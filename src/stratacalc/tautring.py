@@ -34,6 +34,14 @@ common passage contributes a normal-bundle factor
 
 A trivial second term is the case c = 0, with nothing in common and one
 isomorphism: its xi lands on the top level and its psi stays where it is.
+
+The walk splits only towards the second terms.  Its new passages are
+always among those a fine graph keeps to meet a second term, so the legs
+above a new passage must end strictly above the legs below it in that
+term: a level is split only where some second term allows it, and a
+split only where its legs went to the sides that term needs.  A leg with
+one allowed side is forced there in ``lg.level_splits``, which then
+builds no split that puts it on the other.
 """
 from __future__ import annotations
 
@@ -308,15 +316,27 @@ def _transfer(decor: Decor, fine: lg.LevelGraph, passages: tuple[int, ...],
 
 
 def _decorated_splits(spec: StratumSpec, g: lg.LevelGraph, lev: int, decor: Decor,
-                      tracked: tuple[int, ...]):
+                      tracked: tuple[int, ...], ups: set[frozenset] | None = None):
     """The one-step splits of a level of g with the decoration transferred:
     (split, positions of the ``tracked`` passages of g in it, transferred
     polynomial, key).  The monomials of a split differ only off its edges,
     and alike for every split of the level, so the ``canonical_decorated``
-    form of the first monomial keys the decorated split."""
+    form of the first monomial keys the decorated split.  Given ``ups``
+    (see :func:`_side_plan`), only the splits whose upper part carries one
+    of its sets of the level's legs are kept, before any transfer; a leg
+    that goes to one side in every set is forced there in
+    ``lg.level_splits``, which then builds no split with it elsewhere."""
     passages = tuple(p if -p + 1 > lev else p + 1 for p in range(1, g.n_levels_below + 1))
     tracked = tuple(passages[p - 1] for p in tracked)
-    for cand, emap in lg.level_splits(g, spec, lev):
+    sides = None
+    if ups is not None:
+        some, every = frozenset.union(*ups), frozenset.intersection(*ups)
+        sides = {pt: pt in every for pt, v in g.legs
+                 if g.levels[v] == lev and (pt in every or pt not in some)}
+    for cand, emap in lg.level_splits(g, spec, lev, sides):
+        if ups is not None and \
+                frozenset(pt for pt, v in cand.legs if cand.levels[v] == lev) not in ups:
+            continue
         poly = _transfer(decor, cand, passages, emap)
         yield cand, tracked, poly, canonical_decorated(cand, next(iter(poly)))
 
@@ -438,20 +458,61 @@ def _undegeneration_structures(fine: lg.LevelGraph, passages: tuple[int, ...],
             for _, iso_emap in lg.graph_isomorphisms(coarse, contracted)]
 
 
-def _degenerations_of(spec: StratumSpec, g: lg.LevelGraph, decor: Decor,
-                      extra: int) -> list[list[tuple]]:
+def _side_plan(g: lg.LevelGraph, lev: int,
+               seconds: list[tuple[int, dict[Point, int]]]) -> set[frozenset]:
+    """The sets of legs on level ``lev`` of g that a split of the level may
+    put on its upper part, so that the split can still lead to a graph that
+    meets one of the ``seconds``, each (L2, level of each leg) of a second
+    term.  Empty: no split of the level can.
+
+    A fine graph meets a second term g2 through delta_I with I holding
+    every passage that the walk made, and delta_I keeps the order of levels
+    across a kept passage.  So the split's new passage becomes a passage
+    of g2, between its levels t and t - 1 for some t in -L2 + 1, ..., 0:
+    the legs above the new passage (the legs above ``lev`` and those its
+    upper part takes) end at g2 levels >= t and the legs below it at levels
+    < t, and the legs on ``lev`` at levels >= t go up.  Legs on one g2
+    level go to one side.  For a divisor g2 (L2 = 1) t is 0: the legs
+    above ``lev`` must be on its top level, those below on its bottom
+    level."""
+    above, on, below = [], [], []
+    for pt, v in g.legs:
+        x = g.levels[v]
+        (above if x > lev else on if x == lev else below).append(pt)
+    ups = set()
+    for L2, level2 in seconds:
+        hi = min((level2[pt] for pt in above), default=0)
+        lo = max((level2[pt] for pt in below), default=-L2)
+        for t in range(lo + 1, hi + 1):
+            ups.add(frozenset(pt for pt in on if level2[pt] >= t))
+    return ups
+
+
+def _degenerations_of(spec: StratumSpec, g: lg.LevelGraph, decor: Decor, extra: int,
+                      seconds: list[tuple[int, dict[Point, int]]] | None = None
+                      ) -> list[list[tuple]]:
     """Iterated one-step splits of g with its lam-free decoration
     transferred, from one walk: layer k lists the (graph, decoration,
     positions of g's passages) triples k splits deep, deduplicated by
     decorated isomorphism class and passages.  Layer 0 is g itself.
+
+    Given the ``seconds`` of a product, each (L2, level of each leg) of a
+    lam-free second term, a split that makes layer k is kept only where
+    :func:`_side_plan` allows it for a second term with L2 >= k, the union
+    of what they allow; a level that no such second term allows is not
+    split.  Without them every split is kept.
     """
     layers = [[(g, decor, tuple(range(1, g.n_levels_below + 1)))]]
-    for _ in range(extra):
+    for depth in range(1, extra + 1):
+        plan = None if seconds is None else [s for s in seconds if s[0] >= depth]
         nxt: dict = {}
         for graph, dec, passages in layers[-1]:
             for lev in range(0, -graph.n_levels_below - 1, -1):
+                ups = None if plan is None else _side_plan(graph, lev, plan)
+                if ups is not None and not ups:
+                    continue
                 for cand, new_passages, [dd], key in _decorated_splits(
-                        spec, graph, lev, dec, passages):
+                        spec, graph, lev, dec, passages, ups):
                     if (key, new_passages) not in nxt:
                         nxt[key, new_passages] = (cand, dd, new_passages)
         layers.append(list(nxt.values()))
@@ -465,18 +526,23 @@ def multiply(a: TautClass, b: TautClass, evaluator: Evaluator | None = None) -> 
     fine graph k splits below the term meets a term of ``b`` of L2 levels
     below through its k new passages and c = L2 - k old ones in common, once
     per isomorphism of that undegeneration with the term of ``b``, each
-    weighing 1/#isomorphisms.  ``evaluator`` is not read; it is kept for
-    callers that pass one."""
+    weighing 1/#isomorphisms.  The walk takes only the splits that the side
+    plan of the terms of ``b`` allows (:func:`_side_plan`): a split whose
+    new passage has a leg above it that ends below, or on the level of, a
+    leg below it in every term of ``b`` meets none of them.  ``evaluator``
+    is not read; it is kept for callers that pass one."""
     if a.spec != b.spec:
         raise ValueError("mixed ambient strata")
     spec = a.spec
     dim = dimension(spec).projectivized
     an, bn = _lam_normalize(a), _lam_normalize(b)
     deepest = max((g.n_levels_below for g, _ in bn.terms), default=0)
+    seconds = [(L2, dict(legs)) for L2, legs in dict.fromkeys(
+        (g.n_levels_below, tuple((pt, g.levels[v]) for pt, v in g.legs)) for g, _ in bn.terms)]
     out = TautClass(spec)
     for (g1, d1), c1 in an.terms.items():
         L1 = g1.n_levels_below
-        layers = _degenerations_of(spec, g1, d1, min(deepest, dim - L1))
+        layers = _degenerations_of(spec, g1, d1, min(deepest, dim - L1), seconds)
         for (g2, d2), c2 in bn.terms.items():
             L2, scale = g2.n_levels_below, c1 * c2
             for c in range(max(0, L2 - dim + L1), min(L1, L2) + 1):

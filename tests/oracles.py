@@ -32,6 +32,9 @@ against the library routine it shadows, or checks what the library builds.
 - ``undegeneration_structures_unchecked``: the edge correspondences of
   ``tautring._undegeneration_structures`` from the contraction and
   ``graph_isomorphisms`` alone, with no invariant compared first.
+- ``multiply_every_split``: ``tautring.multiply`` with the degenerations
+  of each first term walked through every split of every level, none left
+  out by the side plan of the second terms.
 """
 from __future__ import annotations
 
@@ -279,3 +282,37 @@ def undegeneration_structures_unchecked(fine: LevelGraph, passages: tuple[int, .
     inv = {new: old for old, new in emap.items()}
     return [{ce: inv[iso_emap[ce]] for ce in range(len(coarse.edges))}
             for _, iso_emap in lg.graph_isomorphisms(coarse, contracted)]
+
+
+def multiply_every_split(a: tr.TautClass, b: tr.TautClass) -> tr.TautClass:
+    """The excess-intersection product of ``tautring.multiply``, each first
+    term's walk taking every split of every level."""
+    if a.spec != b.spec:
+        raise ValueError("mixed ambient strata")
+    spec = a.spec
+    dim = dimension(spec).projectivized
+    an, bn = tr._lam_normalize(a), tr._lam_normalize(b)
+    deepest = max((g.n_levels_below for g, _ in bn.terms), default=0)
+    out = tr.TautClass(spec)
+    for (g1, d1), c1 in an.terms.items():
+        L1 = g1.n_levels_below
+        layers = tr._degenerations_of(spec, g1, d1, min(deepest, dim - L1))
+        for (g2, d2), c2 in bn.terms.items():
+            L2, scale = g2.n_levels_below, c1 * c2
+            for c in range(max(0, L2 - dim + L1), min(L1, L2) + 1):
+                for fine, fine_decor, i1 in layers[L2 - c]:
+                    new = tuple(p for p in range(1, fine.n_levels_below + 1) if p not in i1)
+                    for common in itertools.combinations(i1, c):
+                        i2 = tuple(sorted(new + common))
+                        ecorrs = tr._undegeneration_structures(fine, i2, g2)
+                        if not ecorrs:
+                            continue
+                        weight = Fraction(scale, len(ecorrs)) if len(ecorrs) > 1 else scale
+                        nu = tr.poly_one()
+                        for p in common:
+                            nu = tr.poly_mul(nu, tr.nu_poly(fine, p))
+                        for ecorr in ecorrs:
+                            [td] = tr._transfer(d2, fine, i2, ecorr)
+                            for dd, cc in tr.poly_mul({tr._dmul(fine_decor, td): 1}, nu).items():
+                                out.add_term(fine, dd, cc * weight)
+    return out

@@ -1174,6 +1174,106 @@ def test_piece_splits_of_a_seven_point_piece_are_pinned():
         == "f574a567117fab18a6327864baedcd31af02d2d845e678062616d892336f7c0a"
 
 
+def forced_sides(legs):
+    """Sides to force on some of ``legs`` (True: on top): each leg alone
+    on either side, and every leg alternately on top and at the bottom,
+    starting either way."""
+    out = [{leg: up} for leg in legs for up in (True, False)]
+    if len(legs) > 1:
+        out += [{leg: i % 2 == start for i, leg in enumerate(legs)} for start in (0, 1)]
+    return out
+
+
+LEG_ASSIGNMENT_CASES = [(0, (3, 1, 1, -1, -2, -4)), (0, (1, 1, -2, -2, -2, 2)),
+                        (0, (2, 2, 1, 1, 1, -9)), (1, (3, 1, -4)), (2, (4, -2, 0)),
+                        (2, (1, 1))]
+
+
+def test_level_splits_forced_sides_leg_assignments_are_filtered():
+    """With forced sides, the leg search yields the unforced assignments
+    that put each forced leg on a top (True) or a bottom (False) slot, in
+    the same order, on the cases of the unforced search's test."""
+    for genus, orders in LEG_ASSIGNMENT_CASES:
+        for V in range(2, len(orders) + 2 * genus - 1):
+            for t in range(1, V):
+                for gvec in lg._genus_vectors_up_to(genus, V):
+                    E = genus - sum(gvec) + V - 1
+                    every = lg._leg_assignments(orders, t, gvec, E)
+                    for sides in forced_sides(range(len(orders))):
+                        forced = [sides.get(i) for i in range(len(orders))]
+                        want = [a for a in every
+                                if all((a[i] < t) == up for i, up in sides.items())]
+                        assert lg._leg_assignments(orders, t, gvec, E, forced) == want
+
+
+@pytest.mark.parametrize("genus, orders", list(dict.fromkeys(LEG_ASSIGNMENT_CASES + PIECES)),
+                         ids=str)
+def test_level_splits_forced_sides_piece_splits_are_filtered(genus, orders):
+    """With forced sides, the piece search returns the unforced entries
+    whose tops hold exactly the legs forced on top, each as often."""
+    every = lg._piece_splits_by_orders(genus, orders)
+    for sides in forced_sides(range(len(orders))):
+        forced = [sides.get(i) for i in range(len(orders))]
+        want = [split for split in every
+                if all((i in {li for _, lis in split[0] for li in lis}) == up
+                       for i, up in sides.items())]
+        assert sorted(lg._piece_splits_by_orders(genus, orders, forced)) == sorted(want)
+
+
+def splits_on_sides(splits, lev, sides):
+    """The ``level_splits`` entries that put each leg of ``sides`` on the
+    upper part of level ``lev`` (True) or on the lower one (False)."""
+    return [(cand, emap) for cand, emap in splits
+            if all((cand.levels[v] == lev) == sides[pt] for pt, v in cand.legs if pt in sides)]
+
+
+def split_level_stratum(g, spec, lev):
+    """The stratum whose two-level graphs ``level_splits`` glues in."""
+    return spec if lev == 0 and g.is_trivial() else lg.level_strata(g, spec)[-lev]
+
+
+@pytest.mark.parametrize("spec", SPLIT_SPECS, ids=lambda spec: str(spec.components))
+def test_level_splits_with_sides_are_the_filtered_list(spec):
+    """For every (graph, level) pair and forced sides of the legs on the
+    level, ``level_splits`` lists the unforced splits that put those legs
+    there, in the same order: built with the level stratum's two-level
+    graphs out of the memo, and read from them with the memo warm.
+    Neither call changes a memo count."""
+    for L in range(dimension(spec).projectivized + 1):
+        for g in lg.enumerate_LGL(spec, L):
+            for lev in range(0, -L - 1, -1):
+                full = lg.level_splits(g, spec, lev)
+                sub = split_level_stratum(g, spec, lev)
+                for sides in forced_sides([pt for pt, v in g.legs if g.levels[v] == lev]):
+                    want = splits_on_sides(full, lev, sides)
+                    del lg._ENUM_CACHE[sub, 1]
+                    before = caches.stats()
+                    assert lg.level_splits(g, spec, lev, sides) == want, (g, lev, sides)
+                    assert caches.stats() == before
+                    lg.enumerate_LG1(sub)
+                    before = caches.stats()
+                    assert lg.level_splits(g, spec, lev, sides) == want, (g, lev, sides)
+                    assert caches.stats() == before
+
+
+def test_level_splits_with_sides_on_cold_memos_memoize_nothing():
+    """With every memo cold but the level record of the graph and the
+    dimension of the level stratum, which the unforced call reads too, a
+    call with forced sides builds its list and leaves every memo count as
+    it was: it stores no list, canonical encoding or level record."""
+    spec = StratumSpec.connected(0, (2, 1, 1, 1, -3, -4))
+    graphs = [g for L in (0, 1, 2) for g in lg.enumerate_LGL(spec, L)]
+    for g in graphs:
+        for lev in range(0, -g.n_levels_below - 1, -1):
+            for sides in forced_sides([pt for pt, v in g.legs if g.levels[v] == lev]):
+                caches.clear()
+                dimension(split_level_stratum(g, spec, lev))
+                before = caches.stats()
+                got = lg.level_splits(g, spec, lev, sides)
+                assert caches.stats() == before
+                assert got == splits_on_sides(lg.level_splits(g, spec, lev), lev, sides)
+
+
 def test_divisors_of_huge_orders_take_no_time_per_unit_of_order():
     """A zero of order 10^9 costs the split search no loop over its
     kappas: genus 0 (10^9, 1, 1, -10^9 - 4) has three divisors, with

@@ -16,8 +16,8 @@ from stratacalc.evaluate import Evaluator
 from stratacalc import invariants as inv
 from stratacalc import levelgraphs as lg
 from stratacalc import tautring as tr
-from oracles import (evaluate_generator, integrate_every_term, remove_residue_condition,
-                     undegeneration_structures_unchecked)
+from oracles import (evaluate_generator, integrate_every_term, multiply_every_split,
+                     remove_residue_condition, undegeneration_structures_unchecked)
 
 
 EV = Evaluator()
@@ -666,3 +666,63 @@ def test_undegeneration_structures_are_the_unchecked_contraction(genus, orders, 
         kappa_only += legs == coarse_legs and edges != coarse_edges and \
             [e[:2] for e in edges] == [e[:2] for e in coarse_edges]
     assert any(out for *_, out, _ in calls) and kappa_only
+
+
+def test_divisor_products_split_only_towards_the_second_divisor(monkeypatch):
+    """On every D_a.D_b of a genus-0 stratum with six points, each try of
+    a fine graph one split below D_a against D_b (c = 0, L2 = 1) finds
+    the legs of its undegeneration on the levels that D_b has them on: the
+    side plan kept only the splits that put the legs above D_b's passage
+    on top.  The walk makes far fewer splits than the every-split walk;
+    the count is pinned."""
+    spec = C(0, (1, 1, 1, 1, -2, -4))
+    divisors = lg.enumerate_LG1(spec)
+    splits = [0]
+    decorated_splits = tr._decorated_splits
+
+    def counting(*args):
+        for split in decorated_splits(*args):
+            splits[0] += 1
+            yield split
+
+    tries = []
+    structures = tr._undegeneration_structures
+
+    def recording(fine, passages, coarse):
+        tries.append((fine, passages, coarse))
+        return structures(fine, passages, coarse)
+
+    monkeypatch.setattr(tr, "_decorated_splits", counting)
+    monkeypatch.setattr(tr, "_undegeneration_structures", recording)
+    pairs = [(tr.TautClass.boundary(spec, a), tr.TautClass.boundary(spec, b))
+             for a in divisors for b in divisors]
+    for a, b in pairs:
+        tr.multiply(a, b, EV)
+    planned = splits[0]
+    one_deeper = [(fine, passages, coarse) for fine, passages, coarse in tries
+                  if fine.n_levels_below == 2]
+    assert one_deeper
+    for fine, passages, coarse in one_deeper:
+        nl = lg._delta_levels(fine, passages)
+        assert sorted((pt, nl[v]) for pt, v in fine.legs) == \
+            sorted((pt, coarse.levels[v]) for pt, v in coarse.legs)
+    splits[0] = 0
+    for a, b in pairs:
+        multiply_every_split(a, b)
+    assert planned == 382 < splits[0]
+
+
+def test_walk_layers_are_planned_by_second_terms_at_least_as_deep():
+    """A layer k splits deep is planned by the second terms of at least k
+    levels below alone: with one divisor as the second term, the walk
+    from the trivial graph builds a first layer, which holds the divisor,
+    and no second, although the stratum has graphs two levels deep and
+    some divisors' plans would allow a split of a first-layer graph."""
+    spec = C(0, (1, 1, 1, 1, -2, -4))
+    triv = lg.trivial_graph(spec)
+    assert tr._degenerations_of(spec, triv, (), 2)[2]
+    for divisor in lg.enumerate_LG1(spec):
+        seconds = [(1, {pt: divisor.levels[v] for pt, v in divisor.legs})]
+        layers = tr._degenerations_of(spec, triv, (), 2, seconds)
+        assert lg.canonicalize(divisor) in {lg.canonicalize(g) for g, _, _ in layers[1]}
+        assert not layers[2]
