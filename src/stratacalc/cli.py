@@ -36,10 +36,10 @@ def _read(path: str) -> str:
 
 def _load_spec(path: str) -> StratumSpec:
     """The spec of the file, refused unless it is valid and its stratum is
-    empty or realizable: every command reading a spec but ``info`` answers
-    only for such a stratum."""
+    realizable: every command reading a spec but ``info`` answers only for
+    such a stratum."""
     spec = StratumSpec.from_json(_read(path))
-    lg.enumerate_LGL(spec, 0)  # raises unless realizable; () for an empty stratum
+    lg.enumerate_LGL(spec, 0)  # raises unless realizable
     return spec
 
 
@@ -161,8 +161,7 @@ def cmd_profiles(args) -> int:
     spec = _load_spec(args.spec)
     out = {L: [list(p) for p in profiles]
            for L, profiles in lg.profile_order_check(spec, args.levels).items()}
-    # the deepest L checked; with none, 0 or an empty stratum's dimension
-    top = max(out, default=min(dimension(spec).projectivized, 0))
+    top = max(out, default=0)  # the deepest L checked
     _emit(args, out if args.json else
           [f"profiles consistent through L={top}",
            *(f"L={L}: {ps}" for L, ps in out.items())])

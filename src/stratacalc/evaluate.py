@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import caches
-from .exact import Rational, multinomial, rational_str
+from .exact import Rational, fraction_sum, multinomial, rational_str
 from .strata import (Point, SpecError, StratumSpec, _array, _check_keys, _integer, _show,
                      dimension)
 from . import levelgraphs as lg
@@ -212,8 +212,8 @@ class Evaluator:
     # -- public surface ----------------------------------------------------
 
     # both refuse an invalid spec and a stratum that is not realizable
-    # (``enumerate_LGL(spec, 0)``, which an empty stratum passes); level
-    # strata are realizable by construction and go to ``integral`` unjudged
+    # (``enumerate_LGL(spec, 0)``); level strata are realizable by
+    # construction and go to ``integral`` unjudged
 
     def xi_top(self, spec: StratumSpec) -> Rational:
         lg.enumerate_LGL(spec, 0)
@@ -277,11 +277,15 @@ class Evaluator:
     def _integral(self, spec: StratumSpec, psi: dict[Point, int], xi: int) -> Rational:
         d = dimension(spec).projectivized  # validates the spec on its memo miss
         deg = sum(psi.values()) + xi
-        if deg != d or d < 0:  # xi_top asks xi^d, d = -1, of an empty stratum
+        if deg != d:
             return Fraction(0)
         if d == 0:
             return Fraction(1)
         if spec.constrained_parts():
+            # a fixture holds a pure xi^d or a pure psi integrand
+            hit = None if psi and xi else self.registry.lookup(spec, _psi_tuple(psi))
+            if hit is not None:
+                return hit
             return self._remove_condition(spec, psi, xi)
         if not spec.is_connected():
             if xi == 0:
@@ -372,10 +376,15 @@ class Evaluator:
                       psi: dict[Point, int], xi: int) -> Rational:
         """Sum over the (Gamma, ell_Gamma) pairs of ``divisors`` of ell_Gamma
         times the boundary integral over D_Gamma of the psi exponents at
-        the legs and the power ``xi`` of xi on the top level."""
+        the legs and the power ``xi`` of xi on the top level, added up as
+        the unreduced pairs of :meth:`_boundary_pair` by
+        ``exact.fraction_sum``, so the sum is reduced once."""
         legs = {("leg", p): e for p, e in psi.items()}
-        return sum((ell * self.boundary_integral(spec, graph, legs, {0: xi})
-                    for graph, ell in divisors), Fraction(0))
+        pairs = []
+        for graph, ell in divisors:
+            num, den = self._boundary_pair(spec, graph, legs, {0: xi})
+            pairs.append((ell * num, den))
+        return fraction_sum(pairs)
 
 
 def divisors_with_point_low(spec: StratumSpec, p: Point) -> list[tuple[lg.LevelGraph, int]]:

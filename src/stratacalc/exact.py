@@ -15,10 +15,13 @@ Rational = Fraction
 
 
 def rational_str(x: Rational | int) -> str:
-    """Serialize a rational as ``p/q``, or ``p`` when the denominator is 1."""
+    """Serialize a rational as ``p/q``, or ``p`` when the denominator is 1.
+    Only an exact value is accepted: anything but an int (not a bool) or a
+    ``Fraction``, a float among them, raises ``TypeError``."""
     if type(x) is int:
         return str(x)
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        raise TypeError(f"expected an int or a Fraction, not {type(x).__name__}")
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -67,6 +67,7 @@ def euler_characteristic(spec: StratumSpec,
     top xi-power integrals of the level strata.  Each row multiplies
     K * N_top, |Aut| and the numerators and denominators of its level
     factors as integers and reduces them to one fraction."""
+    lg.enumerate_LGL(spec, 0)  # the stratum's verdict, which no L below gives when d < 0
     integral = (evaluator or shared_evaluator()).integral
     d = dimension(spec).projectivized
     rows: list[EulerRow] = []
@@ -178,6 +179,7 @@ def _chern_pieces(spec: StratumSpec, low: int, high: int) -> list[tr.TautClass]:
     computed, and every coefficient is an integer.  The enumerated graphs
     are canonical, so the terms skip the canonical form.
     """
+    lg.enumerate_LGL(spec, 0)  # the stratum's verdict, which no L below gives when d < 0
     n_unproj = dimension(spec).unprojectivized
     high = min(high, n_unproj - 1)
     pieces = [tr.TautClass(spec) for _ in range(high + 1)]
@@ -226,8 +228,7 @@ def chern_polynomial(spec: StratumSpec,
     ev = evaluator or shared_evaluator()
     d = dimension(spec).projectivized
     classes = _chern_pieces(spec, 0, d)
-    # an empty stratum (d < 0) has no classes and integrates to zero
-    top_value = tr.integrate(classes[d], ev) if classes else Fraction(0)
+    top_value = tr.integrate(classes[d], ev)
     chi = euler_characteristic(spec, ev).chi
     return ChernReport(spec, classes, top_value, chi,
                        top_value == Fraction(-1) ** d * chi)

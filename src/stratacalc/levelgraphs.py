@@ -986,18 +986,16 @@ def enumerate_LGL(spec: StratumSpec, L: int) -> tuple[LevelGraph, ...]:
     level of each (L-1)-level graph (merging the two lowest levels of an
     L-level graph, delta_{1..L-1}, gives one of those), and the splits of
     a level are the two-level graphs of its level stratum glued back in
-    (:func:`level_splits`), realizable without a further verdict."""
+    (:func:`level_splits`), realizable without a further verdict.  Every
+    L first judges the ambient stratum on its trivial graph (L = 0), so a
+    stratum that is not realizable, one of negative dimension among them,
+    raises ``SpecError`` at every L."""
     key = (spec, L)
     if key in _ENUM_CACHE:
         return _ENUM_CACHE[key]
     d = dimension(spec).projectivized  # an invalid spec is never cached: it raises on every call
     if L < 0:
         raise ValueError("negative number of levels")
-    if L > d:
-        if d >= 0:  # the stratum's verdict first; an empty stratum has none
-            enumerate_LGL(spec, 0)
-        _ENUM_CACHE[key] = ()
-        return ()
     if L == 0:
         # validate covers all of the trivial graph's soundness but the
         # stability of a component of a disconnected spec
@@ -1009,6 +1007,10 @@ def enumerate_LGL(spec: StratumSpec, L: int) -> tuple[LevelGraph, ...]:
             raise SpecError("ambient stratum not realizable: " + "; ".join(issues))
         _ENUM_CACHE[key] = (triv,)
         return _ENUM_CACHE[key]
+    if L > d:
+        enumerate_LGL(spec, 0)  # the stratum's verdict first
+        _ENUM_CACHE[key] = ()
+        return ()
     found: dict[tuple, LevelGraph] = {}
     seen: set[tuple] = set()
     for g in enumerate_LGL(spec, L - 1):
@@ -1073,6 +1075,7 @@ def profile_order_check(spec: StratumSpec, max_L: int | None = None
                         ) -> dict[int, list[tuple[int, ...]]]:
     """The profiles of every L from 1 up to the dimension, or to ``max_L``,
     each L's list passed through :func:`check_profile_order`."""
+    enumerate_LGL(spec, 0)  # the stratum's verdict, which no L below gives when top < 1
     d = dimension(spec).projectivized
     top = d if max_L is None else min(d, max_L)
     out = {}

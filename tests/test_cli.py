@@ -11,7 +11,7 @@ import pytest
 from stratacalc import invariants as inv, levelgraphs as lg, tautring as tr
 from stratacalc.cli import run
 from stratacalc.strata import StratumSpec, dimension
-from test_levelgraphs import one_part_specs
+from test_levelgraphs import NEGATIVE_DIMENSION_SPECS, one_part_specs
 
 SPECS = os.path.join(os.path.dirname(__file__), "..", "demos", "specs")
 
@@ -97,6 +97,26 @@ def test_fixture_flag(tmp_path, capsys):
         "value": "2/3", "provenance": "test"}]))
     assert run(["xi-top", "--spec", str(spec), "--fixtures", str(fix)]) == 0
     assert capsys.readouterr().out.strip() == "2/3"
+
+
+def test_fixture_flag_on_a_constrained_spec(tmp_path, capsys):
+    """A fixture on a spec with a constrained residue part answers that
+    spec, but not the spec with its points renumbered."""
+    held = {"components": [{"genus": 1, "orders": [3, 1, -2, -2]}],
+            "residue_parts": [{"points": [[0, 2], [0, 3]], "constrained": True}]}
+    renumbered = {"components": [{"genus": 1, "orders": [1, 3, -2, -2]}],
+                  "residue_parts": held["residue_parts"]}
+    fix = tmp_path / "fix.json"
+    fix.write_text(json.dumps([{"spec": held, "integrand": {"xi_power": 3},
+                                "value": 12345}]))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(held))
+    assert run(["xi-top", "--spec", str(spec), "--fixtures", str(fix)]) == 0
+    assert capsys.readouterr() == ("12345\n", "")
+    spec.write_text(json.dumps(renumbered))
+    assert run(["xi-top", "--spec", str(spec), "--fixtures", str(fix)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith('error: cannot evaluate: xi^d on {"c": [[1, [3, 1, -2, -2]]]}')
 
 
 def test_output_file_and_determinism(tmp_path, capsys):
@@ -565,6 +585,8 @@ BAD_SPECS = [
       "residue_parts": [{"points": [[0, 1]], "constrained": 1}]}, "constrained"),
     ({"components": [{"genus": 0, "orders": [0, -2, -2, 2]}],
       "residue_parts": [{"points": [[0, 1, 2]]}]}, "pair"),
+    ({"components": []}, "no components"),
+    ({"components": [{"genus": 1, "orders": []}]}, "component 0: no marked points"),
 ]
 
 
@@ -656,6 +678,28 @@ def test_unexpected_error_exits_two_with_one_line(monkeypatch, capsys):
     assert err.startswith("internal error: KeyError")
 
 
+def test_internal_consistency_failures_exit_two_with_one_line(monkeypatch, capsys):
+    """A failed duality check and an ``EnumerationError`` exit 2 with one
+    stderr line and no traceback; the chern text is printed before its
+    verdict, the enumeration failure prints nothing."""
+    def broken(spec, evaluator=None):
+        return inv.ChernReport(spec, [], 1, 2, False)
+    monkeypatch.setattr(inv, "chern_polynomial", broken)
+    assert run(["chern", "--spec", spec_path("g0_111.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out.endswith("duality (-1)^d chi == c_top: False\n")
+    assert err == ("internal consistency failure: top Chern class does not match "
+                   "the Euler characteristic\n")
+
+    def boom(spec, L):
+        raise lg.EnumerationError("level dimension sum 1\n!= stratum dimension 2")
+    monkeypatch.setattr(lg, "enumerate_LGL", boom)
+    assert run(["divisors", "--spec", spec_path("g0_111.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("internal consistency failure: level dimension "
+                                 "sum 1 != stratum dimension 2\n")
+
+
 USAGE_ERRORS = [
     (["chi"], "error: the following arguments are required: --spec"),
     (["frobnicate"], "error: argument command: invalid choice: 'frobnicate'"),
@@ -718,19 +762,6 @@ SPEC_COMMANDS = ("info", "graphs", "divisors", "profiles", "chi", "xi-top",
                  "c1", "chern")
 
 
-def test_empty_stratum_answers_every_command(tmp_path, capsys):
-    # genus 0 with orders (1, -3) has projectivized dimension -1
-    path = tmp_path / "empty.json"
-    path.write_text(json.dumps(_connected(0, (1, -3))))
-    for cmd in SPEC_COMMANDS:
-        assert run([cmd, "--spec", str(path), "--json"]) == 0, cmd
-        out, err = capsys.readouterr()
-        assert err == "", (cmd, err)
-    assert json.loads(out) == {"spec": _connected(0, (1, -3)), "classes": [],
-                               "top_value": "0", "chi": "0",
-                               "duality_holds": True}
-
-
 # disconnected specs with an unstable genus-0 component of two points, of
 # dimension 1 and 0
 UNSTABLE_COMPONENT_SPECS = [
@@ -743,15 +774,16 @@ def test_a_stratum_that_is_not_realizable_is_refused_by_every_command(tmp_path, 
     """Every command that reads a spec, but ``info``, gives the one verdict
     of ``enumerate_LGL(spec, 0)`` on the ambient stratum: the fourteen
     strata of the one-part scan with a simple pole whose residue is forced
-    to zero, six of them of dimension 0, and the strata with an unstable
-    component exit 1 with one stderr line, whether or not the command
-    enumerates a graph below the top level."""
+    to zero, six of them of dimension 0, the strata with an unstable
+    component and the strata of negative dimension exit 1 with one stderr
+    line and no stdout, whether or not the command enumerates a graph
+    below the top level."""
     refused = [spec for spec in one_part_specs()
                if any(spec.order(pt) == -1 for pt in dimension(spec).forced_zero)]
     assert len(refused) == 14
     assert sum(dimension(spec).projectivized == 0 for spec in refused) == 6
     path = tmp_path / "spec.json"
-    for spec in refused + UNSTABLE_COMPONENT_SPECS:
+    for spec in refused + UNSTABLE_COMPONENT_SPECS + NEGATIVE_DIMENSION_SPECS:
         path.write_text(spec.to_json())
         assert run(["info", "--spec", str(path)]) == 0
         capsys.readouterr()

@@ -10,6 +10,7 @@ from stratacalc.strata import SpecError, StratumSpec, dimension
 from stratacalc.evaluate import (Evaluator, FixtureCollisionError,
                                  FixtureRegistry, UnevaluatableError,
                                  default_registry, shared_evaluator)
+from test_levelgraphs import NEGATIVE_DIMENSION_SPECS
 
 
 EV = Evaluator()
@@ -33,14 +34,14 @@ def test_genus0_single_pole_closed_form():
 def test_xi_top_and_psi_top_answer_only_for_a_realizable_stratum():
     """The public surface judges the ambient stratum: genus 0 (4,-1,-2,-3)
     with {2,3} constrained forces the simple pole's residue to zero, so it
-    is empty although its dimension is 0; an empty stratum of dimension
-    -1 answers 0."""
+    is empty although its dimension is 0; the strata of negative dimension
+    are refused as well."""
     spec = StratumSpec.make([(0, (4, -1, -2, -3))], [({(0, 2), (0, 3)}, True)])
     assert dimension(spec).projectivized == 0
-    for ask in (lambda ev: ev.xi_top(spec), lambda ev: ev.psi_top(spec, {})):
-        with pytest.raises(SpecError, match="^ambient stratum not realizable: "):
-            ask(Evaluator())
-    assert Evaluator().xi_top(C(0, (1, -3))) == 0
+    for stratum in (spec, *NEGATIVE_DIMENSION_SPECS):
+        for ask in (lambda ev: ev.xi_top(stratum), lambda ev: ev.psi_top(stratum, {})):
+            with pytest.raises(SpecError, match="^ambient stratum not realizable: "):
+                ask(Evaluator())
 
 
 def test_genus1_closed_forms_match_fixture_table():
@@ -344,6 +345,29 @@ def test_fixture_key_drops_an_unconstrained_residue_part():
     both = StratumSpec.make([(0, (2, 2, -2, -2, -2))],
                             [({(0, 2), (0, 3)}, True), ({(0, 4)}, False)])
     assert both.canonical_key() == StratumSpec(both.components, both.residue_parts[:1]).to_json()
+
+
+def test_a_fixture_on_a_constrained_spec_answers():
+    """A fixture on a spec with a constrained part answers its pure xi^d or
+    pure psi integrand before the condition is removed, on that spec with
+    that numbering only; the spec without the part has no fixture, so the
+    removal alone cannot evaluate it, and a mixed integrand is not read as
+    the pure psi fixture of the same exponents."""
+    spec = StratumSpec.make([(1, (3, 1, -2, -2))], [({(0, 2), (0, 3)}, True)])
+    renumbered = StratumSpec.make([(1, (1, 3, -2, -2))], [({(0, 2), (0, 3)}, True)])
+    assert dimension(spec).projectivized == 3
+    reg = default_registry()
+    reg.register(spec, 12345, "test")
+    reg.register(spec, Fraction(-2, 7), "test", psi={(0, 0): 3})
+    ev = Evaluator(reg)
+    assert ev.xi_top(spec) == 12345
+    assert ev.psi_top(spec, {(0, 0): 3}) == Fraction(-2, 7)
+    for ask in (lambda: ev.xi_top(renumbered), lambda: ev.psi_top(renumbered, {(0, 1): 3}),
+                lambda: ev.integral(spec, {(0, 0): 2}, 1),
+                lambda: Evaluator().xi_top(spec)):
+        with pytest.raises(UnevaluatableError) as err:
+            ask()
+        assert err.value.key == 'xi^d on {"c": [[1, [3, 1, -2, -2]]]}'
 
 
 def test_single_pole_recursion_sweep():

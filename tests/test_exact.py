@@ -129,3 +129,10 @@ def test_rational_str():
     # as the equal Fraction does
     for n in (-3, 0, 7):
         assert rational_str(n) == rational_str(Fraction(n)) == str(n)
+
+
+@pytest.mark.parametrize("x", [-0.0, 0.5, True, "1/2"])
+def test_rational_str_takes_only_exact_values(x):
+    # a float such as -0.0 would otherwise print as an exact "0"
+    with pytest.raises(TypeError):
+        rational_str(x)

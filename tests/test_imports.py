@@ -29,6 +29,9 @@ UNCALLED_PUBLIC = {
     "stats": "caches.stats: the per-memo entry counts that library-native "
              "counters are to build on",
     "error": "cli._Parser.error: argparse calls it on a usage error",
+    "boundary_integral": "evaluate.Evaluator.boundary_integral: the public "
+                         "Fraction view of one boundary term; the library adds "
+                         "the integer pairs of _boundary_pair",
 }
 
 

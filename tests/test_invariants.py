@@ -15,6 +15,7 @@ from stratacalc import levelgraphs as lg
 from stratacalc import tautring as tr
 
 from oracles import c1_direct
+from test_levelgraphs import NEGATIVE_DIMENSION_SPECS
 
 
 EV = Evaluator()
@@ -332,18 +333,14 @@ def test_chi_fail_loud_with_dependency_chain():
 def test_one_verdict_for_a_stratum_of_dimension_0():
     """Genus 0 (4,-1,-2,-3) with {2,3} constrained forces the simple
     pole's residue to zero, so it is empty although its dimension is 0.
-    Every entry point that enumerates no graph at L = 0 refuses it as
-    ``euler_characteristic`` does; the empty stratum of dimension -1,
-    genus 0 (1,-3), is answered with nothing."""
+    Every entry point refuses it with the one verdict of
+    ``enumerate_LGL(spec, 0)``, and so the strata of negative dimension,
+    which enumerate no graph at any L."""
     spec = StratumSpec.make([(0, (4, -1, -2, -3))], [({(0, 2), (0, 3)}, True)])
     assert dimension(spec).projectivized == 0
-    for ask in (lg.enumerate_LG1, inv.c1_log_cotangent,
-                lambda s: inv.chern_character(s, 2), lambda s: tr.xi_as_psi(s, (0, 0)),
-                inv.euler_characteristic, inv.chern_polynomial):
-        with pytest.raises(SpecError, match="^ambient stratum not realizable: "):
-            ask(spec)
-    empty = StratumSpec.connected(0, (1, -3))
-    assert lg.enumerate_LG1(empty) == () and lg.enumerate_LGL(empty, 0) == ()
-    assert not inv.c1_log_cotangent(empty).terms
-    assert all(not c.terms for c in inv.chern_character(empty, 2))
-    assert not tr.xi_as_psi(empty, (0, 0)).terms
+    for stratum in (spec, *NEGATIVE_DIMENSION_SPECS):
+        for ask in (lg.enumerate_LG1, inv.c1_log_cotangent,
+                    lambda s: inv.chern_character(s, 2), lambda s: tr.xi_as_psi(s, (0, 0)),
+                    inv.euler_characteristic, inv.chern_polynomial, lg.profile_order_check):
+            with pytest.raises(SpecError, match="^ambient stratum not realizable: "):
+                ask(stratum)

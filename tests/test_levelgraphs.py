@@ -374,19 +374,33 @@ def one_part_specs():
                     yield StratumSpec.make([(0, orders)], [({(0, i) for i in part}, True)])
 
 
+# valid specs of negative projectivized dimension: two points on one
+# genus-0 component (-1), one point (-2), and a one-point component next
+# to a stable one (-1)
+NEGATIVE_DIMENSION_SPECS = [
+    StratumSpec.connected(0, (1, -3)),
+    StratumSpec.connected(0, (-2,)),
+    StratumSpec.make([(0, (-2,)), (0, (0, 0, -2))]),
+]
+
+
 @pytest.mark.parametrize("components,vertex", [
     ([(0, (0, -2)), (1, (0,))], 0), ([(1, (0,)), (0, (0, -2))], 0),
-    ([(0, (1, -3)), (0, (0, 0, -2))], 0), ([(0, (0, 0, -2)), (0, (1, -3))], 1)])
+    ([(0, (1, -3)), (0, (0, 0, -2))], 0), ([(0, (0, 0, -2)), (0, (1, -3))], 1),
+    *[(spec.components, 0) for spec in NEGATIVE_DIMENSION_SPECS]])
 def test_an_unstable_component_is_not_realizable(components, vertex):
-    """``validate`` accepts a disconnected spec with an unstable genus-0
-    component of two points when the other components give it a dimension
-    of at least 0; enumeration refuses it, naming the vertex of the
-    canonical trivial graph."""
+    """``validate`` accepts a spec with an unstable genus-0 component of
+    one or two points, whether the other components give it a dimension
+    of at least 0 (the first four) or not (those of negative dimension);
+    enumeration refuses it at every L, above the dimension included,
+    naming the vertex of the canonical trivial graph."""
     spec = StratumSpec.make(components)
-    assert not validate(spec) and dimension(spec).projectivized >= 0
-    with pytest.raises(SpecError) as exc:
-        lg.enumerate_LGL(spec, 0)
-    assert str(exc.value) == f"ambient stratum not realizable: vertex {vertex}: unstable"
+    assert not validate(spec)
+    assert (dimension(spec).projectivized < 0) == (spec in NEGATIVE_DIMENSION_SPECS)
+    for L in (0, 1, 2):
+        with pytest.raises(SpecError) as exc:
+            lg.enumerate_LGL(spec, L)
+        assert str(exc.value) == f"ambient stratum not realizable: vertex {vertex}: unstable"
 
 
 def test_one_constrained_part_enumerates_at_every_L():
